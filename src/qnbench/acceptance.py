@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basic import basic_construction, left_operator
+from .basic import basic_construction, left_operator, module_projection, right_operator
 from .bimodule import orthonormal_basis
 from .certificates import compose_certificates, product_compose
 from .conditions import DiagnosisConfig, check_c1, diagnose_inclusion, normality_test
@@ -401,21 +401,14 @@ def criterion_6(config: AcceptanceConfig) -> CriterionResult:
         algebra, sub, _ = _random_inclusion(rng, with_mid=False)
         c = basic_construction(algebra, sub, tolerances=tol)
         expect = conditional_expectation(algebra, sub)
-        basis = algebra.basis()
-        for column, product in zip(c._span_ops.T, c._span_products):
-            lhs = c.extension_trace(column.reshape(algebra.dim, algebra.dim))
-            worst["trace_identity"] = max(worst["trace_identity"], abs(lhs - product.trace()))
+        worst["trace_identity"] = max(worst["trace_identity"], c.trace_identity_residual())
         for _ in range(5):
             x = algebra.random_element(rng)
             lhs = c.e_sub @ left_operator(x) @ c.e_sub
             rhs = left_operator(expect(x)) @ c.e_sub
             worst["compression"] = max(worst["compression"], float(np.linalg.norm(lhs - rhs, 2)))
-        _, svals, vh = np.linalg.svd(c._span_ops, full_matrices=False)
-        null = vh.conj().T[:, svals <= tol.subalgebra_closure * max(1.0, float(svals[0]))]
-        if null.size:
-            prod_matrix = np.stack([algebra.to_vector(p) for p in c._span_products], axis=1)
-            worst["pull_down_welldefined"] = max(
-                worst["pull_down_welldefined"], float(np.linalg.norm(prod_matrix @ null, 2)))
+        worst["pull_down_welldefined"] = max(
+            worst["pull_down_welldefined"], c.pimsner_popa_residual())
         for _ in range(5):
             w = c.basic_operator(algebra.random_element(rng), algebra.random_element(rng)) \
                 + left_operator(algebra.random_element(rng))
@@ -428,15 +421,12 @@ def criterion_6(config: AcceptanceConfig) -> CriterionResult:
             pulled = c.pull_down(w @ c.e_sub @ w.conj().T)
             worst["pull_down_factorization"] = max(
                 worst["pull_down_factorization"], (pulled - eta @ eta.adjoint()).norm2())
-        module = orthonormal_basis(sub, expect, [algebra.one()] + basis, tol)
         for _ in range(5):
             v = algebra.random_element(rng)
             worst["reconstruction"] = max(
-                worst["reconstruction"], module.reconstruction_residual(v))
-        worst["gram_identity"] = max(worst["gram_identity"], module.gram_defect())
+                worst["reconstruction"], c.trace_vectors.reconstruction_residual(v))
+        worst["gram_identity"] = max(worst["gram_identity"], c.trace_vectors.gram_defect())
         x = algebra.random_element(rng)
-        from .basic import module_projection, right_operator
-
         two_sided = orthonormal_basis(
             sub, expect, [b1 @ x @ b2 for b1 in sub.basis for b2 in sub.basis], tol)
         p = module_projection(c, two_sided)

@@ -1,26 +1,38 @@
 """The basic construction of an inclusion at finite dimension.
 
 Everything lives on the GNS space of the ambient trace: elements become
-coordinate vectors, left and right multiplications become square matrices
-(blockwise Kronecker products; the orthonormal scaling cancels), and the
-distinguished projection of the construction is the orthogonal projection
-onto the subalgebra's vector span.  The canonical trace on the extension
-algebra is computed from
-a module basis of the ambient algebra over the subalgebra whose first
-vector is the trace vector, and is verified at build time against its
-defining identity ``Tr(x e y) = tau(x y)``.
+coordinate vectors, left and right multiplications ``lambda``/``rho`` become
+square matrices (blockwise Kronecker products; the orthonormal scaling
+cancels), and the projection ``e`` of the construction is the orthogonal
+projection onto the subalgebra's vector span.
 
-The pull-down map sends ``x e y`` to ``x y``; it is realized as a linear
-solve over the spanning operators, and its well-definedness (independence
-of the representation) is checked on the numerical null space of the span.
+The rest is closed form in a module basis ``eta_i`` of the ambient algebra
+over the subalgebra ``B``, first vector the trace vector, whose
+reconstruction ``v = sum_i eta_i E_B(eta_i* v)`` is, as operators, the
+Pimsner-Popa identity ``sum_i lambda(eta_i) e lambda(eta_i)* = 1``.
+
+* Canonical trace ``Tr(T) = sum_i <eta_i, T eta_i>``: on ``x e y`` it is
+  ``tau(y sum_i eta_i E_B(eta_i* x)) = tau(x y)``.
+* Membership: the span of the ``x e y`` is the commutant ``(JBJ)'`` of
+  ``rho(B)`` (Jones).  Each ``x e y`` commutes with ``rho(B)`` as ``e`` does.
+  If ``T`` does, ``T lambda(eta) e`` and ``lambda(T eta) e`` agree on ``B``
+  (``T (eta b) = (T eta) b``) and vanish on its complement, so
+  ``T = sum_i lambda(T eta_i) e lambda(eta_i)*`` lies in the span.
+* Pull-down: hence ``x e y -> x y`` is ``T -> sum_i (T eta_i) eta_i*``,
+  well defined as it depends on ``T`` alone; on ``x e y`` it gives
+  ``x sum_i E_B(y eta_i) eta_i* = x y`` by reconstruction of ``y*``.
+
+The build checks ``Tr(x e y) = tau(x y)`` on all pairs of matrix units and
+the Pimsner-Popa identity in operator norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .bimodule import BimoduleBasis, orthonormal_basis
 from .errors import ConstructionError, RepresentationError
@@ -31,25 +43,12 @@ from .tolerances import Tolerances
 
 def left_operator(x: AlgebraElement) -> np.ndarray:
     """Matrix of left multiplication on the GNS space."""
-    blocks = [np.kron(b, np.eye(b.shape[0], dtype=complex)) for b in x.blocks]
-    return _block_diag(blocks)
+    return block_diag(*(np.kron(b, np.eye(b.shape[0], dtype=complex)) for b in x.blocks))
 
 
 def right_operator(y: AlgebraElement) -> np.ndarray:
     """Matrix of right multiplication on the GNS space."""
-    blocks = [np.kron(np.eye(b.shape[0], dtype=complex), b.T) for b in y.blocks]
-    return _block_diag(blocks)
-
-
-def _block_diag(blocks) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=complex)
-    at = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[at : at + n, at : at + n] = b
-        at += n
-    return out
+    return block_diag(*(np.kron(np.eye(b.shape[0], dtype=complex), b.T) for b in y.blocks))
 
 
 @dataclass
@@ -61,9 +60,7 @@ class BasicConstruction:
     e_sub: np.ndarray
     e_mid: np.ndarray
     trace_vectors: BimoduleBasis
-    trace_form: np.ndarray = field(default=None)  # sum of |xi_i><xi_i|
-    _span_ops: np.ndarray = field(default=None)
-    _span_products: list = field(default_factory=list)
+    trace_form: np.ndarray  # sum of |eta_i><eta_i|
 
     # -- operators -----------------------------------------------------------
 
@@ -108,19 +105,45 @@ class BasicConstruction:
     # -- pull-down ---------------------------------------------------------------
 
     def pull_down(self, op: np.ndarray) -> AlgebraElement:
-        """Linear extension of ``x e y -> x y``; input must lie in the span."""
-        target = op.reshape(-1)
-        coeffs, _, _, _ = np.linalg.lstsq(self._span_ops, target, rcond=None)
-        fit = self._span_ops @ coeffs
-        err = float(np.linalg.norm(fit - target))
-        if err > self.tolerances.pull_down * max(1.0, float(np.linalg.norm(target))):
-            raise RepresentationError(
-                f"operator is outside the x e y span (residual {err:.2e})"
-            )
+        """Linear extension of ``x e y -> x y``: ``sum_i (T eta_i) eta_i*``.
+
+        The input must lie in the span, that is commute with the right
+        action of the subalgebra.
+        """
+        bound = self.tolerances.pull_down * max(1.0, float(np.linalg.norm(op)))
+        for b in self.subalgebra.basis:
+            rb = right_operator(b)
+            err = float(np.linalg.norm(op @ rb - rb @ op))
+            if err > bound:
+                raise RepresentationError(
+                    f"operator is outside the x e y span (commutator {err:.2e})")
         out = self.algebra.zero()
-        for c, prod in zip(coeffs, self._span_products):
-            out = out + complex(c) * prod
+        for eta in self.trace_vectors.vectors:
+            out = out + self.element_of(op @ self.vector_of(eta)) @ eta.adjoint()
         return out
+
+    # -- identity checks -----------------------------------------------------------
+
+    def trace_identity_residual(self) -> float:
+        """Largest ``|Tr(x e y) - tau(x y)|`` over all pairs of matrix units."""
+        dim = self.algebra.dim
+        units = self.algebra.basis()
+        lefts = np.stack([left_operator(u) for u in units])
+        # Tr(L_x e L_y) = sum_ab (L_x)_ab (e L_y F)_ba with F the trace form
+        factors = (self.e_sub @ lefts @ self.trace_form).transpose(0, 2, 1)
+        traces = lefts.reshape(dim, -1) @ factors.reshape(dim, -1).T
+        one = self.vector_of(self.algebra.one())
+        products = (one.conj() @ lefts) @ (lefts @ one).T  # tau(x y) = <1, x y 1>
+        return float(np.max(np.abs(traces - products)))
+
+    def pimsner_popa_residual(self) -> float:
+        """Operator norm of ``sum_i lambda(eta_i) e lambda(eta_i)* - 1``.
+
+        Pull-down of ``x e y`` is ``x`` times the adjoint of the
+        reconstruction of ``y*``, so this bounds the pull-down defect.
+        """
+        projection = module_projection(self, self.trace_vectors)
+        return float(np.linalg.norm(projection - np.eye(self.algebra.dim), 2))
 
 
 def basic_construction(
@@ -140,12 +163,9 @@ def basic_construction(
         e_mid = np.eye(algebra.dim, dtype=complex)
 
     expect = conditional_expectation(algebra, subalgebra)
-    module_generators = [algebra.one()] + algebra.basis()
-    trace_vectors = orthonormal_basis(subalgebra, expect, module_generators, tolerances)
-    trace_form = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    for eta in trace_vectors.vectors:
-        vec = algebra.to_vector(eta)
-        trace_form += np.outer(vec, vec.conj())
+    trace_vectors = orthonormal_basis(subalgebra, expect, [algebra.one()] + algebra.basis(),
+                                      tolerances)
+    frame = np.stack([algebra.to_vector(eta) for eta in trace_vectors.vectors], axis=1)
 
     construction = BasicConstruction(
         algebra=algebra,
@@ -155,47 +175,25 @@ def basic_construction(
         e_sub=e_sub,
         e_mid=e_mid,
         trace_vectors=trace_vectors,
-        trace_form=trace_form,
+        trace_form=frame @ frame.conj().T,
     )
-
-    basis = algebra.basis()
-    ops = []
-    products = []
-    for x in basis:
-        lx = left_operator(x)
-        for y in basis:
-            ops.append((lx @ e_sub @ left_operator(y)).reshape(-1))
-            products.append(x @ y)
-    construction._span_ops = np.stack(ops, axis=1)
-    construction._span_products = products
-
     _verify_construction(construction)
     return construction
 
 
 def _verify_construction(c: BasicConstruction) -> None:
-    algebra = c.algebra
     tol = c.tolerances.construction_identity
-    first = c.trace_vectors.vectors[0]
-    if (first - algebra.one()).norm2() > tol:
+    if (c.trace_vectors.vectors[0] - c.algebra.one()).norm2() > tol:
         raise ConstructionError("module basis does not start at the trace vector")
     for eta in c.trace_vectors.vectors[1:]:
         if float(np.linalg.norm(c.e_sub @ c.vector_of(eta))) > tol:
             raise ConstructionError("module basis vector has a nonzero subalgebra component")
-    dim = algebra.dim
-    worst = 0.0
-    for column, product in zip(c._span_ops.T, c._span_products):
-        lhs = c.extension_trace(column.reshape(dim, dim))
-        worst = max(worst, abs(lhs - product.trace()))
+    worst = c.trace_identity_residual()
     if worst > tol:
         raise ConstructionError(f"trace identity residual {worst:.2e} exceeds {tol:.2e}")
-    _, svals, vh = np.linalg.svd(c._span_ops, full_matrices=False)
-    null = vh.conj().T[:, svals <= c.tolerances.subalgebra_closure * max(1.0, float(svals[0]))]
-    if null.size:
-        prod_matrix = np.stack([algebra.to_vector(p) for p in c._span_products], axis=1)
-        defect = float(np.linalg.norm(prod_matrix @ null, 2))
-        if defect > c.tolerances.pull_down:
-            raise ConstructionError(f"pull-down is not well defined (defect {defect:.2e})")
+    defect, bound = c.pimsner_popa_residual(), c.tolerances.reconstruction
+    if defect > bound:
+        raise ConstructionError(f"Pimsner-Popa residual {defect:.2e} exceeds {bound:.2e}")
 
 
 def module_projection(construction: BasicConstruction, basis: BimoduleBasis) -> np.ndarray:

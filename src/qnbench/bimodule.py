@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expectations import SubalgebraHandle
-from .matrixalg import AlgebraElement, spectral_calculus
+from .matrixalg import AlgebraElement
 from .tolerances import Tolerances
 
 Expectation = Callable[[AlgebraElement], AlgebraElement]
@@ -74,7 +74,6 @@ def orthonormal_basis(
     """
     tolerances = tolerances or Tolerances()
     cutoff = tolerances.gram_cutoff
-    ambient = sub.ambient
     closed = [g @ b for g in module_generators for b in sub.basis]
     vectors: list[AlgebraElement] = []
     supports: list[AlgebraElement] = []
@@ -82,17 +81,33 @@ def orthonormal_basis(
         remainder = zeta
         for eta in vectors:
             remainder = remainder - eta @ expectation(eta.adjoint() @ remainder)
-        gram = expectation(remainder.adjoint() @ remainder)
-        if gram.sup_norm() <= cutoff:  # Gram rank zero: the remainder is noise
+        roots = gram_root_inverse(expectation(remainder.adjoint() @ remainder), cutoff)
+        if roots is None:  # Gram rank zero: the remainder is noise
             continue
-        root_inv = spectral_calculus(gram, lambda v: 1.0 / np.sqrt(v), cutoff=cutoff)
-        support = spectral_calculus(gram, lambda v: 1.0, cutoff=cutoff)
-        eta = remainder @ root_inv
-        vectors.append(eta)
+        root_inv, support = roots
+        vectors.append(remainder @ root_inv)
         supports.append(support)
     vectors, supports = _merge_orthogonal_supports(vectors, supports, cutoff)
     return BimoduleBasis(subalgebra=sub, expectation=expectation,
                          vectors=vectors, supports=supports)
+
+
+def gram_root_inverse(gram: AlgebraElement, cutoff: float):
+    """Pseudo inverse square root and support of a Gram element, or ``None``.
+
+    Only eigenvalues above ``cutoff`` count: ``E_B(r* r)`` is positive, so a
+    negative eigenvalue is rounding noise whose root would be NaN.
+    """
+    spectra = [np.linalg.eigh(block) for block in gram.blocks]
+    if not any((vals > cutoff).any() for vals, _ in spectra):
+        return None
+
+    def apply(func) -> AlgebraElement:
+        return AlgebraElement(gram.algebra, tuple(
+            (vecs * (func(np.where(vals > cutoff, vals, 1.0)) * (vals > cutoff)))
+            @ vecs.conj().T for vals, vecs in spectra))
+
+    return apply(lambda v: 1.0 / np.sqrt(v)), apply(np.ones_like)
 
 
 def _merge_orthogonal_supports(vectors, supports, cutoff):

@@ -125,11 +125,7 @@ def run_vn_analysis(args) -> int:
 
 def _identity_summary(construction, expect, rng, tolerances: Tolerances) -> dict:
     algebra = construction.algebra
-    dim = algebra.dim
-    worst_trace = 0.0
-    for column, product in zip(construction._span_ops.T, construction._span_products):
-        value = construction.extension_trace(column.reshape(dim, dim))
-        worst_trace = max(worst_trace, abs(value - product.trace()))
+    worst_trace = construction.trace_identity_residual()
     worst_compression = 0.0
     worst_norm = 0.0
     for _ in range(5):

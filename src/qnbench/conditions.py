@@ -306,12 +306,9 @@ class InclusionReport:
     inconsistencies: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        fmt = None
-
         def render(e: GroupElement) -> str:
             return e.group.format_element(e)
 
-        del fmt
         gamma_rows = []
         for entry in self.gamma:
             verdict = entry.verdict

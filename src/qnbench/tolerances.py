@@ -12,7 +12,7 @@ class Tolerances:
     construction_identity: float = 1e-8  # build-time check Tr(x e y) = tau(xy)
     trace_identity: float = 1e-10        # spanning-set residual of the same identity
     compression_identity: float = 1e-12  # e x e = E(x) e as operators
-    pull_down: float = 1e-10             # representation/well-definedness residual
+    pull_down: float = 1e-10             # span membership: right-action commutator
     vector_norm_match: float = 1e-9      # |w e|_Tr vs |w vector|_tau
     pull_down_factorization: float = 1e-9
     reconstruction: float = 1e-9         # module vector reconstruction residual

@@ -8,7 +8,7 @@ from qnbench.basic import (
     qn1_module_test,
     right_operator,
 )
-from qnbench.bimodule import orthonormal_basis, remove_component
+from qnbench.bimodule import gram_root_inverse, orthonormal_basis, remove_component
 from qnbench.errors import RepresentationError
 from qnbench.expectations import (
     conditional_expectation,
@@ -288,6 +288,19 @@ def test_module_projection_properties():
         # here because the module is a two-sided module
         assert np.linalg.norm(p @ right_operator(b) - right_operator(b) @ p) < 1e-9
         assert np.linalg.norm(p @ left_operator(b) - left_operator(b) @ p) < 1e-9
+
+
+def test_gram_root_inverse_drops_negative_noise():
+    # a Gram element E_B(r* r) whose rounding noise went below -cutoff: the
+    # root inverse must skip it rather than take the root of a negative number
+    M = build_algebra([2, 1], [1 / 3, 1 / 3])
+    gram = M.element([np.diag([4.0, -3e-10]), np.array([[-2e-10]])])
+    root_inv, support = gram_root_inverse(gram, cutoff=1e-10)
+    assert all(np.isfinite(b).all() for b in root_inv.blocks)
+    assert (root_inv - M.element([np.diag([0.5, 0.0]), np.zeros((1, 1))])).norm2() < 1e-15
+    assert (support - M.element([np.diag([1.0, 0.0]), np.zeros((1, 1))])).norm2() < 1e-15
+    noise = M.element([np.diag([5e-11, -3e-10]), np.array([[-2e-10]])])
+    assert gram_root_inverse(noise, cutoff=1e-10) is None
 
 
 # -- expectation removal -------------------------------------------------------------------
