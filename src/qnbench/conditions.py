@@ -180,25 +180,37 @@ def check_c3(group: GroupDescriptor, spec: SubgroupSpec, ball_radius: int = 3,
     verdict stayed Unknown and is inconclusive whenever that list is
     nonempty.
     """
-    unknowns = []
     ball = enumerate_ball(group, ball_radius)
+    memberships = {g: is_subgroup_member(spec, g) for g in ball}
+    verdicts = {g: _qn1_or_none(spec, g, budget) for g in ball if memberships[g] is Trit.NO}
+    return _c3_from_verdicts(ball, memberships, verdicts)
+
+
+def _qn1_or_none(spec: SubgroupSpec, g: GroupElement, budget: int) -> Optional[MembershipVerdict]:
+    """The membership verdict, or None when a coset comparison is undecided."""
+    try:
+        return qn1_membership(spec, g, budget)
+    except IndeterminateResultError:
+        return None
+
+
+def _c3_from_verdicts(ball, memberships, verdicts) -> C3Result:
+    """The C3 scan over ball memberships and the verdicts of non-members."""
+    unknowns = []
     for g in ball:
-        membership = is_subgroup_member(spec, g)
+        membership = memberships[g]
         if membership is Trit.YES:
             continue
         if membership is Trit.UNKNOWN:
             unknowns.append(g)
             continue
-        try:
-            verdict = qn1_membership(spec, g, budget)
-        except IndeterminateResultError:
+        verdict = verdicts[g]
+        if verdict is None or verdict.unknown:
             unknowns.append(g)
             continue
         if verdict.certified_in:
             return C3Result(kind="counterexample", counterexample=g,
                             certificate=verdict.certificate, scanned=len(ball))
-        if verdict.unknown:
-            unknowns.append(g)
     return C3Result(kind="no_counterexample", unknowns=tuple(unknowns), scanned=len(ball))
 
 
@@ -321,7 +333,7 @@ class InclusionReport:
                     if verdict and verdict.certificate
                     else None,
                     "h1_status": entry.h1_status,
-                    "tier": verdict.evidence_tier if verdict else "exact",
+                    "tier": verdict.evidence_tier if verdict else "ball-limited",
                 }
             )
         return {
@@ -385,26 +397,6 @@ def _shared_verdict(spec: SubgroupSpec, g: GroupElement,
                              orbit_explored=cached.orbit_explored)
 
 
-def _c3_from_verdicts(ball, memberships, verdicts) -> C3Result:
-    """C3 scan over precomputed ball verdicts (same semantics as check_c3)."""
-    unknowns = []
-    for g in ball:
-        membership = memberships[g]
-        if membership is Trit.YES:
-            continue
-        if membership is Trit.UNKNOWN:
-            unknowns.append(g)
-            continue
-        verdict = verdicts[g]
-        if verdict is None or verdict.unknown:
-            unknowns.append(g)
-            continue
-        if verdict.certified_in:
-            return C3Result(kind="counterexample", counterexample=g,
-                            certificate=verdict.certificate, scanned=len(ball))
-    return C3Result(kind="no_counterexample", unknowns=tuple(unknowns), scanned=len(ball))
-
-
 def verify_abelian(spec: SubgroupSpec) -> Optional[bool]:
     """Pairwise commutation of the generators; None when undecided."""
     group = spec.group
@@ -444,10 +436,7 @@ def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
         if key is not None and key in shared:
             verdicts[g] = _shared_verdict(spec, g, shared[key], config.budget)
             continue
-        try:
-            verdict = qn1_membership(spec, g, config.budget)
-        except IndeterminateResultError:
-            verdict = None
+        verdict = _qn1_or_none(spec, g, config.budget)
         verdicts[g] = verdict
         if key is not None:
             shared[key] = verdict

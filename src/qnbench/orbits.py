@@ -4,8 +4,16 @@ The coset orbit of ``g`` under a subgroup ``H`` is ``{h g H : h in H}``; it
 is finite exactly when ``H g`` is covered by finitely many left cosets, i.e.
 when ``g`` is a one-sided quasi-normalizer of ``H``.  A breadth-first search
 over the orbit either closes (yielding a replayable certificate) or exhausts
-its budget.  On free groups the search is cross-checked against the exact
-intersection-index backend; the two must agree whenever either terminates.
+its budget.
+
+Three subgroup families have an exact decision, looked up by accelerator
+kind, and each is cross-checked against the orbit search:
+
+* free groups -- the intersection index of the folded subgroup graphs;
+* tail subgroups ``K_n`` of the shift extension -- a closed-form rule on the
+  stable exponent and the letter indices;
+* product subgroups -- the componentwise decisions, whose certificates
+  compose.
 
 Negative verdicts are only issued by exact backends.  Budget exhaustion in
 families without such a backend is reported as Unknown, never as a
@@ -20,7 +28,7 @@ from typing import Optional
 
 from .certificates import CosetIndex, QnCertificate, certificate_from_cover
 from .errors import GroupValidationError
-from .groups import FiniteTableGroup, FreeGroupDescriptor, GroupElement
+from .groups import FiniteTableGroup, GroupElement
 from .stallings import free_qn1_decide
 from .subgroups import SubgroupSpec
 
@@ -111,50 +119,112 @@ def orbit_bfs(spec: SubgroupSpec, g: GroupElement, budget: int) -> CosetOrbit:
     )
 
 
-def _free_backend(spec: SubgroupSpec):
-    if isinstance(spec.group, FreeGroupDescriptor) and spec.accelerator and spec.accelerator[0] == "graph":
-        return spec.accelerator[1]
-    return None
+def _certified_in(spec: SubgroupSpec, g: GroupElement, orbit: CosetOrbit,
+                  budget: int) -> MembershipVerdict:
+    cert = certificate_from_cover(spec, g, list(orbit.representatives))
+    return MembershipVerdict(status=CERTIFIED_IN, certificate=cert, budget=budget,
+                             orbit_explored=orbit.explored)
+
+
+def _decide_free(spec: SubgroupSpec, g: GroupElement, budget: int) -> MembershipVerdict:
+    """Free groups: the exact index backend decides first; the orbit then only
+    runs to its known closure, and the two are cross-checked."""
+    kind, k = free_qn1_decide(spec.accelerator[1], g.payload)
+    if kind == "out":
+        return MembershipVerdict(
+            status=CERTIFIED_OUT,
+            reason="free-group intersection has infinite index",
+            budget=budget,
+        )
+    full = orbit_bfs(spec, g, k)
+    if not full.closed or full.size != k:
+        raise GroupValidationError(
+            f"orbit backend disagreement: orbit {full.size, full.closed} vs index {k}"
+        )
+    return _certified_in(spec, g, full, budget)
+
+
+def _decide_shift_tail(spec: SubgroupSpec, g: GroupElement, budget: int) -> MembershipVerdict:
+    """Tail subgroups ``K_n`` of the shift extension.
+
+    ``g = (w, s) = w t^s`` is a one-sided quasi-normalizer of ``K_n`` exactly
+    when ``s <= 0`` and every letter of ``w`` has index at least ``n + s``;
+    the cover size is then 1.  Proof sketch:
+
+    * ``t^s K_n t^-s = K_{n+s}``, so ``g K_n = w K_{n+s} t^s`` and the orbit
+      of ``g K_n`` under ``K_n`` is in bijection with the cosets
+      ``h w K_{n+s}``, ``h`` in ``K_n``.
+    * If ``s <= 0`` then ``K_n <= K_{n+s}``.  When ``w`` lies in ``K_{n+s}``
+      every ``h w K_{n+s}`` equals ``K_{n+s}``: one coset.  Otherwise
+      ``h w K_{n+s} = h' w K_{n+s}`` forces ``h'^-1 h`` into
+      ``K_{n+s} and w K_{n+s} w^-1``, which is trivial because ``K_{n+s}``
+      is a malnormal free factor of the base; the orbit is as large as
+      ``K_n``, hence infinite.
+    * If ``s > 0`` then ``K_{n+s}`` has infinite index in ``K_n``, and the
+      stabilizer ``K_n and w K_{n+s} w^-1`` is either conjugate to
+      ``K_{n+s}`` inside ``K_n`` (``w`` in ``K_n``) or trivial by
+      malnormality of ``K_n``: again an infinite orbit.
+
+    Cross-checks: a positive answer must close the orbit search at budget 1
+    and its certificate is replayed; a negative answer must leave the search
+    open at budget 2 (the listed generators already move the coset).
+    """
+    n = spec.accelerator[1]
+    word, shift = g.payload
+    if shift <= 0 and all(idx >= n + shift for idx, _ in word):
+        orbit = orbit_bfs(spec, g, 1)
+        if not orbit.closed:
+            raise GroupValidationError("shift-tail rule says cover size 1 but the orbit grows")
+        return _certified_in(spec, g, orbit, budget)
+    probe = orbit_bfs(spec, g, 2)
+    if probe.closed:
+        raise GroupValidationError(
+            f"shift-tail rule refutes but the orbit closed at size {probe.size}"
+        )
+    if shift > 0:
+        reason = f"K{n + shift} has infinite index in K{n}"
+    else:
+        reason = f"word leaves K{n + shift}, a malnormal free factor: the orbit is free"
+    return MembershipVerdict(status=CERTIFIED_OUT, reason=reason, budget=budget,
+                             orbit_explored=probe.explored)
+
+
+def _decide_product(spec: SubgroupSpec, g: GroupElement, budget: int) -> MembershipVerdict:
+    """Product subgroups ``H1 x H2``: the orbit of ``(g1, g2)`` is the product
+    of the component orbits, so the cover size is ``k1 k2`` and a refutation
+    of either component refutes the pair."""
+    left, right = spec.accelerator[1]
+    g1, g2 = g.payload
+    return product_verdict(qn1_membership(left, g1, budget),
+                           qn1_membership(right, g2, budget), spec.group, spec)
+
+
+# accelerator kind -> exact decider; other families fall back to the orbit search
+_EXACT_DECIDERS = {
+    "graph": _decide_free,
+    "shift_tail": _decide_shift_tail,
+    "product": _decide_product,
+}
 
 
 def qn1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> MembershipVerdict:
     """Certified three-valued membership of ``g`` in the one-sided
     quasi-normalizer semigroup of the subgroup.
 
-    A closed orbit yields a replay-validated certificate whose cover is the
-    orbit representative list.  Exact refutations come from the free-group
-    intersection index; finite table groups always certify.
+    Families with an exact decider are answered by it; otherwise a closed
+    orbit yields a replay-validated certificate whose cover is the orbit
+    representative list, and finite table groups always certify.
     """
-    graph = _free_backend(spec)
-    if graph is not None:
-        # the exact index backend decides first; the orbit then only runs to
-        # its known closure, and the two are cross-checked
-        kind, k = free_qn1_decide(graph, g.payload)
-        if kind == "out":
-            return MembershipVerdict(
-                status=CERTIFIED_OUT,
-                reason="free-group intersection has infinite index",
-                budget=budget,
-            )
-        full = orbit_bfs(spec, g, k)
-        if not full.closed or full.size != k:
-            raise GroupValidationError(
-                f"orbit backend disagreement: orbit {full.size, full.closed} vs index {k}"
-            )
-        cert = certificate_from_cover(spec, g, list(full.representatives))
-        return MembershipVerdict(status=CERTIFIED_IN, certificate=cert, budget=budget,
-                                 orbit_explored=full.explored)
+    spec.group.check_same(g)
+    decide = _EXACT_DECIDERS.get(spec.accelerator[0] if spec.accelerator else None)
+    if decide is not None:
+        return decide(spec, g, budget)
     orbit = orbit_bfs(spec, g, budget)
     if orbit.closed:
-        cert = certificate_from_cover(spec, g, list(orbit.representatives))
-        return MembershipVerdict(status=CERTIFIED_IN, certificate=cert, budget=budget,
-                                 orbit_explored=orbit.explored)
+        return _certified_in(spec, g, orbit, budget)
     if isinstance(spec.group, FiniteTableGroup):
         # orbits in a finite group always close once the budget allows
-        full = orbit_bfs(spec, g, spec.group.order)
-        cert = certificate_from_cover(spec, g, list(full.representatives))
-        return MembershipVerdict(status=CERTIFIED_IN, certificate=cert, budget=budget,
-                                 orbit_explored=full.explored)
+        return _certified_in(spec, g, orbit_bfs(spec, g, spec.group.order), budget)
     return MembershipVerdict(status=UNKNOWN, budget=budget, orbit_explored=orbit.explored)
 
 

@@ -205,6 +205,13 @@ def _membership_search(spec: SubgroupSpec, g: GroupElement) -> Trit:
         return group.elements_equal(g, group.identity())
 
     exact_eq = group.equality_is_exact()
+
+    def is_g(e: GroupElement) -> bool:
+        return e == g if exact_eq else group.elements_equal(e, g) is Trit.YES
+
+    # the start node is a subgroup element too
+    if is_g(group.identity()):
+        return Trit.YES
     node_cap = spec.budgets.word_search_nodes
     seen = {group.identity()}
     frontier = [group.identity()]
@@ -217,10 +224,7 @@ def _membership_search(spec: SubgroupSpec, g: GroupElement) -> Trit:
                     continue
                 seen.add(prod)
                 nxt.append(prod)
-                if exact_eq:
-                    if prod == g:
-                        return Trit.YES
-                elif group.elements_equal(prod, g) is Trit.YES:
+                if is_g(prod):
                     return Trit.YES
         frontier = nxt
     # positive search exhausted; no refutation available

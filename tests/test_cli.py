@@ -1,6 +1,9 @@
 import io
 import json
 import sys
+from pathlib import Path
+
+import pytest
 
 from qnbench.cli import main
 
@@ -25,8 +28,24 @@ def test_group_command_on_shift_file():
     rows = {row["element"]: row for row in doc["gamma_ball"]}
     assert rows["t^-1"]["qn1_status"] == "certified_in"
     assert rows["t^-1"]["cover_size"] == 1
-    assert rows["t"]["qn1_status"] == "unknown"
+    assert rows["t"]["qn1_status"] == "certified_out"
+    assert rows["t"]["tier"] == "exact"
     assert doc["c3"]["counterexample"] == "t^-1"
+    assert doc["diagnosis"]["tier"] == "exact"
+
+
+GROUP_SAMPLES = sorted(
+    path.name for path in (Path(__file__).resolve().parent.parent / SAMPLES).glob("*.json")
+    if "family" in json.loads(path.read_text())
+)
+
+
+@pytest.mark.parametrize("name", GROUP_SAMPLES)
+def test_group_samples_decide_every_row(name):
+    code, out = run_cli(["group", f"{SAMPLES}/{name}", "--radius", "2"])
+    assert code == 0
+    statuses = {row["qn1_status"] for row in json.loads(out)["gamma_ball"]}
+    assert not statuses & {"skipped", "unknown"}
 
 
 def test_group_command_free_file_masa_evidence():

@@ -10,9 +10,10 @@ from qnbench.conditions import (
     normalizer_test,
     verify_abelian,
 )
-from qnbench.errors import GroupValidationError
+from qnbench.errors import GroupValidationError, IndeterminateResultError
 from qnbench.groups import (
     FiniteTableGroup,
+    FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     Trit,
@@ -22,6 +23,7 @@ from qnbench.groups import (
     invert,
     multiply,
 )
+from qnbench.orbits import qn1_membership
 from qnbench.subgroups import shift_tail_subgroup, subgroup
 from qnbench.words import concat, generator
 
@@ -236,7 +238,7 @@ def test_diagnose_normal_subgroup_certifies_ball():
     assert report.normality is Trit.YES
 
 
-def test_diagnose_shift_extension_reports_unknowns_honestly():
+def test_diagnose_shift_extension_is_exact():
     G = ShiftExtensionDescriptor(window=1)
     K0 = shift_tail_subgroup(G, 0)
     report = diagnose_inclusion(G, K0, DiagnosisConfig(radius=2, budget=100))
@@ -245,10 +247,27 @@ def test_diagnose_shift_extension_reports_unknowns_honestly():
     by_element = {e.element: e for e in report.gamma}
     assert by_element[t_inv].verdict.certified_in
     assert by_element[t_inv].verdict.certificate.cover_size == 1
-    assert by_element[t].verdict.unknown
-    assert by_element[t_inv].h1_status == "unknown"
-    assert report.tier == "ball-limited"
+    assert by_element[t].verdict.certified_out
+    assert by_element[t].verdict.reason == "K1 has infinite index in K0"
+    assert by_element[t_inv].h1_status == "certified_out"
+    assert all(e.verdict is not None and not e.verdict.unknown for e in report.gamma)
+    assert report.tier == "exact"
     assert report.c3.kind == "counterexample"
+
+
+def test_skipped_rows_are_ball_limited():
+    # coset comparisons for <a> in the relator-free presentation come back
+    # Unknown, so the membership verdict of b cannot be computed
+    F = FpGroupDescriptor(2, [], names=("a", "b"))
+    a, b = F.generators()
+    H = subgroup(F, [a])
+    with pytest.raises(IndeterminateResultError):
+        qn1_membership(H, b, budget=16)
+    report = diagnose_inclusion(F, H, DiagnosisConfig(radius=1, budget=16))
+    rows = {row["element"]: row for row in report.to_dict()["gamma_ball"]}
+    assert rows["b"]["qn1_status"] == "skipped"
+    assert rows["b"]["tier"] == "ball-limited"
+    assert report.tier == "ball-limited"
 
 
 def test_diagnose_claim_abelian_rejected_when_false():

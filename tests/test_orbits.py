@@ -13,6 +13,7 @@ from qnbench.groups import (
     FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
+    enumerate_ball,
     identity,
 )
 from qnbench.orbits import h1_membership, orbit_bfs, product_verdict, qn1_membership
@@ -99,12 +100,54 @@ def test_qn1_refutes_b_over_cyclic_a():
     assert "infinite index" in verdict.reason
 
 
-def test_qn1_unknown_on_budget_exhaustion():
+def test_qn1_refutes_stable_letter_while_its_orbit_stays_open():
     G, K0 = shift_setup()
     verdict = qn1_membership(K0, G.stable_letter(), budget=64)
-    assert verdict.unknown
-    assert verdict.orbit_explored >= 64
-    assert verdict.evidence_tier == "ball-limited"
+    assert verdict.certified_out
+    assert verdict.reason == "K1 has infinite index in K0"
+    assert verdict.evidence_tier == "exact"
+    # the orbit search itself stays budget-honest: it never closes
+    orbit = orbit_bfs(K0, G.stable_letter(), budget=64)
+    assert not orbit.closed and orbit.explored >= 64
+
+
+@pytest.mark.parametrize(
+    "window, radius, n",
+    [(1, 3, n) for n in range(-1, 2)] + [(2, 2, n) for n in range(-2, 3)],
+)
+def test_shift_tail_rule_matches_orbit_search(window, radius, n):
+    G = ShiftExtensionDescriptor(window=window)
+    K = shift_tail_subgroup(G, n)
+    for g in enumerate_ball(G, radius):
+        verdict = qn1_membership(K, g, budget=150)
+        orbit = orbit_bfs(K, g, budget=150)
+        assert verdict.certified_in == orbit.closed, G.format_element(g)
+        if orbit.closed:
+            assert orbit.size == verdict.certificate.cover_size == 1
+        else:
+            assert verdict.certified_out and orbit.explored > 150
+
+
+def test_product_decision_matches_orbit_search():
+    S3 = FiniteTableGroup.from_permutations([(1, 0, 2), (0, 2, 1)])
+    left, right = subgroup(F2, [A]), subgroup(S3, [S3.generators()[0]])
+    P = DirectProductDescriptor(F2, S3)
+    spec = product_subgroup(P, left, right)
+    decided = 0
+    for g in enumerate_ball(P, 2):
+        verdict = qn1_membership(spec, g, budget=40)
+        orbit = orbit_bfs(spec, g, budget=40)
+        if not orbit.closed:
+            assert verdict.certified_out
+            continue
+        decided += 1
+        g1, g2 = g.payload
+        k1 = qn1_membership(left, g1).certificate.cover_size
+        k2 = qn1_membership(right, g2).certificate.cover_size
+        assert verdict.certified_in
+        assert verdict.certificate.cover_size == orbit.size == k1 * k2
+        replay_certificate(verdict.certificate)
+    assert decided > 0
 
 
 def test_qn1_monotone_in_budget():
@@ -149,11 +192,14 @@ def test_qn1_finite_table_always_certifies():
         assert verdict.certified_in
 
 
-def test_h1_membership_of_stable_letter_inverse_is_unknown():
+def test_h1_membership_of_stable_letter_inverse_is_refuted():
+    # t^-1 certifies with cover one, but its inverse t is refuted exactly
     G, K0 = shift_setup()
     verdict = h1_membership(K0, G.stable_letter(-1), budget=200)
-    assert verdict.unknown
-    assert verdict.orbit_explored >= 200
+    assert verdict.certified_out
+    assert verdict.reason == "K1 has infinite index in K0"
+    orbit = orbit_bfs(K0, G.stable_letter(), budget=200)
+    assert not orbit.closed and orbit.explored >= 200
 
 
 def test_h1_membership_subgroup_element():

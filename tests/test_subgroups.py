@@ -4,9 +4,11 @@ from qnbench.errors import GroupValidationError
 from qnbench.groups import (
     DirectProductDescriptor,
     FiniteTableGroup,
+    FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     Trit,
+    free_abelian_of_rank_two,
     infinite_dihedral,
     invert,
     multiply,
@@ -87,6 +89,20 @@ def test_fp_membership_without_table_is_semidecided():
     assert is_subgroup_member(H, b) is Trit.NO
     # b a b^-1 has the abelianization of a: undecided here
     assert is_subgroup_member(H, multiply(multiply(b, a), invert(b))) is Trit.UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "group",
+    [free_abelian_of_rank_two(), FpGroupDescriptor(2, [], names=("a", "b")),
+     ShiftExtensionDescriptor(window=1)],
+    ids=["z2", "fp_free", "shift"],
+)
+def test_identity_is_member_without_accelerator(group):
+    H = subgroup(group, [group.generators()[0]])
+    assert H.accelerator is None
+    assert is_subgroup_member(H, group.identity()) is Trit.YES
+    g = group.generators()[1]
+    assert coset_equal(H, g, g) is Trit.YES
 
 
 def test_shift_nontail_subgroup_search():
