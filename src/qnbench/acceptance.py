@@ -131,7 +131,7 @@ def criterion_2(config: AcceptanceConfig) -> CriterionResult:
     start = time.perf_counter()
     group = _f2()
     spec = subgroup(group, [group.element(generator(0))], label="<a>")
-    graph = spec.accelerator[1]
+    graph = spec.graph
 
     words = _all_letter_words(4)
     agreement_failures = 0

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import CertificateError, DescriptorMismatchError, IndeterminateResultError
 from .groups import DirectProductDescriptor, GroupElement, Trit
-from .subgroups import SubgroupSpec, coset_equal, coset_key, product_subgroup
+from .subgroups import ProductSubgroup, SubgroupSpec, coset_equal, coset_key, product_subgroup
 
 
 class CosetIndex:
@@ -176,7 +176,7 @@ def product_compose(
         product_group = DirectProductDescriptor(c1.subgroup.group, c2.subgroup.group)
     if product_spec is None:
         product_spec = product_subgroup(product_group, c1.subgroup, c2.subgroup)
-    elif product_spec.accelerator is None or product_spec.accelerator[0] != "product":
+    elif not isinstance(product_spec, ProductSubgroup):
         raise DescriptorMismatchError("product certificate needs a product subgroup spec")
     replay_certificate(c1)
     replay_certificate(c2)

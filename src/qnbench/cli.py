@@ -192,26 +192,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add_search_flags(p):
         p.add_argument("--budget", type=int, default=1000)
         p.add_argument("--radius", type=int, default=3)
         p.add_argument("--threshold", type=int, default=100)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=["text", "json"], default="json")
-        p.add_argument("--tolerance", action="append", default=None, metavar="KEY=VAL")
 
     group_cmd = sub.add_parser("group", help="analyze a group inclusion document")
     group_cmd.add_argument("file")
-    common(group_cmd)
+    add_search_flags(group_cmd)
 
     vn_cmd = sub.add_parser("vn", help="analyze a matrix inclusion document")
     vn_cmd.add_argument("file")
-    common(vn_cmd)
+    vn_cmd.add_argument("--tolerance", action="append", default=None, metavar="KEY=VAL")
 
     verify_cmd = sub.add_parser("verify-paper", help="run the acceptance suite")
     verify_cmd.add_argument("--criteria", default=None,
                             help="comma-separated criterion numbers (default: all)")
-    common(verify_cmd)
+    add_search_flags(verify_cmd)
+
+    # each subcommand gets exactly the flags its handler reads
+    for p in (vn_cmd, verify_cmd):
+        p.add_argument("--seed", type=int, default=None)
+    for p in (group_cmd, vn_cmd, verify_cmd):
+        p.add_argument("--format", choices=["text", "json"], default="json")
     return parser
 
 

@@ -25,10 +25,9 @@ from typing import Optional, Sequence
 
 from .certificates import QnCertificate
 from .errors import GroupValidationError, IndeterminateResultError
-from .groups import GroupDescriptor, GroupElement, Trit, enumerate_ball
+from .groups import BALL_CAP, GroupDescriptor, GroupElement, Trit, enumerate_ball
 from .certificates import certificate_from_cover
 from .orbits import MembershipVerdict, qn1_membership
-from .stallings import conjugate_graph, graphs_equal
 from .subgroups import SubgroupSpec, double_coset_key, is_subgroup_member, subgroup_ball
 
 
@@ -47,8 +46,7 @@ class C1Result:
         return self.kind == "at_least"
 
 
-def check_c1(spec: SubgroupSpec, g: GroupElement, threshold: int = 100,
-             max_radius: Optional[int] = None) -> C1Result:
+def check_c1(spec: SubgroupSpec, g: GroupElement, threshold: int = 100) -> C1Result:
     """Grow the conjugate set ``{h g h^-1}`` over subgroup balls.
 
     ``at_least`` reports that ``threshold`` distinct conjugates were found;
@@ -65,10 +63,8 @@ def check_c1(spec: SubgroupSpec, g: GroupElement, threshold: int = 100,
         raise IndeterminateResultError("membership of the base element is undecided")
     if not group.equality_is_exact():
         raise IndeterminateResultError("conjugate counting needs exact equality")
-    if max_radius is None:
-        max_radius = max(threshold, 8)
+    max_radius = max(threshold, 8)
     moves = spec.generator_moves()
-    ball_cap = spec.budgets.ball_cap
     conjugates = {group.element(g.payload)}
     ball_seen = {group.identity()}
     frontier = [group.identity()]
@@ -80,7 +76,7 @@ def check_c1(spec: SubgroupSpec, g: GroupElement, threshold: int = 100,
                 nh = group.multiply(h, m)
                 if nh in ball_seen:
                     continue
-                if len(ball_seen) >= ball_cap:
+                if len(ball_seen) >= BALL_CAP:
                     raise IndeterminateResultError(
                         "conjugate search exhausted the subgroup ball cap"
                     )
@@ -219,60 +215,20 @@ def _c3_from_verdicts(ball, memberships, verdicts) -> C3Result:
 
 def normalizer_test(spec: SubgroupSpec, g: GroupElement) -> Trit:
     """Whether ``g H g^-1 = H``; exact wherever a backend permits."""
-    group = spec.group
-    group.check_same(g)
-    kind = spec.accelerator[0] if spec.accelerator else None
-    if kind == "graph":
-        return Trit.from_bool(
-            graphs_equal(conjugate_graph(spec.accelerator[1], g.payload), spec.accelerator[1])
-        )
-    if kind == "subset":
-        subset = spec.accelerator[1]
-        table, inverse = group.table, group.inverse
-        conjugated = {table[table[g.payload][h]][inverse[g.payload]] for h in subset}
-        return Trit.from_bool(conjugated == set(subset))
-    if kind == "shift_tail":
-        # conjugation moves the tail threshold: by the shift automorphism when
-        # the stable exponent is nonzero (abelianized images then differ), and
-        # within the free base a free factor is its own normalizer, so the
-        # normalizer of the tail subgroup is the subgroup itself
-        return is_subgroup_member(spec, g)
-    if kind == "product":
-        left, right = spec.accelerator[1]
-        a = normalizer_test(left, g.payload[0])
-        b = normalizer_test(right, g.payload[1])
-        if a is Trit.NO or b is Trit.NO:
-            return Trit.NO
-        if a is Trit.YES and b is Trit.YES:
-            return Trit.YES
-        return Trit.UNKNOWN
-    # generator-driven check: g H g^-1 <= H and g^-1 H g <= H force equality
-    g_inv = group.invert(g)
-    results = []
-    for h in spec.generators:
-        for conj in (
-            group.multiply(group.multiply(g, h), g_inv),
-            group.multiply(group.multiply(g_inv, h), g),
-        ):
-            results.append(is_subgroup_member(spec, conj))
-    if any(r is Trit.NO for r in results):
-        return Trit.NO
-    if all(r is Trit.YES for r in results):
-        return Trit.YES
-    return Trit.UNKNOWN
+    spec.group.check_same(g)
+    return spec.normalizes(g)
 
 
 def normality_test(group: GroupDescriptor, spec: SubgroupSpec) -> Trit:
     """Whether the subgroup is normal: every ambient generator normalizes."""
-    results = [normalizer_test(spec, g) for g in group.generators()]
-    if any(r is Trit.NO for r in results):
-        return Trit.NO
-    if all(r is Trit.YES for r in results):
-        return Trit.YES
-    return Trit.UNKNOWN
+    return Trit.conjunction([normalizer_test(spec, g) for g in group.generators()])
 
 
 # -- diagnosis ------------------------------------------------------------------
+
+
+C2_SAMPLE = 6  # outside elements fed to the witness search
+C1_SAMPLE = 32  # outside elements whose conjugate growth is tested
 
 
 @dataclass
@@ -280,11 +236,7 @@ class DiagnosisConfig:
     radius: int = 3
     budget: int = 1000
     threshold: int = 100
-    c2_window: int = 3
-    c2_sample: int = 6  # outside elements fed to the witness search
-    c1_sample: int = 32  # outside elements whose conjugate growth is tested
     claim_abelian: bool = False
-    c1_max_radius: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -460,11 +412,9 @@ def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
             report.h2_witnesses.append(g)
 
     outsiders = [g for g in ball if memberships[g] is Trit.NO]
-    for g in outsiders[: config.c1_sample]:
+    for g in outsiders[:C1_SAMPLE]:
         try:
-            report.c1_results.append(
-                check_c1(spec, g, config.threshold, config.c1_max_radius)
-            )
+            report.c1_results.append(check_c1(spec, g, config.threshold))
         except IndeterminateResultError:
             report.c1_indeterminate.append(g)
     if outsiders:
@@ -475,10 +425,10 @@ def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
             report.c1_holds = False
 
     report.c2_inputs = [g for g in enumerate_ball(group, min(config.radius, 2))
-                        if memberships.get(g) is Trit.NO][: config.c2_sample]
+                        if memberships.get(g) is Trit.NO][:C2_SAMPLE]
     if report.c2_inputs:
         try:
-            report.c2 = check_c2(spec, report.c2_inputs, config.c2_window)
+            report.c2 = check_c2(spec, report.c2_inputs)
         except IndeterminateResultError as err:
             report.c2_indeterminate = str(err)
     else:

@@ -179,13 +179,13 @@ def group_algebra_inclusion(
     is verified on the basis.
     """
     tolerances = tolerances or Tolerances()
-    from .subgroups import SubgroupSpec
+    from .subgroups import SubgroupSpec, TableSubgroup
 
     if isinstance(subgroup_elements, SubgroupSpec):
         spec = subgroup_elements
-        if spec.group is not group or not spec.accelerator or spec.accelerator[0] != "subset":
+        if spec.group is not group or not isinstance(spec, TableSubgroup):
             raise GroupValidationError("subgroup spec does not describe a finite table subgroup")
-        subgroup_elements = [group.element(i) for i in sorted(spec.accelerator[1])]
+        subgroup_elements = [group.element(i) for i in sorted(spec.subset)]
     indices = sorted({g.payload for g in subgroup_elements} | {group.identity_index})
     for g in subgroup_elements:
         group.check_same(g)

@@ -48,16 +48,19 @@ class Trit(enum.Enum):
             return Trit.YES
         return Trit.UNKNOWN
 
+    @staticmethod
+    def conjunction(values: Sequence["Trit"]) -> "Trit":
+        """Three-valued AND: No if any value is No, Yes if all are Yes."""
+        if any(v is Trit.NO for v in values):
+            return Trit.NO
+        if all(v is Trit.YES for v in values):
+            return Trit.YES
+        return Trit.UNKNOWN
 
-@dataclass
-class SearchBudgets:
-    """Caps for the semi-decidable searches."""
 
-    word_search_length: int = 8
-    word_search_nodes: int = 2000
-    equality_nodes: int = 4000
-    coset_enumeration_max: int = 4096
-    ball_cap: int = 200000
+# caps for the semi-decidable searches
+EQUALITY_NODES = 4000  # relator-insertion nodes per fp equality test
+BALL_CAP = 200000  # elements of an ambient or subgroup ball
 
 
 @dataclass(frozen=True)
@@ -308,12 +311,10 @@ class FpGroupDescriptor(GroupDescriptor):
         relators: Sequence[W.Word],
         names: Optional[Sequence[str]] = None,
         rewriting_rules: Optional[Sequence[tuple[W.Word, W.Word]]] = None,
-        budgets: Optional[SearchBudgets] = None,
     ):
         self.num_gens = num_gens
         self.relators = tuple(W.reduce_word(r) for r in relators)
         self.names = tuple(names) if names else tuple(W._default_name(i) for i in range(num_gens))
-        self.budgets = budgets or SearchBudgets()
         self.rewriting: Optional[RewritingSystem] = None
         if rewriting_rules is not None:
             system = RewritingSystem(num_gens=num_gens, rules=[(tuple(l), tuple(r)) for l, r in rewriting_rules])
@@ -359,7 +360,7 @@ class FpGroupDescriptor(GroupDescriptor):
         probe = W.concat(a.payload, W.invert_word(b.payload))
         if not lattice_member(self._relator_lattice, abelianized(probe, self.num_gens)):
             return Trit.NO
-        if relator_insertion_search(probe, self.relators, node_budget=self.budgets.equality_nodes):
+        if relator_insertion_search(probe, self.relators, node_budget=EQUALITY_NODES):
             return Trit.YES
         return Trit.UNKNOWN
 
@@ -375,7 +376,7 @@ class FpGroupDescriptor(GroupDescriptor):
         return W.format_word(e.payload, lambda g: self.names[g])
 
 
-def infinite_dihedral(budgets: Optional[SearchBudgets] = None) -> FpGroupDescriptor:
+def infinite_dihedral() -> FpGroupDescriptor:
     """Presentation <a, r | r^2, (ra)^2> with a verified normal-form system.
 
     Normal forms are ``a^k`` and ``a^k r``; the reflection conjugates ``a``
@@ -390,10 +391,10 @@ def infinite_dihedral(budgets: Optional[SearchBudgets] = None) -> FpGroupDescrip
         ((r, a), (ai, r)),
         ((r, ai), (a, r)),
     ]
-    return FpGroupDescriptor(2, relators, names=("a", "r"), rewriting_rules=rules, budgets=budgets)
+    return FpGroupDescriptor(2, relators, names=("a", "r"), rewriting_rules=rules)
 
 
-def free_abelian_of_rank_two(budgets: Optional[SearchBudgets] = None) -> FpGroupDescriptor:
+def free_abelian_of_rank_two() -> FpGroupDescriptor:
     a, ai, b, bi = (0, 1), (0, -1), (1, 1), (1, -1)
     relators = [(a, b, ai, bi)]
     rules = [
@@ -402,7 +403,7 @@ def free_abelian_of_rank_two(budgets: Optional[SearchBudgets] = None) -> FpGroup
         ((bi, a), (a, bi)),
         ((bi, ai), (ai, bi)),
     ]
-    return FpGroupDescriptor(2, relators, names=("a", "b"), rewriting_rules=rules, budgets=budgets)
+    return FpGroupDescriptor(2, relators, names=("a", "b"), rewriting_rules=rules)
 
 
 # -- shift extensions ----------------------------------------------------------
@@ -526,13 +527,10 @@ class DirectProductDescriptor(GroupDescriptor):
 
     def elements_equal(self, x, y) -> Trit:
         self.check_same(x, y)
-        l = self.left.elements_equal(x.payload[0], y.payload[0])
-        r = self.right.elements_equal(x.payload[1], y.payload[1])
-        if l is Trit.NO or r is Trit.NO:
-            return Trit.NO
-        if l is Trit.YES and r is Trit.YES:
-            return Trit.YES
-        return Trit.UNKNOWN
+        return Trit.conjunction([
+            self.left.elements_equal(x.payload[0], y.payload[0]),
+            self.right.elements_equal(x.payload[1], y.payload[1]),
+        ])
 
     def sort_key(self, e):
         return (self.left.sort_key(e.payload[0]), self.right.sort_key(e.payload[1]))
@@ -569,7 +567,7 @@ def elements_equal(a: GroupElement, b: GroupElement) -> Trit:
     return a.group.elements_equal(a, b)
 
 
-def enumerate_ball(group: GroupDescriptor, radius: int, cap: Optional[int] = None) -> list[GroupElement]:
+def enumerate_ball(group: GroupDescriptor, radius: int, cap: int = BALL_CAP) -> list[GroupElement]:
     """All normal forms of products of at most ``radius`` generator letters.
 
     Deterministic: output is sorted by the family's canonical order.  For a
@@ -579,7 +577,6 @@ def enumerate_ball(group: GroupDescriptor, radius: int, cap: Optional[int] = Non
     """
     if radius < 0:
         raise GroupValidationError("radius must be nonnegative")
-    cap = cap if cap is not None else SearchBudgets().ball_cap
     gens = group.generators()
     moves = []
     for g in gens:
@@ -587,6 +584,13 @@ def enumerate_ball(group: GroupDescriptor, radius: int, cap: Optional[int] = Non
         gi = group.invert(g)
         if gi not in moves:
             moves.append(gi)
+    return _capped_ball(group, moves, radius, cap, "ball")
+
+
+def _capped_ball(group: GroupDescriptor, moves: Sequence[GroupElement], radius: int,
+                 cap: int, what: str) -> list[GroupElement]:
+    """Breadth-first products of at most ``radius`` moves, at most ``cap`` of
+    them, sorted by the family's canonical order."""
     seen = {group.identity()}
     frontier = [group.identity()]
     for _ in range(radius):
@@ -596,7 +600,7 @@ def enumerate_ball(group: GroupDescriptor, radius: int, cap: Optional[int] = Non
                 prod = group.multiply(e, m)
                 if prod not in seen:
                     if len(seen) >= cap:
-                        raise ResourceLimitError(f"ball exceeds the cap of {cap} elements")
+                        raise ResourceLimitError(f"{what} exceeds the cap of {cap} elements")
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt

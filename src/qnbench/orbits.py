@@ -6,8 +6,8 @@ when ``g`` is a one-sided quasi-normalizer of ``H``.  A breadth-first search
 over the orbit either closes (yielding a replayable certificate) or exhausts
 its budget.
 
-Three subgroup families have an exact decision, looked up by accelerator
-kind, and each is cross-checked against the orbit search:
+Three subgroup families have an exact decision, looked up by the class of
+the subgroup spec, and each is cross-checked against the orbit search:
 
 * free groups -- the intersection index of the folded subgroup graphs;
 * tail subgroups ``K_n`` of the shift extension -- a closed-form rule on the
@@ -30,7 +30,7 @@ from .certificates import CosetIndex, QnCertificate, certificate_from_cover
 from .errors import GroupValidationError
 from .groups import FiniteTableGroup, GroupElement
 from .stallings import free_qn1_decide
-from .subgroups import SubgroupSpec
+from .subgroups import FreeSubgroup, ProductSubgroup, ShiftTailSubgroup, SubgroupSpec
 
 CERTIFIED_IN = "certified_in"
 CERTIFIED_OUT = "certified_out"
@@ -126,10 +126,10 @@ def _certified_in(spec: SubgroupSpec, g: GroupElement, orbit: CosetOrbit,
                              orbit_explored=orbit.explored)
 
 
-def _decide_free(spec: SubgroupSpec, g: GroupElement, budget: int) -> MembershipVerdict:
+def _decide_free(spec: FreeSubgroup, g: GroupElement, budget: int) -> MembershipVerdict:
     """Free groups: the exact index backend decides first; the orbit then only
     runs to its known closure, and the two are cross-checked."""
-    kind, k = free_qn1_decide(spec.accelerator[1], g.payload)
+    kind, k = free_qn1_decide(spec.graph, g.payload)
     if kind == "out":
         return MembershipVerdict(
             status=CERTIFIED_OUT,
@@ -144,7 +144,7 @@ def _decide_free(spec: SubgroupSpec, g: GroupElement, budget: int) -> Membership
     return _certified_in(spec, g, full, budget)
 
 
-def _decide_shift_tail(spec: SubgroupSpec, g: GroupElement, budget: int) -> MembershipVerdict:
+def _decide_shift_tail(spec: ShiftTailSubgroup, g: GroupElement, budget: int) -> MembershipVerdict:
     """Tail subgroups ``K_n`` of the shift extension.
 
     ``g = (w, s) = w t^s`` is a one-sided quasi-normalizer of ``K_n`` exactly
@@ -169,7 +169,7 @@ def _decide_shift_tail(spec: SubgroupSpec, g: GroupElement, budget: int) -> Memb
     and its certificate is replayed; a negative answer must leave the search
     open at budget 2 (the listed generators already move the coset).
     """
-    n = spec.accelerator[1]
+    n = spec.n
     word, shift = g.payload
     if shift <= 0 and all(idx >= n + shift for idx, _ in word):
         orbit = orbit_bfs(spec, g, 1)
@@ -189,21 +189,20 @@ def _decide_shift_tail(spec: SubgroupSpec, g: GroupElement, budget: int) -> Memb
                              orbit_explored=probe.explored)
 
 
-def _decide_product(spec: SubgroupSpec, g: GroupElement, budget: int) -> MembershipVerdict:
+def _decide_product(spec: ProductSubgroup, g: GroupElement, budget: int) -> MembershipVerdict:
     """Product subgroups ``H1 x H2``: the orbit of ``(g1, g2)`` is the product
     of the component orbits, so the cover size is ``k1 k2`` and a refutation
     of either component refutes the pair."""
-    left, right = spec.accelerator[1]
     g1, g2 = g.payload
-    return product_verdict(qn1_membership(left, g1, budget),
-                           qn1_membership(right, g2, budget), spec.group, spec)
+    return product_verdict(qn1_membership(spec.left, g1, budget),
+                           qn1_membership(spec.right, g2, budget), spec.group, spec)
 
 
-# accelerator kind -> exact decider; other families fall back to the orbit search
+# spec class -> exact decider; other families fall back to the orbit search
 _EXACT_DECIDERS = {
-    "graph": _decide_free,
-    "shift_tail": _decide_shift_tail,
-    "product": _decide_product,
+    FreeSubgroup: _decide_free,
+    ShiftTailSubgroup: _decide_shift_tail,
+    ProductSubgroup: _decide_product,
 }
 
 
@@ -216,7 +215,7 @@ def qn1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> M
     representative list, and finite table groups always certify.
     """
     spec.group.check_same(g)
-    decide = _EXACT_DECIDERS.get(spec.accelerator[0] if spec.accelerator else None)
+    decide = _EXACT_DECIDERS.get(type(spec))
     if decide is not None:
         return decide(spec, g, budget)
     orbit = orbit_bfs(spec, g, budget)

@@ -1,50 +1,57 @@
-"""Subgroup descriptions with family-specific decision backends.
+"""Subgroup descriptions, one class per family with its decision backend.
 
-A ``SubgroupSpec`` is a finite generator list plus an optional accelerator
-that answers membership exactly:
+``SubgroupSpec`` is a finite generator list whose membership is
+semi-decided by a bounded product search: positive answers are exact,
+negative answers are only available through refuters, everything else is
+Unknown.  Each subclass answers membership exactly:
 
-* free groups -- a folded subgroup graph;
-* finite table groups -- the closed element subset;
-* finitely presented groups -- a completed coset table when the subgroup has
-  finite index within the enumeration cap, plus an abelianization refuter;
-* shift extensions -- the tail subgroups generated by all base generators
-  with index at least ``n`` admit a closed-form membership rule;
-* direct products -- a pair of component specs for product subgroups.
+* ``FreeSubgroup`` -- a folded subgroup graph of a free group;
+* ``TableSubgroup`` -- the closed element subset of a finite table group;
+* ``CosetTableSubgroup`` -- a completed coset table of a finitely presented
+  group, when the subgroup has finite index within the enumeration cap;
+* ``ShiftTailSubgroup`` -- the tail subgroup of a shift extension generated
+  by all base generators with index at least ``n``, with a closed-form rule;
+* ``ProductSubgroup`` -- a pair of component specs in a direct product.
 
-Without an accelerator, membership is semi-decided by a bounded product
-search: positive answers are exact, negative answers are only available
-through refuters, everything else is Unknown.
+Every class answers ``member``, ``coset_key``, ``double_coset_key`` and
+``normalizes``; the module functions of the same names are the call path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import words as W
 from .errors import DescriptorMismatchError, GroupValidationError
-from .coset_table import enumerate_cosets
+from .coset_table import CosetTable, enumerate_cosets
 from .groups import (
+    BALL_CAP,
     DirectProductDescriptor,
     FiniteTableGroup,
     FpGroupDescriptor,
     FreeGroupDescriptor,
     GroupDescriptor,
     GroupElement,
-    SearchBudgets,
     ShiftExtensionDescriptor,
     Trit,
+    _capped_ball,
 )
-from .stallings import SubgroupGraph, build_subgroup_graph
+from .stallings import SubgroupGraph, build_subgroup_graph, conjugate_graph, graphs_equal
+
+# caps for the semi-decidable searches
+WORD_SEARCH_LENGTH = 8  # generator letters per product in the membership search
+WORD_SEARCH_NODES = 2000  # distinct products the membership search may store
+COSET_ENUMERATION_MAX = 4096  # cosets a fp subgroup's coset table may reach
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SubgroupSpec:
+    """A subgroup given by generators; the search family and the fallbacks."""
+
     group: GroupDescriptor
     generators: tuple
-    accelerator: object = None
     label: str = ""
-    budgets: SearchBudgets = field(default_factory=SearchBudgets)
 
     def __post_init__(self):
         for g in self.generators:
@@ -67,35 +74,199 @@ class SubgroupSpec:
             return self.label
         return "<" + ", ".join(self.group.format_element(g) for g in self.generators) + ">"
 
+    def member(self, g: GroupElement) -> Trit:
+        """Bounded product search behind the abelianized refuters."""
+        group = self.group
 
-def subgroup(
-    group: GroupDescriptor,
-    generators: Sequence[GroupElement],
-    label: str = "",
-    budgets: Optional[SearchBudgets] = None,
-) -> SubgroupSpec:
-    """Build a spec with the best available accelerator for the family."""
-    budgets = budgets or SearchBudgets()
+        # exact refutations first
+        if isinstance(group, FpGroupDescriptor):
+            if group.abelian_refutes_membership([h.payload for h in self.generators], g.payload):
+                return Trit.NO
+        if isinstance(group, ShiftExtensionDescriptor):
+            if not _shift_abelian_member(self, g):
+                return Trit.NO
+
+        moves = self.generator_moves()
+        if not moves:
+            return group.elements_equal(g, group.identity())
+
+        exact_eq = group.equality_is_exact()
+
+        def is_g(e: GroupElement) -> bool:
+            return e == g if exact_eq else group.elements_equal(e, g) is Trit.YES
+
+        # the start node is a subgroup element too
+        if is_g(group.identity()):
+            return Trit.YES
+        seen = {group.identity()}
+        frontier = [group.identity()]
+        for _ in range(WORD_SEARCH_LENGTH):
+            nxt = []
+            for e in frontier:
+                for m in moves:
+                    prod = group.multiply(e, m)
+                    if prod in seen or len(seen) >= WORD_SEARCH_NODES:
+                        continue
+                    seen.add(prod)
+                    nxt.append(prod)
+                    if is_g(prod):
+                        return Trit.YES
+            frontier = nxt
+        # positive search exhausted; no refutation available
+        return Trit.UNKNOWN
+
+    def coset_key(self, g: GroupElement):
+        """Canonical key of ``g H``; None where no closed form exists."""
+        return None
+
+    def double_coset_key(self, g: GroupElement):
+        """Canonical key of ``H g H``; None where no closed form exists."""
+        return None
+
+    def normalizes(self, g: GroupElement) -> Trit:
+        """Whether ``g H g^-1 = H``; exact wherever a backend permits."""
+        # generator-driven check: g H g^-1 <= H and g^-1 H g <= H force equality
+        group = self.group
+        g_inv = group.invert(g)
+        results = []
+        for h in self.generators:
+            for conj in (
+                group.multiply(group.multiply(g, h), g_inv),
+                group.multiply(group.multiply(g_inv, h), g),
+            ):
+                results.append(is_subgroup_member(self, conj))
+        return Trit.conjunction(results)
+
+
+@dataclass(frozen=True, kw_only=True)
+class FreeSubgroup(SubgroupSpec):
+    graph: SubgroupGraph
+
+    def member(self, g: GroupElement) -> Trit:
+        return Trit.from_bool(self.graph.contains(g.payload))
+
+    def coset_key(self, g: GroupElement):
+        # reading the inverse word from the basepoint is constant on cosets
+        return self.graph.trace_partial(W.invert_word(g.payload))
+
+    def normalizes(self, g: GroupElement) -> Trit:
+        return Trit.from_bool(graphs_equal(conjugate_graph(self.graph, g.payload), self.graph))
+
+
+@dataclass(frozen=True, kw_only=True)
+class TableSubgroup(SubgroupSpec):
+    subset: frozenset
+
+    def member(self, g: GroupElement) -> Trit:
+        return Trit.from_bool(g.payload in self.subset)
+
+    def coset_key(self, g: GroupElement):
+        table = self.group.table
+        return min(table[g.payload][h] for h in self.subset)
+
+    def double_coset_key(self, g: GroupElement):
+        table = self.group.table
+        return min(table[table[h1][g.payload]][h2] for h1 in self.subset for h2 in self.subset)
+
+    def normalizes(self, g: GroupElement) -> Trit:
+        table, inverse = self.group.table, self.group.inverse
+        conjugated = {table[table[g.payload][h]][inverse[g.payload]] for h in self.subset}
+        return Trit.from_bool(conjugated == set(self.subset))
+
+
+@dataclass(frozen=True, kw_only=True)
+class CosetTableSubgroup(SubgroupSpec):
+    table: CosetTable
+
+    def member(self, g: GroupElement) -> Trit:
+        return Trit.from_bool(self.table.is_member(g.payload))
+
+    def coset_key(self, g: GroupElement):
+        return self.table.coset_of(g.payload)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ShiftTailSubgroup(SubgroupSpec):
+    n: int
+
+    def member(self, g: GroupElement) -> Trit:
+        word, shift = g.payload
+        return Trit.from_bool(shift == 0 and all(idx >= self.n for idx, _ in word))
+
+    def coset_key(self, g: GroupElement):
+        word, shift = g.payload
+        # right multiplication by the tail subgroup can only absorb trailing
+        # letters with index >= n + shift
+        cut = len(word)
+        while cut > 0 and word[cut - 1][0] >= self.n + shift:
+            cut -= 1
+        return (word[:cut], shift)
+
+    def double_coset_key(self, g: GroupElement):
+        word, shift = g.payload
+        # left multiplication absorbs a leading prefix of tail letters, right
+        # multiplication a trailing suffix of letters shifted by the exponent
+        start = 0
+        while start < len(word) and word[start][0] >= self.n:
+            start += 1
+        end = len(word)
+        while end > start and word[end - 1][0] >= self.n + shift:
+            end -= 1
+        return (word[start:end], shift)
+
+    def normalizes(self, g: GroupElement) -> Trit:
+        # conjugation moves the tail threshold: by the shift automorphism when
+        # the stable exponent is nonzero (abelianized images then differ), and
+        # within the free base a free factor is its own normalizer, so the
+        # normalizer of the tail subgroup is the subgroup itself
+        return is_subgroup_member(self, g)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ProductSubgroup(SubgroupSpec):
+    left: SubgroupSpec
+    right: SubgroupSpec
+
+    def member(self, g: GroupElement) -> Trit:
+        return Trit.conjunction([is_subgroup_member(self.left, g.payload[0]),
+                                 is_subgroup_member(self.right, g.payload[1])])
+
+    def coset_key(self, g: GroupElement):
+        kl = coset_key(self.left, g.payload[0])
+        kr = coset_key(self.right, g.payload[1])
+        if kl is None or kr is None:
+            return None
+        return (kl, kr)
+
+    def normalizes(self, g: GroupElement) -> Trit:
+        return Trit.conjunction([self.left.normalizes(g.payload[0]),
+                                 self.right.normalizes(g.payload[1])])
+
+
+def subgroup(group: GroupDescriptor, generators: Sequence[GroupElement],
+             label: str = "") -> SubgroupSpec:
+    """Build a spec of the family class with the best available backend."""
     gens = tuple(group.element(g.payload) for g in generators)
-    accel = None
     if isinstance(group, FreeGroupDescriptor):
-        accel = ("graph", build_subgroup_graph([g.payload for g in gens]))
-    elif isinstance(group, FiniteTableGroup):
-        accel = ("subset", _table_closure(group, gens))
-    elif isinstance(group, FpGroupDescriptor):
+        graph = build_subgroup_graph([g.payload for g in gens])
+        return FreeSubgroup(group=group, generators=gens, label=label, graph=graph)
+    if isinstance(group, FiniteTableGroup):
+        return TableSubgroup(group=group, generators=gens, label=label,
+                             subset=_table_closure(group, gens))
+    if isinstance(group, FpGroupDescriptor):
         table = enumerate_cosets(
             group.num_gens,
             group.relators,
             [g.payload for g in gens],
-            max_cosets=budgets.coset_enumeration_max,
+            max_cosets=COSET_ENUMERATION_MAX,
         )
         if table.complete:
-            accel = ("cosets", table)
-    return SubgroupSpec(group=group, generators=gens, accelerator=accel, label=label, budgets=budgets)
+            return CosetTableSubgroup(group=group, generators=gens, label=label, table=table)
+    return SubgroupSpec(group=group, generators=gens, label=label)
 
 
-def shift_tail_subgroup(group: ShiftExtensionDescriptor, n: int, label: str = "",
-                        budgets: Optional[SearchBudgets] = None) -> SubgroupSpec:
+def shift_tail_subgroup(group: ShiftExtensionDescriptor, n: int,
+                        label: str = "") -> ShiftTailSubgroup:
     """The subgroup generated by every base generator of index at least ``n``.
 
     Only the generators inside the descriptor's window are listed (the
@@ -108,38 +279,32 @@ def shift_tail_subgroup(group: ShiftExtensionDescriptor, n: int, label: str = ""
             f"tail threshold {n} lies outside the generator window [{-group.window}, {group.window}]"
         )
     gens = tuple(group.base_generator(i) for i in range(n, group.window + 1))
-    return SubgroupSpec(
-        group=group,
-        generators=gens,
-        accelerator=("shift_tail", n),
-        label=label or f"K{n}",
-        budgets=budgets or SearchBudgets(),
-    )
+    return ShiftTailSubgroup(group=group, generators=gens, label=label or f"K{n}", n=n)
 
 
 def product_subgroup(group: DirectProductDescriptor, left: SubgroupSpec, right: SubgroupSpec,
-                     label: str = "") -> SubgroupSpec:
+                     label: str = "") -> ProductSubgroup:
     if left.group is not group.left or right.group is not group.right:
         raise DescriptorMismatchError("component subgroups do not match the product factors")
     el, er = group.left.identity(), group.right.identity()
     gens = [group.pair(g, er) for g in left.generators]
     gens += [group.pair(el, g) for g in right.generators]
-    return SubgroupSpec(
+    return ProductSubgroup(
         group=group,
         generators=tuple(gens),
-        accelerator=("product", (left, right)),
         label=label or f"{left.describe()} x {right.describe()}",
-        budgets=left.budgets,
+        left=left,
+        right=right,
     )
 
 
 def trivial_subgroup(group: GroupDescriptor, label: str = "1") -> SubgroupSpec:
     if isinstance(group, FreeGroupDescriptor):
         return subgroup(group, [], label=label)
-    accel = None
     if isinstance(group, FiniteTableGroup):
-        accel = ("subset", frozenset({group.identity_index}))
-    return SubgroupSpec(group=group, generators=(), accelerator=accel, label=label)
+        return TableSubgroup(group=group, generators=(), label=label,
+                             subset=frozenset({group.identity_index}))
+    return SubgroupSpec(group=group, generators=(), label=label)
 
 
 def _table_closure(group: FiniteTableGroup, gens: Sequence[GroupElement]) -> frozenset:
@@ -156,81 +321,6 @@ def _table_closure(group: FiniteTableGroup, gens: Sequence[GroupElement]) -> fro
     return frozenset(seen)
 
 
-# -- membership ---------------------------------------------------------------
-
-
-def is_subgroup_member(spec: SubgroupSpec, g: GroupElement) -> Trit:
-    """Three-valued membership; Yes/No answers are exact."""
-    group = spec.group
-    group.check_same(g)
-    kind = spec.accelerator[0] if spec.accelerator else None
-
-    if kind == "shift_tail":
-        n = spec.accelerator[1]
-        word, shift = g.payload
-        ok = shift == 0 and all(idx >= n for idx, _ in word)
-        return Trit.from_bool(ok)
-    if kind == "graph":
-        return Trit.from_bool(spec.accelerator[1].contains(g.payload))
-    if kind == "subset":
-        return Trit.from_bool(g.payload in spec.accelerator[1])
-    if kind == "cosets":
-        return Trit.from_bool(spec.accelerator[1].is_member(g.payload))
-    if kind == "product":
-        left, right = spec.accelerator[1]
-        a = is_subgroup_member(left, g.payload[0])
-        b = is_subgroup_member(right, g.payload[1])
-        if a is Trit.NO or b is Trit.NO:
-            return Trit.NO
-        if a is Trit.YES and b is Trit.YES:
-            return Trit.YES
-        return Trit.UNKNOWN
-
-    return _membership_search(spec, g)
-
-
-def _membership_search(spec: SubgroupSpec, g: GroupElement) -> Trit:
-    group = spec.group
-
-    # exact refutations first
-    if isinstance(group, FpGroupDescriptor):
-        if group.abelian_refutes_membership([h.payload for h in spec.generators], g.payload):
-            return Trit.NO
-    if isinstance(group, ShiftExtensionDescriptor):
-        if not _shift_abelian_member(spec, g):
-            return Trit.NO
-
-    moves = spec.generator_moves()
-    if not moves:
-        return group.elements_equal(g, group.identity())
-
-    exact_eq = group.equality_is_exact()
-
-    def is_g(e: GroupElement) -> bool:
-        return e == g if exact_eq else group.elements_equal(e, g) is Trit.YES
-
-    # the start node is a subgroup element too
-    if is_g(group.identity()):
-        return Trit.YES
-    node_cap = spec.budgets.word_search_nodes
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    for _ in range(spec.budgets.word_search_length):
-        nxt = []
-        for e in frontier:
-            for m in moves:
-                prod = group.multiply(e, m)
-                if prod in seen or len(seen) >= node_cap:
-                    continue
-                seen.add(prod)
-                nxt.append(prod)
-                if is_g(prod):
-                    return Trit.YES
-        frontier = nxt
-    # positive search exhausted; no refutation available
-    return Trit.UNKNOWN
-
-
 def _shift_abelian_member(spec: SubgroupSpec, g: GroupElement) -> bool:
     """Abelianized test for shift extensions: (letter exponent sum, shift)."""
 
@@ -241,6 +331,15 @@ def _shift_abelian_member(spec: SubgroupSpec, g: GroupElement) -> bool:
     from .rewriting import lattice_member
 
     return lattice_member([image(h) for h in spec.generators], image(g))
+
+
+# -- the call path ---------------------------------------------------------------
+
+
+def is_subgroup_member(spec: SubgroupSpec, g: GroupElement) -> Trit:
+    """Three-valued membership; Yes/No answers are exact."""
+    spec.group.check_same(g)
+    return spec.member(g)
 
 
 def coset_equal(spec: SubgroupSpec, g: GroupElement, g2: GroupElement) -> Trit:
@@ -255,35 +354,7 @@ def coset_key(spec: SubgroupSpec, g: GroupElement):
     Keys are exact: two elements produce the same key exactly when they lie
     in the same left coset.
     """
-    group = spec.group
-    kind = spec.accelerator[0] if spec.accelerator else None
-    if kind == "shift_tail":
-        n = spec.accelerator[1]
-        word, shift = g.payload
-        # right multiplication by the tail subgroup can only absorb trailing
-        # letters with index >= n + shift
-        cut = len(word)
-        while cut > 0 and word[cut - 1][0] >= n + shift:
-            cut -= 1
-        return (word[:cut], shift)
-    if kind == "subset":
-        subset = spec.accelerator[1]
-        table = group.table
-        return min(table[g.payload][h] for h in subset)
-    if kind == "cosets":
-        return spec.accelerator[1].coset_of(g.payload)
-    if kind == "graph":
-        graph: SubgroupGraph = spec.accelerator[1]
-        # reading the inverse word from the basepoint is constant on cosets
-        return graph.trace_partial(W.invert_word(g.payload))
-    if kind == "product":
-        left, right = spec.accelerator[1]
-        kl = coset_key(left, g.payload[0])
-        kr = coset_key(right, g.payload[1])
-        if kl is None or kr is None:
-            return None
-        return (kl, kr)
-    return None
+    return spec.coset_key(g)
 
 
 def double_coset_key(spec: SubgroupSpec, g: GroupElement):
@@ -292,45 +363,9 @@ def double_coset_key(spec: SubgroupSpec, g: GroupElement):
     Elements in one double coset have the same coset orbit, so verdicts and
     orbit sizes may be shared across them.
     """
-    group = spec.group
-    kind = spec.accelerator[0] if spec.accelerator else None
-    if kind == "shift_tail":
-        n = spec.accelerator[1]
-        word, shift = g.payload
-        # left multiplication absorbs a leading prefix of tail letters, right
-        # multiplication a trailing suffix of letters shifted by the exponent
-        start = 0
-        while start < len(word) and word[start][0] >= n:
-            start += 1
-        end = len(word)
-        while end > start and word[end - 1][0] >= n + shift:
-            end -= 1
-        return (word[start:end], shift)
-    if kind == "subset":
-        subset = spec.accelerator[1]
-        table = group.table
-        return min(table[table[h1][g.payload]][h2] for h1 in subset for h2 in subset)
-    return None
+    return spec.double_coset_key(g)
 
 
-def subgroup_ball(spec: SubgroupSpec, radius: int, cap: Optional[int] = None) -> list[GroupElement]:
+def subgroup_ball(spec: SubgroupSpec, radius: int) -> list[GroupElement]:
     """Products of at most ``radius`` subgroup generator letters, sorted."""
-    group = spec.group
-    cap = cap if cap is not None else spec.budgets.ball_cap
-    moves = spec.generator_moves()
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    for _ in range(radius):
-        nxt = []
-        for e in frontier:
-            for m in moves:
-                prod = group.multiply(e, m)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        from .errors import ResourceLimitError
-
-                        raise ResourceLimitError(f"subgroup ball exceeds cap {cap}")
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return sorted(seen, key=group.sort_key)
+    return _capped_ball(spec.group, spec.generator_moves(), radius, BALL_CAP, "subgroup ball")

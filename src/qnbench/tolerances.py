@@ -14,15 +14,11 @@ class Tolerances:
     compression_identity: float = 1e-12  # e x e = E(x) e as operators
     pull_down: float = 1e-10             # span membership: right-action commutator
     vector_norm_match: float = 1e-9      # |w e|_Tr vs |w vector|_tau
-    pull_down_factorization: float = 1e-9
     reconstruction: float = 1e-9         # module vector reconstruction residual
     projection: float = 1e-9             # idempotence/self-adjointness of p_H
-    commutation: float = 1e-10           # [p_H, right action] residual
     gram_cutoff: float = 1e-10           # eigenvalue cutoff for module Gram roots
-    expectation_zero: float = 1e-12      # residual of x - E(x) being E-null
     unitary: float = 1e-10               # u*u = 1 residual
     oracle_slack: float = 1e-8           # optimizer must beat the search oracle
-    span_containment: float = 1e-9       # corner-compression comparisons
 
     def override(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

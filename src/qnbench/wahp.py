@@ -34,13 +34,14 @@ from .matrixalg import AlgebraElement, MultiMatrixAlgebra
 from .tolerances import Tolerances
 
 
+MAX_ITERATIONS = 200  # L-BFGS iterations per restart
+
+
 @dataclass
 class OptimizerConfig:
     seed: int = 42
     restarts: int = 16
-    max_iterations: int = 200
     oracle_points: int = 10000
-    init_scale: float = 1.0
 
 
 @dataclass
@@ -164,10 +165,10 @@ def wahp_gap(
         if restart == 0:
             theta0 = np.zeros(dim_h)
         else:
-            scale = config.init_scale * (0.5 + (restart % 3))
+            scale = 0.5 + (restart % 3)
             theta0 = rng.normal(scale=scale, size=dim_h)
         result = minimize(fun, theta0, method="L-BFGS-B",
-                          options={"maxiter": config.max_iterations})
+                          options={"maxiter": MAX_ITERATIONS})
         iterations += int(result.nit)
         if result.fun < best_value:
             best_value = float(result.fun)

@@ -63,15 +63,6 @@ def is_reduced(word: Word) -> bool:
     )
 
 
-def word_indices(word: Word) -> set[int]:
-    return {gen for gen, _ in word}
-
-
-def min_index(word: Word) -> int | None:
-    """Smallest generator index present, or None for the empty word."""
-    return min((gen for gen, _ in word), default=None)
-
-
 def letter_key(letter: Letter) -> tuple[int, int]:
     # positive exponent sorts before negative for the same generator
     gen, exp = letter

@@ -109,8 +109,28 @@ def test_vn_command_tolerance_override():
     assert doc["identities"]["trace_identity"]["tolerance"] == 1e-6
 
 
-def test_vn_command_bad_tolerance_key():
-    code, _ = run_cli(["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "nope=1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "nope=1"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "commutation=1"],
+        ["group", f"{SAMPLES}/f2_cyclic.json", "--tolerance", "nope=1"],
+        ["verify-paper", "--tolerance", "nope=1"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--budget", "10"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--radius", "1"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--threshold", "5"],
+        ["group", f"{SAMPLES}/f2_cyclic.json", "--seed", "1"],
+    ],
+    ids=["vn_unknown_key", "vn_unread_key", "group_tolerance", "verify_tolerance",
+         "vn_budget", "vn_radius", "vn_threshold", "group_seed"],
+)
+def test_rejected_invocation_exits_2(argv):
+    # unknown tolerance keys exit 2 from the handler, flags a subcommand does not
+    # read exit 2 from the parser
+    try:
+        code, _ = run_cli(argv)
+    except SystemExit as exit_:
+        code = exit_.code
     assert code == 2
 
 

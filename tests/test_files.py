@@ -8,7 +8,7 @@ from qnbench.files import (
     parse_matrix_inclusion,
 )
 from qnbench.groups import Trit
-from qnbench.subgroups import is_subgroup_member
+from qnbench.subgroups import ProductSubgroup, is_subgroup_member
 
 SAMPLES = "sample_inputs"
 
@@ -58,7 +58,7 @@ def test_direct_product_document():
         }
     )
     assert doc.group.family == "direct_product"
-    assert doc.subgroup.accelerator[0] == "product"
+    assert type(doc.subgroup) is ProductSubgroup
 
 
 def test_unknown_field_rejected():
