@@ -32,43 +32,43 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .bimodule import BimoduleBasis, orthonormal_basis
+from .bimodule import BimoduleBasis, module_frame, orthonormal_basis
 from .errors import ConstructionError, RepresentationError
 from .expectations import SubalgebraHandle, conditional_expectation
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
 from .tolerances import Tolerances
 
 
+def _block_diag(blocks: list) -> np.ndarray:
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def left_operator(x: AlgebraElement) -> np.ndarray:
     """Matrix of left multiplication on the GNS space."""
-    return block_diag(*(np.kron(b, np.eye(b.shape[0], dtype=complex)) for b in x.blocks))
+    return _block_diag([np.kron(b, np.eye(b.shape[0], dtype=complex)) for b in x.blocks])
 
 
 def right_operator(y: AlgebraElement) -> np.ndarray:
     """Matrix of right multiplication on the GNS space."""
-    return block_diag(*(np.kron(np.eye(b.shape[0], dtype=complex), b.T) for b in y.blocks))
+    return _block_diag([np.kron(np.eye(b.shape[0], dtype=complex), b.T) for b in y.blocks])
 
 
 @dataclass
 class BasicConstruction:
     algebra: MultiMatrixAlgebra
     subalgebra: SubalgebraHandle
-    intermediate: Optional[SubalgebraHandle]
     tolerances: Tolerances
     e_sub: np.ndarray
-    e_mid: np.ndarray
     trace_vectors: BimoduleBasis
     trace_form: np.ndarray  # sum of |eta_i><eta_i|
 
     # -- operators -----------------------------------------------------------
-
-    def left(self, x: AlgebraElement) -> np.ndarray:
-        return left_operator(x)
-
-    def right(self, x: AlgebraElement) -> np.ndarray:
-        return right_operator(x)
 
     def vector_of(self, x: AlgebraElement) -> np.ndarray:
         return self.algebra.to_vector(x)
@@ -85,7 +85,7 @@ class BasicConstruction:
 
         On ``x`` (as a vector) it returns ``eta x``; identifying vectors
         with elements this is left multiplication by ``eta``, and the
-        operator attached to ``x (trace vector)`` is exactly ``left(x)``.
+        operator attached to ``x (trace vector)`` is exactly ``left_operator(x)``.
         """
         return left_operator(eta)
 
@@ -136,6 +136,18 @@ class BasicConstruction:
         products = (one.conj() @ lefts) @ (lefts @ one).T  # tau(x y) = <1, x y 1>
         return float(np.max(np.abs(traces - products)))
 
+    def compression_residual(self, x: AlgebraElement) -> float:
+        """Operator norm of ``e lambda(x) e - lambda(E_B(x)) e``."""
+        expect = conditional_expectation(self.algebra, self.subalgebra)
+        lhs = self.e_sub @ left_operator(x) @ self.e_sub
+        rhs = left_operator(expect(x)) @ self.e_sub
+        return float(np.linalg.norm(lhs - rhs, 2))
+
+    def vector_norm_residual(self, w: np.ndarray) -> float:
+        """``| |w e|_Tr - |w (trace vector)|_tau |`` for an operator ``w``."""
+        eta = self.element_of(w @ self.vector_of(self.algebra.one()))
+        return abs(self.extension_norm(w @ self.e_sub) - eta.norm2())
+
     def pimsner_popa_residual(self) -> float:
         """Operator norm of ``sum_i lambda(eta_i) e lambda(eta_i)* - 1``.
 
@@ -149,18 +161,12 @@ class BasicConstruction:
 def basic_construction(
     algebra: MultiMatrixAlgebra,
     subalgebra: SubalgebraHandle,
-    intermediate: Optional[SubalgebraHandle] = None,
     tolerances: Optional[Tolerances] = None,
 ) -> BasicConstruction:
-    """Build and verify the extension data for a (possibly triple) inclusion."""
+    """Build and verify the extension data for an inclusion."""
     tolerances = tolerances or Tolerances()
     coords = subalgebra.coordinates
     e_sub = coords @ coords.conj().T
-    if intermediate is not None:
-        mid = intermediate.coordinates
-        e_mid = mid @ mid.conj().T
-    else:
-        e_mid = np.eye(algebra.dim, dtype=complex)
 
     expect = conditional_expectation(algebra, subalgebra)
     trace_vectors = orthonormal_basis(subalgebra, expect, [algebra.one()] + algebra.basis(),
@@ -170,10 +176,8 @@ def basic_construction(
     construction = BasicConstruction(
         algebra=algebra,
         subalgebra=subalgebra,
-        intermediate=intermediate,
         tolerances=tolerances,
         e_sub=e_sub,
-        e_mid=e_mid,
         trace_vectors=trace_vectors,
         trace_form=frame @ frame.conj().T,
     )
@@ -210,29 +214,21 @@ def module_projection(construction: BasicConstruction, basis: BimoduleBasis) -> 
 @dataclass
 class ModuleReport:
     module_dim: int
-    basis: BimoduleBasis
+    generators: list  # orthonormal vectors spanning the module
     projection: np.ndarray
 
-    @property
-    def generators(self) -> list:
-        return self.basis.vectors
 
+def qn1_module_test(construction: BasicConstruction, x: AlgebraElement) -> ModuleReport:
+    """The right module generated by ``B x`` over the subalgebra ``B``.
 
-def qn1_module_test(construction: BasicConstruction, x: AlgebraElement,
-                    sub: Optional[SubalgebraHandle] = None) -> ModuleReport:
-    """The right module generated by ``B x B`` over the subalgebra ``B``.
-
-    At finite dimension the module is finitely generated, so ``x`` always
-    carries a finite coset-style cover; the report returns the generating
-    basis and the projection onto the module.
+    At finite dimension it is finitely generated, so ``x`` always carries a
+    finite coset-style cover.  ``B`` is unital and closed under products, so
+    the module is the linear span of the ``b1 x b2`` and its projection is
+    the orthogonal projector onto that column span; the report's generators
+    are an orthonormal frame of it.
     """
-    sub = sub or construction.subalgebra
-    expect = conditional_expectation(construction.algebra, sub)
-    generators = [b1 @ x @ b2 for b1 in sub.basis for b2 in sub.basis]
-    basis = orthonormal_basis(sub, expect, generators, construction.tolerances)
-    projection = module_projection(construction, basis)
-    rank = float(np.trace(projection).real)
-    module_dim = int(round(rank))
-    if abs(rank - module_dim) > 1e-6:
-        raise ConstructionError(f"module projection has non-integral rank {rank}")
-    return ModuleReport(module_dim=module_dim, basis=basis, projection=projection)
+    sub = construction.subalgebra
+    frame = module_frame(sub, [b @ x for b in sub.basis], construction.tolerances)
+    return ModuleReport(module_dim=frame.shape[1],
+                        generators=[construction.element_of(col) for col in frame.T],
+                        projection=frame @ frame.conj().T)

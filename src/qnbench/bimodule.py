@@ -7,6 +7,12 @@ reconstructs as ``sum_i eta_i E_B(eta_i* v)``.  The basis comes from a
 ``B``-valued Gram-Schmidt sweep: subtract the components along earlier
 vectors, then polar-normalize the remainder through the spectral pseudo
 inverse square root of its Gram element ``E_B(r* r)``.
+
+When only the module itself is needed, the sweep is not: ``B`` is unital
+and closed under products, so the linear span of the ``g b`` (``g`` a
+generator, ``b`` in ``B``) is already a right-``B``-module.  Its projection
+is the orthogonal projector onto a column span, read off one SVD
+(``module_frame``).
 """
 
 from __future__ import annotations
@@ -139,18 +145,22 @@ def remove_component(ys: Sequence[AlgebraElement], expectation: Expectation) -> 
     return [y - expectation(y) for y in ys]
 
 
-def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
-                     tolerances: Optional[Tolerances] = None) -> int:
-    """Linear dimension of the right module the generators span.
+def module_frame(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
+                 tolerances: Optional[Tolerances] = None) -> np.ndarray:
+    """Orthonormal frame of the right module the generators span.
 
-    Rank of the coordinate span of the right-closed generator set; cheaper
-    than building the module projection when only the count is needed.
+    The left singular vectors of the stacked ``vec(g b)`` whose singular
+    values exceed ``subalgebra_closure * max(1, s_max)``.
     """
     tolerances = tolerances or Tolerances()
     ambient = sub.ambient
-    columns = [ambient.to_vector(g @ b) for g in generators for b in sub.basis]
-    if not columns:
-        return 0
-    svals = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
-    scale = max(1.0, float(svals[0]) if svals.size else 1.0)
-    return int((svals > tolerances.subalgebra_closure * scale).sum())
+    rows = np.array([ambient.to_vector(g @ b) for g in generators for b in sub.basis],
+                    dtype=complex).reshape(-1, ambient.dim)
+    frame, svals, _ = np.linalg.svd(rows.T, full_matrices=False)
+    return frame[:, svals > tolerances.subalgebra_closure * np.max(svals, initial=1.0)]
+
+
+def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
+                     tolerances: Optional[Tolerances] = None) -> int:
+    """Linear dimension of the right module the generators span."""
+    return module_frame(sub, generators, tolerances).shape[1]

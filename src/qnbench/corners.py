@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basic import BasicConstruction, basic_construction, module_projection, qn1_module_test
-from .bimodule import orthonormal_basis
+from .basic import BasicConstruction, basic_construction, qn1_module_test
+from .bimodule import module_dimension, module_frame
 from .errors import GroupValidationError
-from .expectations import SubalgebraHandle, conditional_expectation, subalgebra_closure
+from .expectations import SubalgebraHandle, subalgebra_closure
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, spectral_calculus
 from .tolerances import Tolerances
 
@@ -102,14 +102,12 @@ def cutdown_comparison(
     ambient = construction.algebra
     cut = cutdown(ambient, construction.subalgebra, e, tolerances)
     corner_construction = basic_construction(cut.corner, cut.sub_corner, tolerances=tolerances)
-    expect_corner = conditional_expectation(cut.corner, cut.sub_corner)
     residuals = []
     for x in samples:
         ambient_module = qn1_module_test(construction, x)
         compressed_gens = [cut.compress(e @ eta @ e) for eta in ambient_module.generators]
-        compressed_basis = orthonormal_basis(cut.sub_corner, expect_corner,
-                                             compressed_gens, tolerances)
-        p_compressed = module_projection(corner_construction, compressed_basis)
+        frame = module_frame(cut.sub_corner, compressed_gens, tolerances)
+        p_compressed = frame @ frame.conj().T
         corner_module = qn1_module_test(corner_construction, cut.compress(e @ x @ e))
         p_corner = corner_module.projection
         r1 = float(np.linalg.norm(p_compressed - p_corner @ p_compressed, 2))
@@ -170,8 +168,6 @@ def tensor_module_check(
 ) -> TensorModuleCheck:
     """Exact dimension count: the module of a simple tensor over the tensor
     subalgebra is the tensor product of the component modules."""
-    from .bimodule import module_dimension
-
     tolerances = tolerances or Tolerances()
     m1, m2 = c1.algebra, c2.algebra
     product = m1.tensor(m2)
@@ -181,16 +177,10 @@ def tensor_module_check(
         for b2 in c2.subalgebra.basis
     ]
     sub = subalgebra_closure(product, gens, tolerances)
-    left = qn1_module_test(c1, x1)
-    right = qn1_module_test(c2, x2)
-    # the simple tensors of the component module bases generate the product
-    # module; its linear dimension is recomputed through the product action
-    product_gens = [
-        m1.tensor_element(product, u, v)
-        for u in left.generators
-        for v in right.generators
-    ]
-    product_dim = module_dimension(sub, product_gens, tolerances)
-    return TensorModuleCheck(
-        left_dim=left.module_dim, right_dim=right.module_dim, product_dim=product_dim
-    )
+    # the product module is computed from x1 (x) x2 alone, independently of
+    # both component modules
+    x = m1.tensor_element(product, x1, x2)
+    product_dim = module_dimension(sub, [b @ x for b in sub.basis], tolerances)
+    return TensorModuleCheck(left_dim=qn1_module_test(c1, x1).module_dim,
+                             right_dim=qn1_module_test(c2, x2).module_dim,
+                             product_dim=product_dim)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .basic import left_operator, right_operator
 from .errors import GroupValidationError
@@ -129,6 +128,8 @@ def wahp_gap(
     tolerances: Optional[Tolerances] = None,
 ) -> WahpGapReport:
     """Minimize the gap functional; report optimizer and oracle values."""
+    from scipy.optimize import minimize  # only the gap optimizer needs scipy
+
     config = config or OptimizerConfig()
     tolerances = tolerances or Tolerances()
     expect_mid = conditional_expectation(ambient, mid)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnbench.acceptance import _random_inclusion
 from qnbench.basic import (
     basic_construction,
     left_operator,
@@ -333,9 +334,28 @@ def test_qn1_module_of_subalgebra_element_sits_under_e():
 
 def test_qn1_module_of_matrix_unit():
     M, B, c = m2_diag()
-    report = qn1_module_test(c, M.matrix_unit(0, 0, 1))
+    unit = M.matrix_unit(0, 0, 1)
+    report = qn1_module_test(c, unit)
     assert report.module_dim == 1
-    assert (report.generators[0] - M.matrix_unit(0, 0, 1)).norm2() < 1e-10
+    v = M.to_vector(unit)
+    expected = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert np.linalg.norm(report.projection - expected, 2) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_qn1_module_matches_gram_schmidt_reference(seed):
+    # the column-span projector against module_projection of the B-valued
+    # Gram-Schmidt basis of the same module, on the acceptance suite's pool
+    rng = np.random.default_rng(seed)
+    M, B, _ = _random_inclusion(rng, with_mid=False)
+    c = basic_construction(M, B)
+    x = M.random_element(rng)
+    report = qn1_module_test(c, x)
+    E = conditional_expectation(M, B)
+    basis = orthonormal_basis(B, E, [b1 @ x @ b2 for b1 in B.basis for b2 in B.basis])
+    reference = module_projection(c, basis)
+    assert report.module_dim == round(float(np.trace(reference).real))
+    assert np.linalg.norm(report.projection - reference, 2) <= 1e-10
 
 
 def test_qn1_module_over_scalars():

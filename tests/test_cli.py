@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qnbench
 from qnbench.cli import main
 
 SAMPLES = "sample_inputs"
@@ -120,18 +123,36 @@ def test_vn_command_tolerance_override():
         ["vn", f"{SAMPLES}/diag_m2.json", "--radius", "1"],
         ["vn", f"{SAMPLES}/diag_m2.json", "--threshold", "5"],
         ["group", f"{SAMPLES}/f2_cyclic.json", "--seed", "1"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "projection=abc"],
+        ["verify-paper", "--criteria", "5,x"],
+        ["verify-paper", "--criteria", "11"],
+        ["verify-paper", "--criteria", "0"],
     ],
     ids=["vn_unknown_key", "vn_unread_key", "group_tolerance", "verify_tolerance",
-         "vn_budget", "vn_radius", "vn_threshold", "group_seed"],
+         "vn_budget", "vn_radius", "vn_threshold", "group_seed", "vn_tolerance_not_float",
+         "verify_criterion_not_int", "verify_criterion_11", "verify_criterion_0"],
 )
 def test_rejected_invocation_exits_2(argv):
-    # unknown tolerance keys exit 2 from the handler, flags a subcommand does not
-    # read exit 2 from the parser
-    try:
-        code, _ = run_cli(argv)
-    except SystemExit as exit_:
-        code = exit_.code
+    # bad values exit 2 from the handler, flags a subcommand does not read exit
+    # 2 from the parser; either way main returns the code instead of raising
+    code, _ = run_cli(argv)
     assert code == 2
+
+
+def test_help_returns_0():
+    code, out = run_cli(["--help"])
+    assert code == 0
+    assert "usage: qnbench" in out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the gap optimizer needs scipy, so the CLI must start without it
+    script = "import sys, qnbench.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(qnbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_paper_single_criterion():
