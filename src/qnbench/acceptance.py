@@ -19,8 +19,9 @@ from .basic import basic_construction, left_operator, module_projection, right_o
 from .bimodule import orthonormal_basis
 from .certificates import compose_certificates, product_compose
 from .conditions import DiagnosisConfig, check_c1, diagnose_inclusion, normality_test
-from .corners import central_projections, cutdown_comparison, tensor_module_check
+from .corners import cutdown_comparison, tensor_module_check
 from .expectations import (
+    central_projections,
     conditional_expectation,
     diagonal_subalgebra,
     full_subalgebra,
@@ -585,7 +586,7 @@ def criterion_9(config: AcceptanceConfig) -> CriterionResult:
     cut_count = 0
     while cut_count < 20:
         algebra, sub, _ = _random_inclusion(rng, with_mid=False)
-        pieces = central_projections(algebra, sub)
+        pieces = central_projections(sub)
         if len(pieces) < 2:
             continue
         keep = rng.integers(1, len(pieces))

@@ -7,7 +7,8 @@ cancels), and the projection ``e`` of the construction is the orthogonal
 projection onto the subalgebra's vector span.
 
 The rest is closed form in a module basis ``eta_i`` of the ambient algebra
-over the subalgebra ``B``, first vector the trace vector, whose
+over the subalgebra ``B``: the trace vector, then the closed-form basis of
+the complement ``M - B`` (``bimodule.orthonormal_basis``), whose
 reconstruction ``v = sum_i eta_i E_B(eta_i* v)`` is, as operators, the
 Pimsner-Popa identity ``sum_i lambda(eta_i) e lambda(eta_i)* = 1``.
 
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bimodule import BimoduleBasis, module_frame, orthonormal_basis
+from .bimodule import BimoduleBasis, module_frame, orthonormal_basis, remove_component
 from .errors import ConstructionError, RepresentationError
 from .expectations import SubalgebraHandle, conditional_expectation
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
@@ -169,8 +170,11 @@ def basic_construction(
     e_sub = coords @ coords.conj().T
 
     expect = conditional_expectation(algebra, subalgebra)
-    trace_vectors = orthonormal_basis(subalgebra, expect, [algebra.one()] + algebra.basis(),
-                                      tolerances)
+    rest = orthonormal_basis(subalgebra, expect, remove_component(algebra.basis(), expect),
+                             tolerances)
+    trace_vectors = BimoduleBasis(subalgebra=subalgebra, expectation=expect,
+                                  vectors=[algebra.one()] + rest.vectors,
+                                  supports=[algebra.one()] + rest.supports)
     frame = np.stack([algebra.to_vector(eta) for eta in trace_vectors.vectors], axis=1)
 
     construction = BasicConstruction(

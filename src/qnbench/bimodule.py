@@ -3,12 +3,11 @@
 Over a subalgebra ``B`` of a multi-matrix algebra, every right-``B``-module
 of vectors admits a basis ``eta_i`` with ``E_B(eta_i* eta_j) = delta_ij p_i``
 for support projections ``p_i`` in ``B``, and every module vector
-reconstructs as ``sum_i eta_i E_B(eta_i* v)``.  The basis comes from a
-``B``-valued Gram-Schmidt sweep: subtract the components along earlier
-vectors, then polar-normalize the remainder through the spectral pseudo
-inverse square root of its Gram element ``E_B(r* r)``.
+reconstructs as ``sum_i eta_i E_B(eta_i* v)`` (Pimsner-Popa).  The basis is
+in closed form, from one minimal projection of ``B`` per simple summand
+(``orthonormal_basis``).
 
-When only the module itself is needed, the sweep is not: ``B`` is unital
+When only the module itself is needed, the basis is not: ``B`` is unital
 and closed under products, so the linear span of the ``g b`` (``g`` a
 generator, ``b`` in ``B``) is already a right-``B``-module.  Its projection
 is the orthogonal projector onto a column span, read off one SVD
@@ -22,8 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expectations import SubalgebraHandle
-from .matrixalg import AlgebraElement
+from .expectations import SubalgebraHandle, central_projections
+from .matrixalg import AlgebraElement, spectral_projections
 from .tolerances import Tolerances
 
 Expectation = Callable[[AlgebraElement], AlgebraElement]
@@ -66,78 +65,55 @@ class BimoduleBasis:
         return worst
 
 
+def minimal_projections(sub: SubalgebraHandle) -> list:
+    """One minimal projection of ``B`` per simple summand.
+
+    On each minimal central projection ``z`` a fixed generic self-adjoint
+    ``a`` in ``B`` acts as a generic matrix of the summand, so the top
+    eigenvalue cluster of ``z a z + (1 + |a|) z`` is a minimal projection;
+    the lift keeps that cluster above the zero eigenvalue of ``1 - z``.
+    """
+    ambient = sub.ambient
+    a = sub.project(ambient.random_selfadjoint(np.random.default_rng(0)))
+    lift = 1.0 + a.sup_norm()
+    return [spectral_projections(z @ a @ z + lift * z)[-1] for z in central_projections(sub)]
+
+
 def orthonormal_basis(
     sub: SubalgebraHandle,
     expectation: Expectation,
     module_generators: Sequence[AlgebraElement],
     tolerances: Optional[Tolerances] = None,
 ) -> BimoduleBasis:
-    """Module basis of the right-``B`` span of the generators.
+    """Module basis of the right-``B`` span ``X`` of the generators.
 
-    The span is closed under the right action first, then swept in order;
-    remainders with vanishing Gram element are dropped (a zero Gram trace
-    forces a zero remainder, so nothing is lost).
+    For a minimal projection ``p`` of ``B``, ``p B p = C p``, so any
+    trace-orthonormal frame ``xi_j`` of ``X p`` has
+    ``E_B(xi_i* xi_j) = delta_ij p / tau(p)``; scaled by ``tau(p)^(1/2)`` the
+    frame has support ``p`` and generates ``X z`` for the central support
+    ``z`` of ``p``.  Vectors from different summands have orthogonal
+    supports, so they are summed index by index.
     """
     tolerances = tolerances or Tolerances()
-    cutoff = tolerances.gram_cutoff
-    closed = [g @ b for g in module_generators for b in sub.basis]
+    ambient = sub.ambient
+    module = [ambient.from_vector(col)
+              for col in module_frame(sub, module_generators, tolerances).T]
     vectors: list[AlgebraElement] = []
     supports: list[AlgebraElement] = []
-    for zeta in closed:
-        remainder = zeta
-        for eta in vectors:
-            remainder = remainder - eta @ expectation(eta.adjoint() @ remainder)
-        roots = gram_root_inverse(expectation(remainder.adjoint() @ remainder), cutoff)
-        if roots is None:  # Gram rank zero: the remainder is noise
-            continue
-        root_inv, support = roots
-        vectors.append(remainder @ root_inv)
-        supports.append(support)
-    vectors, supports = _merge_orthogonal_supports(vectors, supports, cutoff)
+    for p in minimal_projections(sub):
+        frame = _frame(ambient, [x @ p for x in module], tolerances)
+        # fix the phase: the largest entry of each column is real positive
+        peaks = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]
+        frame = frame * (np.sqrt(p.trace().real) * peaks.conj() / np.abs(peaks))
+        for i, col in enumerate(frame.T):
+            eta = ambient.from_vector(col)
+            if i < len(vectors):
+                vectors[i], supports[i] = vectors[i] + eta, supports[i] + p
+            else:
+                vectors.append(eta)
+                supports.append(p)
     return BimoduleBasis(subalgebra=sub, expectation=expectation,
                          vectors=vectors, supports=supports)
-
-
-def gram_root_inverse(gram: AlgebraElement, cutoff: float):
-    """Pseudo inverse square root and support of a Gram element, or ``None``.
-
-    Only eigenvalues above ``cutoff`` count: ``E_B(r* r)`` is positive, so a
-    negative eigenvalue is rounding noise whose root would be NaN.
-    """
-    spectra = [np.linalg.eigh(block) for block in gram.blocks]
-    if not any((vals > cutoff).any() for vals, _ in spectra):
-        return None
-
-    def apply(func) -> AlgebraElement:
-        return AlgebraElement(gram.algebra, tuple(
-            (vecs * (func(np.where(vals > cutoff, vals, 1.0)) * (vals > cutoff)))
-            @ vecs.conj().T for vals, vecs in spectra))
-
-    return apply(lambda v: 1.0 / np.sqrt(v)), apply(np.ones_like)
-
-
-def _merge_orthogonal_supports(vectors, supports, cutoff):
-    """Combine basis vectors whose supports are orthogonal.
-
-    If ``p_i p_j = 0`` then ``eta_i + eta_j`` has Gram ``p_i + p_j`` and the
-    mixed reconstruction terms vanish (each coefficient lands under y = own
-    support), so merging preserves the basis identities while shortening the
-    list towards full supports.
-    """
-    out_vecs: list = []
-    out_sups: list = []
-    for eta, p in zip(vectors, supports):
-        merged = False
-        for i in range(len(out_vecs)):
-            if (out_sups[i] @ p).norm2() <= cutoff:
-                out_vecs[i] = out_vecs[i] + eta
-                out_sups[i] = out_sups[i] + p
-                merged = True
-                break
-        if not merged:
-            out_vecs.append(eta)
-            out_sups.append(p)
-    return out_vecs, out_sups
 
 
 def remove_component(ys: Sequence[AlgebraElement], expectation: Expectation) -> list:
@@ -152,11 +128,13 @@ def module_frame(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
     The left singular vectors of the stacked ``vec(g b)`` whose singular
     values exceed ``subalgebra_closure * max(1, s_max)``.
     """
-    tolerances = tolerances or Tolerances()
-    ambient = sub.ambient
-    rows = np.array([ambient.to_vector(g @ b) for g in generators for b in sub.basis],
-                    dtype=complex).reshape(-1, ambient.dim)
-    frame, svals, _ = np.linalg.svd(rows.T, full_matrices=False)
+    return _frame(sub.ambient, [g @ b for g in generators for b in sub.basis],
+                  tolerances or Tolerances())
+
+
+def _frame(ambient, elements: list, tolerances: Tolerances) -> np.ndarray:
+    columns = np.array([ambient.to_vector(x) for x in elements], dtype=complex)
+    frame, svals, _ = np.linalg.svd(columns.reshape(-1, ambient.dim).T, full_matrices=False)
     return frame[:, svals > tolerances.subalgebra_closure * np.max(svals, initial=1.0)]
 
 

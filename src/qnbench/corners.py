@@ -20,7 +20,7 @@ from .basic import BasicConstruction, basic_construction, qn1_module_test
 from .bimodule import module_dimension, module_frame
 from .errors import GroupValidationError
 from .expectations import SubalgebraHandle, subalgebra_closure
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, spectral_calculus
+from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
 from .tolerances import Tolerances
 
 
@@ -37,12 +37,6 @@ class Cutdown:
             v.conj().T @ x.blocks[k] @ v for k, v in zip(self.kept_blocks, self.isometries)
         ]
         return self.corner.element(blocks)
-
-    def expand(self, y: AlgebraElement, ambient: MultiMatrixAlgebra) -> AlgebraElement:
-        blocks = [np.zeros((n, n), dtype=complex) for n in ambient.block_dims]
-        for k, v, b in zip(self.kept_blocks, self.isometries, y.blocks):
-            blocks[k] = v @ b @ v.conj().T
-        return ambient.element(blocks)
 
 
 def cutdown(
@@ -116,40 +110,6 @@ def cutdown_comparison(
     return CutdownComparison(cut=cut, containment_residuals=residuals)
 
 
-def central_projections(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle,
-                        tolerances: Optional[Tolerances] = None) -> list:
-    """Minimal central projections of a subalgebra.
-
-    Obtained as clustered spectral projections of a deterministic generic
-    self-adjoint element of the center.
-    """
-    tolerances = tolerances or Tolerances()
-    from .basic import left_operator, right_operator
-
-    coords = sub.coordinates
-    rows = []
-    for b in sub.basis:
-        rows.append((left_operator(b) - right_operator(b)) @ coords)
-    stacked = np.concatenate(rows, axis=0)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=True)
-    tol = 1e-9 * max(1.0, float(svals[0]) if svals.size else 1.0)
-    null = vh.conj().T[:, sum(svals > tol) :]
-    center = [ambient.from_vector(coords @ null[:, j]) for j in range(null.shape[1])]
-    # deterministic generic combination, made self-adjoint
-    z = ambient.zero()
-    for j, c in enumerate(center):
-        z = z + float(np.cos(1.0 + 3.7 * j)) * (c + c.adjoint())
-    values = sorted({round(float(v), 7) for block in z.blocks if block.size
-                     for v in np.linalg.eigvalsh(block)})
-    projections = []
-    for v in values:
-        p = spectral_calculus(z, lambda s, v=v: 1.0 if abs(s - v) < 1e-6 else 0.0,
-                              cutoff=-1.0)
-        if p.norm2() > 1e-9:
-            projections.append(p)
-    return projections
-
-
 @dataclass
 class TensorModuleCheck:
     left_dim: int
@@ -171,12 +131,16 @@ def tensor_module_check(
     tolerances = tolerances or Tolerances()
     m1, m2 = c1.algebra, c2.algebra
     product = m1.tensor(m2)
-    gens = [
+    # tau is multiplicative on the product, so the products of the two
+    # tau-orthonormal bases are a tau-orthonormal basis of B1 (x) B2, and the
+    # first one is the identity
+    basis = [
         m1.tensor_element(product, b1, b2)
         for b1 in c1.subalgebra.basis
         for b2 in c2.subalgebra.basis
     ]
-    sub = subalgebra_closure(product, gens, tolerances)
+    sub = SubalgebraHandle(ambient=product, basis=basis,
+                           coordinates=np.stack([product.to_vector(b) for b in basis], axis=1))
     # the product module is computed from x1 (x) x2 alone, independently of
     # both component modules
     x = m1.tensor_element(product, x1, x2)

@@ -5,6 +5,10 @@ vector is the identity.  The conditional expectation onto the subalgebra is
 the orthogonal projection in the trace inner product; at full dimension it
 short-circuits to the literal identity map so that downstream differences
 vanish exactly rather than to rounding error.
+
+Closures start from the spectral projections of the generators' real and
+imaginary parts, which span the same algebra with a well conditioned basis
+where powers of a generator would not.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GroupValidationError
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra
+from .matrixalg import AlgebraElement, MultiMatrixAlgebra, spectral_projections
 from .tolerances import Tolerances
 
 
@@ -77,16 +81,17 @@ def subalgebra_closure(
 ) -> SubalgebraHandle:
     """Smallest unital *-subalgebra containing the generators.
 
-    Alternates span-with-products-and-adjoints and re-orthonormalization
-    until the dimension stabilizes; terminates in at most ``ambient.dim``
-    rounds because the dimension strictly grows until closure.
+    Starts from the spectral projections of each generator's real and
+    imaginary parts, then alternates span-with-products-and-adjoints and
+    re-orthonormalization until the dimension stabilizes, which takes at
+    most ``ambient.dim`` rounds.
     """
     tolerances = tolerances or Tolerances()
     tol = tolerances.subalgebra_closure
     columns = [ambient.to_vector(ambient.one())]
     for g in generators:
-        columns.append(ambient.to_vector(g))
-        columns.append(ambient.to_vector(g.adjoint()))
+        for part in (0.5 * (g + g.adjoint()), complex(0, -0.5) * (g - g.adjoint())):
+            columns += [ambient.to_vector(p) for p in spectral_projections(part)]
     coords = _orthonormalize(ambient, np.stack(columns, axis=1), tol)
     while True:
         basis = [ambient.from_vector(coords[:, j]) for j in range(coords.shape[1])]
@@ -146,3 +151,23 @@ def conditional_expectation(
     if sub.dim == ambient.dim:
         return lambda x: x
     return sub.project
+
+
+def central_projections(sub: SubalgebraHandle) -> list:
+    """Minimal central projections of a subalgebra.
+
+    The center is the null space of ``c -> (b c - c b)_b`` over the basis.
+    The expectation onto it of a fixed seeded Gaussian self-adjoint element
+    is a generic self-adjoint central element, whose spectral projections
+    are the minimal central projections.
+    """
+    ambient = sub.ambient
+    stacked = np.concatenate([
+        np.stack([ambient.to_vector(b @ c - c @ b) for c in sub.basis], axis=1)
+        for b in sub.basis
+    ])
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
+    center = sub.coordinates @ vh[rank:].conj().T  # orthonormal frame of the center
+    h = ambient.to_vector(ambient.random_selfadjoint(np.random.default_rng(0)))
+    return spectral_projections(ambient.from_vector(center @ (center.conj().T @ h)))

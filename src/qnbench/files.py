@@ -28,7 +28,7 @@ Matrix inclusion documents::
       "subalgebra_generators": [element, ...],
       "intermediate_generators": [element, ...],   # optional
       "witness_pairs": [[element, element], ...],  # optional
-      "seed": 42, "tolerances": {"projection": 1e-9}  # optional
+      "seed": 42, "tolerances": {"reconstruction": 1e-9}  # optional
     }
 
 An element is a list of blocks, each block an ``n x n`` array of

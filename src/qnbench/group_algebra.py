@@ -32,7 +32,7 @@ from .expectations import (
     subalgebra_closure,
 )
 from .groups import FiniteTableGroup, GroupElement
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
+from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, eigenvalue_clusters
 from .tolerances import Tolerances
 
 
@@ -74,17 +74,6 @@ def _regular_matrices(group: FiniteTableGroup) -> list:
     return mats
 
 
-def _cluster(values: np.ndarray, tol: float) -> list:
-    order = np.argsort(values)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
-
-
 def decompose_regular_representation(group: FiniteTableGroup, seed: int = 42,
                                      attempts: int = 8) -> tuple:
     """Irreducible representations of a finite table group.
@@ -106,7 +95,7 @@ def decompose_regular_representation(group: FiniteTableGroup, seed: int = 42,
                 z += c * reg[g]
         z = 0.5 * (z + z.conj().T)
         vals, vecs = np.linalg.eigh(z)
-        clusters = _cluster(vals, 1e-7 * max(1.0, float(np.abs(vals).max())))
+        clusters = eigenvalue_clusters(vals)
         dims = []
         for cluster in clusters:
             d = np.sqrt(len(cluster))

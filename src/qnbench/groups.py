@@ -41,13 +41,6 @@ class Trit(enum.Enum):
     def from_bool(value: bool) -> "Trit":
         return Trit.YES if value else Trit.NO
 
-    def negate(self) -> "Trit":
-        if self is Trit.YES:
-            return Trit.NO
-        if self is Trit.NO:
-            return Trit.YES
-        return Trit.UNKNOWN
-
     @staticmethod
     def conjunction(values: Sequence["Trit"]) -> "Trit":
         """Three-valued AND: No if any value is No, Yes if all are Yes."""

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import GroupValidationError
 from .tolerances import Tolerances
 
+SPECTRAL_GAP = 1e-8  # relative eigenvalue gap that separates two clusters
+
 
 @dataclass(frozen=True)
 class MultiMatrixAlgebra:
@@ -33,10 +35,6 @@ class MultiMatrixAlgebra:
     def dim(self) -> int:
         """Linear dimension, which is also the GNS space dimension."""
         return int(sum(n * n for n in self.block_dims))
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_dims)
 
     # -- element constructors ------------------------------------------------
 
@@ -191,9 +189,6 @@ class AlgebraElement:
             (float(np.linalg.norm(b, 2)) for b in self.blocks if b.size), default=0.0
         )
 
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return self.norm2() <= tol
-
     def __repr__(self) -> str:
         dims = "+".join(str(n) for n in self.algebra.block_dims)
         return f"<element of M[{dims}], |.|_2 = {self.norm2():.4g}>"
@@ -220,3 +215,36 @@ def spectral_calculus(x: AlgebraElement, func, cutoff: float = 0.0) -> AlgebraEl
         mapped = np.array([func(v) if abs(v) > cutoff else 0.0 for v in vals])
         out.append((vecs * mapped) @ vecs.conj().T)
     return AlgebraElement(x.algebra, tuple(out))
+
+
+def eigenvalue_clusters(vals: np.ndarray) -> list:
+    """Index arrays of the eigenvalue clusters, in increasing order.
+
+    The sorted values are split wherever consecutive ones differ by more
+    than ``SPECTRAL_GAP * max(1, max |vals|)``.
+    """
+    order = np.argsort(vals, kind="stable")
+    scale = SPECTRAL_GAP * np.max(np.abs(vals), initial=1.0)
+    cuts = np.flatnonzero(np.diff(vals[order]) > scale) + 1
+    return np.split(order, cuts)
+
+
+def spectral_projections(x: AlgebraElement) -> list:
+    """One spectral projection per eigenvalue cluster of a self-adjoint element.
+
+    Eigenvalues are clustered across all blocks, so an eigenvalue shared by
+    two blocks gives one projection; the list follows increasing eigenvalues
+    and sums to the identity.
+    """
+    spectra = [np.linalg.eigh(block) for block in x.blocks]
+    vals = np.concatenate([v for v, _ in spectra])
+    owner = np.repeat(np.arange(len(spectra)), [v.size for v, _ in spectra])
+    column = np.concatenate([np.arange(v.size) for v, _ in spectra])
+    projections = []
+    for cluster in eigenvalue_clusters(vals):
+        blocks = []
+        for k, (_, vecs) in enumerate(spectra):
+            frame = vecs[:, column[cluster[owner[cluster] == k]]]
+            blocks.append(frame @ frame.conj().T)
+        projections.append(AlgebraElement(x.algebra, tuple(blocks)))
+    return projections

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+
+from .errors import InputFormatError
 
 
 @dataclass(frozen=True)
@@ -15,12 +18,15 @@ class Tolerances:
     pull_down: float = 1e-10             # span membership: right-action commutator
     vector_norm_match: float = 1e-9      # |w e|_Tr vs |w vector|_tau
     reconstruction: float = 1e-9         # module vector reconstruction residual
-    projection: float = 1e-9             # idempotence/self-adjointness of p_H
-    gram_cutoff: float = 1e-10           # eigenvalue cutoff for module Gram roots
     unitary: float = 1e-10               # u*u = 1 residual
     oracle_slack: float = 1e-8           # optimizer must beat the search oracle
 
     def override(self, **kwargs) -> "Tolerances":
+        """Copy with some fields replaced; every value must be finite, as a
+        NaN bound would pass every ``residual > bound`` check."""
+        bad = sorted(key for key, value in kwargs.items() if not math.isfinite(value))
+        if bad:
+            raise InputFormatError(f"tolerances must be finite numbers: {bad}")
         return replace(self, **kwargs)
 
     @staticmethod

@@ -9,7 +9,7 @@ from qnbench.basic import (
     qn1_module_test,
     right_operator,
 )
-from qnbench.bimodule import gram_root_inverse, orthonormal_basis, remove_component
+from qnbench.bimodule import BimoduleBasis, orthonormal_basis, remove_component
 from qnbench.errors import RepresentationError
 from qnbench.expectations import (
     conditional_expectation,
@@ -291,6 +291,63 @@ def test_module_projection_properties():
         assert np.linalg.norm(p @ left_operator(b) - left_operator(b) @ p) < 1e-9
 
 
+# -- reference: the B-valued Gram-Schmidt ----------------------------------------------
+
+
+def gram_schmidt_basis(sub, expectation, module_generators, cutoff=1e-10):
+    """Module basis by a B-valued Gram-Schmidt sweep, the construction the
+    closed form replaced: subtract the components along earlier vectors, then
+    polar-normalize the remainder through the pseudo inverse square root of
+    its Gram element, and merge vectors whose supports are orthogonal."""
+    vectors, supports = [], []
+    for zeta in [g @ b for g in module_generators for b in sub.basis]:
+        remainder = zeta
+        for eta in vectors:
+            remainder = remainder - eta @ expectation(eta.adjoint() @ remainder)
+        roots = gram_root_inverse(expectation(remainder.adjoint() @ remainder), cutoff)
+        if roots is None:  # Gram rank zero: the remainder is noise
+            continue
+        root_inv, support = roots
+        vectors.append(remainder @ root_inv)
+        supports.append(support)
+    vectors, supports = _merge_orthogonal_supports(vectors, supports, cutoff)
+    return BimoduleBasis(subalgebra=sub, expectation=expectation,
+                         vectors=vectors, supports=supports)
+
+
+def gram_root_inverse(gram, cutoff):
+    """Pseudo inverse square root and support of a Gram element, or ``None``.
+
+    Only eigenvalues above ``cutoff`` count: ``E_B(r* r)`` is positive, so a
+    negative eigenvalue is rounding noise whose root would be NaN.
+    """
+    spectra = [np.linalg.eigh(block) for block in gram.blocks]
+    if not any((vals > cutoff).any() for vals, _ in spectra):
+        return None
+
+    def apply(func):
+        return gram.algebra.element([
+            (vecs * (func(np.where(vals > cutoff, vals, 1.0)) * (vals > cutoff)))
+            @ vecs.conj().T for vals, vecs in spectra])
+
+    return apply(lambda v: 1.0 / np.sqrt(v)), apply(np.ones_like)
+
+
+def _merge_orthogonal_supports(vectors, supports, cutoff):
+    # if p_i p_j = 0, eta_i + eta_j has Gram p_i + p_j and the mixed
+    # reconstruction terms vanish
+    out_vecs, out_sups = [], []
+    for eta, p in zip(vectors, supports):
+        for i in range(len(out_vecs)):
+            if (out_sups[i] @ p).norm2() <= cutoff:
+                out_vecs[i], out_sups[i] = out_vecs[i] + eta, out_sups[i] + p
+                break
+        else:
+            out_vecs.append(eta)
+            out_sups.append(p)
+    return out_vecs, out_sups
+
+
 def test_gram_root_inverse_drops_negative_noise():
     # a Gram element E_B(r* r) whose rounding noise went below -cutoff: the
     # root inverse must skip it rather than take the root of a negative number
@@ -302,6 +359,74 @@ def test_gram_root_inverse_drops_negative_noise():
     assert (support - M.element([np.diag([1.0, 0.0]), np.zeros((1, 1))])).norm2() < 1e-15
     noise = M.element([np.diag([5e-11, -3e-10]), np.array([[-2e-10]])])
     assert gram_root_inverse(noise, cutoff=1e-10) is None
+
+
+def _units(n):
+    return [np.eye(n)[:, [i]] @ np.eye(n)[[j], :] for i in range(n) for j in range(n)]
+
+
+def _pad(x, n):
+    out = np.zeros((n, n), dtype=complex)
+    out[:len(x), :len(x)] = x
+    return out
+
+
+def _non_abelian(name):
+    """Inclusions with a non-abelian subalgebra, named by ``B < M``."""
+    if name == "m2x1<m4":
+        M = build_algebra([4], [1 / 4])
+        gens = [M.element([np.kron(u, np.eye(2))]) for u in _units(2)]
+    elif name == "m2<m2+m2":
+        M = build_algebra([2, 2], [0.2, 0.3])
+        gens = [M.element([u, u]) for u in _units(2)]
+    elif name == "m2+c<m3":
+        M = build_algebra([3], [1 / 3])
+        gens = [M.element([_pad(u, 3)]) for u in _units(2)]
+        gens.append(M.matrix_unit(0, 2, 2))
+    elif name == "m2+c<m3+m2":
+        M = build_algebra([3, 2], [0.2, 0.2])
+        gens = [M.element([_pad(u, 3), u]) for u in _units(2)]
+        gens.append(M.matrix_unit(0, 2, 2))
+    else:  # "m3x1<m6"
+        M = build_algebra([6], [1 / 6])
+        gens = [M.element([np.kron(u, np.eye(2))]) for u in _units(3)]
+    return M, subalgebra_closure(M, gens)
+
+
+NON_ABELIAN = ["m2x1<m4", "m2<m2+m2", "m2+c<m3", "m2+c<m3+m2", "m3x1<m6"]
+SUBALGEBRA_DIMS = {"m2x1<m4": 4, "m2<m2+m2": 4, "m2+c<m3": 5, "m2+c<m3+m2": 5, "m3x1<m6": 9}
+
+
+def _inclusion(case):
+    if case in NON_ABELIAN:
+        return _non_abelian(case)
+    M, B, _ = _random_inclusion(np.random.default_rng(case), with_mid=False)
+    return M, B
+
+
+@pytest.mark.parametrize("case", list(range(20)) + NON_ABELIAN)
+def test_module_basis_matches_gram_schmidt_reference(case):
+    # the closed-form basis against the B-valued Gram-Schmidt on the trace
+    # vectors, the whole algebra, a two-sided and a one-sided module: same
+    # module projection, and both basis identities hold
+    M, B = _inclusion(case)
+    if case in NON_ABELIAN:
+        assert B.dim == SUBALGEBRA_DIMS[case]
+    c = basic_construction(M, B)
+    E = conditional_expectation(M, B)
+    rng = np.random.default_rng(77)
+    x = M.random_element(rng)
+    for gens in (remove_component(M.basis(), E), [M.one()] + M.basis(),
+                 [b1 @ x @ b2 for b1 in B.basis for b2 in B.basis], [x]):
+        basis = orthonormal_basis(B, E, gens)
+        reference = gram_schmidt_basis(B, E, gens)
+        assert np.linalg.norm(module_projection(c, basis)
+                              - module_projection(c, reference), 2) <= 1e-10
+        assert basis.gram_defect() <= 1e-9
+        v = M.zero()
+        for g in gens:
+            v = v + g @ B.project(M.random_element(rng))
+        assert basis.reconstruction_residual(v) <= 1e-9
 
 
 # -- expectation removal -------------------------------------------------------------------
@@ -352,7 +477,7 @@ def test_qn1_module_matches_gram_schmidt_reference(seed):
     x = M.random_element(rng)
     report = qn1_module_test(c, x)
     E = conditional_expectation(M, B)
-    basis = orthonormal_basis(B, E, [b1 @ x @ b2 for b1 in B.basis for b2 in B.basis])
+    basis = gram_schmidt_basis(B, E, [b1 @ x @ b2 for b1 in B.basis for b2 in B.basis])
     reference = module_projection(c, basis)
     assert report.module_dim == round(float(np.trace(reference).real))
     assert np.linalg.norm(report.projection - reference, 2) <= 1e-10

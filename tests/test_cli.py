@@ -123,19 +123,34 @@ def test_vn_command_tolerance_override():
         ["vn", f"{SAMPLES}/diag_m2.json", "--radius", "1"],
         ["vn", f"{SAMPLES}/diag_m2.json", "--threshold", "5"],
         ["group", f"{SAMPLES}/f2_cyclic.json", "--seed", "1"],
-        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "projection=abc"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "reconstruction=abc"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "trace_identity=nan"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "trace_identity=inf"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "reconstruction=-inf"],
         ["verify-paper", "--criteria", "5,x"],
         ["verify-paper", "--criteria", "11"],
         ["verify-paper", "--criteria", "0"],
     ],
     ids=["vn_unknown_key", "vn_unread_key", "group_tolerance", "verify_tolerance",
          "vn_budget", "vn_radius", "vn_threshold", "group_seed", "vn_tolerance_not_float",
+         "vn_tolerance_nan", "vn_tolerance_inf", "vn_tolerance_minus_inf",
          "verify_criterion_not_int", "verify_criterion_11", "verify_criterion_0"],
 )
 def test_rejected_invocation_exits_2(argv):
     # bad values exit 2 from the handler, flags a subcommand does not read exit
     # 2 from the parser; either way main returns the code instead of raising
     code, _ = run_cli(argv)
+    assert code == 2
+
+
+def test_document_nan_tolerance_exits_2(tmp_path):
+    # a NaN bound would pass every residual check, the build-time
+    # Pimsner-Popa check included
+    doc = json.loads(Path(SAMPLES, "diag_m2.json").read_text())
+    doc["tolerances"] = {"reconstruction": float("nan")}
+    path = tmp_path / "nan_tolerance.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["vn", str(path)])
     assert code == 2
 
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from qnbench.basic import basic_construction, qn1_module_test
-from qnbench.corners import (
-    central_projections,
-    cutdown,
-    cutdown_comparison,
-    tensor_module_check,
-)
+from qnbench.corners import cutdown, cutdown_comparison, tensor_module_check
 from qnbench.errors import GroupValidationError
-from qnbench.expectations import diagonal_subalgebra, scalar_subalgebra
+from qnbench.expectations import (
+    SubalgebraHandle,
+    central_projections,
+    diagonal_subalgebra,
+    full_subalgebra,
+    scalar_subalgebra,
+)
 from qnbench.matrixalg import build_algebra
 
 
@@ -69,7 +70,7 @@ def test_cutdown_rejects_projection_outside_subalgebra():
 
 def test_central_projections_of_diagonal():
     M, B = m2_diag()
-    projections = central_projections(M, B)
+    projections = central_projections(B)
     assert len(projections) == 2
     total = projections[0] + projections[1]
     assert (total - M.one()).norm2() < 1e-9
@@ -77,10 +78,20 @@ def test_central_projections_of_diagonal():
 
 def test_central_projections_of_full_algebra():
     M = build_algebra([2, 3], [1 / 10, 4 / 15])
-    from qnbench.expectations import full_subalgebra
-
-    projections = central_projections(M, full_subalgebra(M))
+    projections = central_projections(full_subalgebra(M))
     assert len(projections) == 2  # one per block
+
+
+def test_central_projections_of_skew_basis():
+    # an abelian handle whose basis past the identity is i times self-adjoint:
+    # the central element must not be built from Hermitian parts of the basis
+    M, B = m2_m3_diag()
+    skew = [B.basis[0]] + [1j * b for b in B.basis[1:]]
+    handle = SubalgebraHandle(ambient=M, basis=skew,
+                              coordinates=np.stack([M.to_vector(b) for b in skew], axis=1))
+    projections = central_projections(handle)
+    assert len(projections) == 5
+    assert all((p @ p - p).norm2() < 1e-12 for p in projections)
 
 
 def test_cutdown_comparison_identity_projection():
@@ -106,7 +117,7 @@ def test_cutdown_comparison_minimal_central_pieces():
     M, B = m2_m3_diag()
     c = basic_construction(M, B)
     rng = np.random.default_rng(4)
-    pieces = central_projections(M, B)
+    pieces = central_projections(B)
     e = pieces[0] + pieces[2] if len(pieces) > 2 else pieces[0]
     report = cutdown_comparison(c, e, [M.random_element(rng) for _ in range(2)])
     assert report.worst_residual < 1e-9

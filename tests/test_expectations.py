@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnbench.acceptance import _random_inclusion
 from qnbench.expectations import (
     conditional_expectation,
     diagonal_subalgebra,
@@ -109,3 +110,17 @@ def test_expectation_properties(seed):
     N = subalgebra_closure(M, B.basis + [M.random_selfadjoint(rng)])
     EN = conditional_expectation(M, N)
     assert (E(EN(x)) - E(x)).norm2() < 1e-10
+
+
+def test_closure_is_well_conditioned_at_close_cross_block_eigenvalues():
+    # criterion 6 at seed 12, inclusion 16: a random self-adjoint generator of
+    # M[3,2,2] with two eigenvalues 0.024 apart in different blocks; spanning
+    # its powers gave a closure defect of 4.5e-13
+    rng = np.random.default_rng(12)
+    for _ in range(16):  # replay the draws of criterion 6's first 16 rounds
+        M, _, _ = _random_inclusion(rng, with_mid=False)
+        for _ in range(32):
+            M.random_element(rng)
+    M, B, _ = _random_inclusion(rng, with_mid=False)
+    assert M.block_dims == (3, 2, 2)
+    assert B.closure_defect() <= 1e-14

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from qnbench.errors import GroupValidationError
-from qnbench.matrixalg import build_algebra, spectral_calculus
+from qnbench.errors import GroupValidationError, InputFormatError
+from qnbench.matrixalg import (
+    build_algebra,
+    eigenvalue_clusters,
+    spectral_calculus,
+    spectral_projections,
+)
 from qnbench.tolerances import Tolerances
 
 
@@ -87,6 +92,26 @@ def test_spectral_calculus_pseudo_inverse_sqrt():
 
 
 def test_tolerances_override():
-    t = Tolerances().override(gram_cutoff=1e-8)
-    assert t.gram_cutoff == 1e-8
-    assert "projection" in Tolerances.field_names()
+    t = Tolerances().override(reconstruction=1e-8)
+    assert t.reconstruction == 1e-8
+    assert "reconstruction" in Tolerances.field_names()
+    with pytest.raises(InputFormatError):
+        Tolerances().override(unitary=float("nan"))
+
+
+def test_spectral_projections_share_an_eigenvalue_across_blocks():
+    # eigenvalue 1 sits in both blocks: one projection covers both
+    M = build_algebra([2, 1], [1 / 3, 1 / 3])
+    u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    x = M.element([u @ np.diag([1.0, 2.0]) @ u.conj().T, [[1.0 + 1e-13]]])
+    low, high = spectral_projections(x)
+    assert (low + high - M.one()).norm2() < 1e-14
+    np.testing.assert_allclose(low.blocks[0], u[:, [0]] @ u[:, [0]].conj().T, atol=1e-14)
+    np.testing.assert_allclose(low.blocks[1], [[1.0]])
+    np.testing.assert_allclose(high.blocks[1], [[0.0]])
+
+
+def test_eigenvalue_clusters_split_at_the_relative_gap():
+    vals = np.array([3.0, 1.0, 1.0 + 1e-12, 1.0 + 1e-6])
+    assert [list(c) for c in eigenvalue_clusters(vals)] == [[1, 2], [3], [0]]
+    assert [list(c) for c in eigenvalue_clusters(1e9 * vals[:3])] == [[1, 2], [0]]
