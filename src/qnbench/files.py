@@ -38,6 +38,7 @@ An element is a list of blocks, each block an ``n x n`` array of
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -85,6 +86,26 @@ def _require_fields(doc: dict, allowed: set, required: set, context: str) -> Non
     missing = required - set(doc)
     if missing:
         raise InputFormatError(f"{context}: missing fields {sorted(missing)}")
+
+
+def _number(value, kind, context: str, what: str):
+    """``kind(value)`` for a finite JSON number, integral when ``kind`` is
+    ``int``; strings, nulls, booleans and lists are input errors."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (kind is int and value != int(value))):
+        expected = "an integer" if kind is int else "a finite number"
+        raise InputFormatError(f"{context}: {what} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _list(values, context: str, what: str) -> list:
+    if not isinstance(values, list):
+        raise InputFormatError(f"{context}: {what} must be a list, got {values!r}")
+    return values
+
+
+def _numbers(values, kind, context: str, what: str) -> list:
+    return [_number(value, kind, context, what) for value in _list(values, context, what)]
 
 
 def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:
@@ -176,7 +197,8 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
             {"family", "generator_window"},
             context,
         )
-        group = ShiftExtensionDescriptor(window=int(doc["generator_window"]))
+        window = _number(doc["generator_window"], int, context, "generator_window")
+        group = ShiftExtensionDescriptor(window=window)
         if "subgroup" in doc:
             label = doc["subgroup"]
             if not (isinstance(label, str) and label.startswith("K")):
@@ -215,15 +237,16 @@ def _parse_matrix_element(raw, blocks, context: str):
     out = []
     for n, block in zip(blocks, raw):
         mat = np.zeros((n, n), dtype=complex)
-        if len(block) != n:
+        if not (isinstance(block, list) and len(block) == n):
             raise InputFormatError(f"{context}: block must have {n} rows")
         for i, row in enumerate(block):
-            if len(row) != n:
+            if not (isinstance(row, list) and len(row) == n):
                 raise InputFormatError(f"{context}: block must have {n} columns")
             for j, entry in enumerate(row):
                 if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                     raise InputFormatError(f"{context}: entries are [re, im] pairs")
-                mat[i, j] = complex(entry[0], entry[1])
+                real, imag = (_number(part, float, context, "an entry") for part in entry)
+                mat[i, j] = complex(real, imag)
         out.append(mat)
     return out
 
@@ -238,21 +261,28 @@ def parse_matrix_inclusion(doc: dict, context: str = "inclusion") -> MatrixInclu
         {"blocks", "weights", "subalgebra_generators"},
         context,
     )
-    blocks = [int(n) for n in doc["blocks"]]
-    weights = [float(w) for w in doc["weights"]]
+    blocks = _numbers(doc["blocks"], int, context, "blocks")
+    if any(n < 1 for n in blocks):
+        raise InputFormatError(f"{context}: blocks must be positive, got {blocks}")
+    weights = _numbers(doc["weights"], float, context, "weights")
     tolerances = Tolerances()
     if "tolerances" in doc:
         overrides = doc["tolerances"]
+        if not isinstance(overrides, dict):
+            raise InputFormatError(f"{context}: tolerances must be an object")
         unknown = set(overrides) - set(Tolerances.field_names())
         if unknown:
             raise InputFormatError(f"{context}: unknown tolerances {sorted(unknown)}")
-        tolerances = tolerances.override(**{k: float(v) for k, v in overrides.items()})
-    gens = [_parse_matrix_element(e, blocks, context) for e in doc["subalgebra_generators"]]
+        tolerances = tolerances.override(
+            **{k: _number(v, float, context, f"tolerance {k!r}") for k, v in overrides.items()})
+    gens = [_parse_matrix_element(e, blocks, context)
+            for e in _list(doc["subalgebra_generators"], context, "subalgebra_generators")]
     mids = None
     if "intermediate_generators" in doc:
-        mids = [_parse_matrix_element(e, blocks, context) for e in doc["intermediate_generators"]]
+        mids = [_parse_matrix_element(e, blocks, context)
+                for e in _list(doc["intermediate_generators"], context, "intermediate_generators")]
     pairs = []
-    for pair in doc.get("witness_pairs", []):
+    for pair in _list(doc.get("witness_pairs", []), context, "witness_pairs"):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputFormatError(f"{context}: witness pairs are two-element lists")
         pairs.append(
@@ -268,7 +298,7 @@ def parse_matrix_inclusion(doc: dict, context: str = "inclusion") -> MatrixInclu
         subalgebra_generators=gens,
         intermediate_generators=mids,
         witness_pairs=pairs,
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _number(seed, int, context, "seed"),
         tolerances=tolerances,
     )
 

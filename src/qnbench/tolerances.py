@@ -19,7 +19,8 @@ class Tolerances:
     vector_norm_match: float = 1e-9      # |w e|_Tr vs |w vector|_tau
     reconstruction: float = 1e-9         # module vector reconstruction residual
     unitary: float = 1e-10               # u*u = 1 residual
-    oracle_slack: float = 1e-8           # optimizer must beat the search oracle
+    oracle_slack: float = 1e-8           # optimizer must beat the search oracle; the
+                                         # witness search's invariance check must close
 
     def override(self, **kwargs) -> "Tolerances":
         """Copy with some fields replaced; every value must be finite, as a

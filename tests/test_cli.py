@@ -154,6 +154,31 @@ def test_document_nan_tolerance_exits_2(tmp_path):
     assert code == 2
 
 
+BAD_GENERATOR = [[[["a", 0], [0, 0]], [[0, 0], [0, 0]]]]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tolerances": {"reconstruction": "abc"}},
+        {"blocks": ["x"]},
+        {"weights": [None]},
+        {"subalgebra_generators": [BAD_GENERATOR]},
+    ],
+    ids=["tolerance_string", "block_string", "weight_null", "entry_string"],
+)
+def test_document_bad_number_exits_2(tmp_path, capsys, change):
+    # a value that is not a number is an input error, not a traceback
+    doc = json.loads(Path(SAMPLES, "diag_m2.json").read_text())
+    doc.update(change)
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["vn", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_help_returns_0():
     code, out = run_cli(["--help"])
     assert code == 0

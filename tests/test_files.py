@@ -125,6 +125,45 @@ def test_matrix_document_unknown_tolerance():
         )
 
 
+DIAG_M2 = {
+    "blocks": [2],
+    "weights": [0.5],
+    "subalgebra_generators": [[[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]],
+}
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"seed": "42"}, "seed must be an integer"),
+        ({"seed": 4.5}, "seed must be an integer"),
+        ({"blocks": [2.5]}, "blocks must be an integer"),
+        ({"blocks": [0]}, "blocks must be positive"),
+        ({"blocks": 2}, "blocks must be a list"),
+        ({"weights": [float("nan")]}, "weights must be a finite number"),
+        ({"weights": [True]}, "weights must be a finite number"),
+        ({"tolerances": [1e-9]}, "tolerances must be an object"),
+        ({"witness_pairs": [[[[[[0, 0], [1, None]], [[0, 0], [0, 0]]]],
+                             [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]]]},
+         "an entry must be a finite number"),
+        ({"subalgebra_generators": [[[1, 2]]]}, "columns"),
+        ({"subalgebra_generators": 1}, "subalgebra_generators must be a list"),
+        ({"witness_pairs": None}, "witness_pairs must be a list"),
+    ],
+)
+def test_matrix_document_bad_values(change, match):
+    with pytest.raises(InputFormatError, match=match):
+        parse_matrix_inclusion({**DIAG_M2, **change})
+
+
+@pytest.mark.parametrize("window", ["2", 1.5, None])
+def test_group_document_bad_window(window):
+    with pytest.raises(InputFormatError, match="generator_window must be an integer"):
+        parse_group_inclusion(
+            {"family": "shift_extension", "generator_window": window, "subgroup": "K0"}
+        )
+
+
 def test_missing_file_gives_format_error(tmp_path):
     with pytest.raises(InputFormatError, match="no such file"):
         load_group_inclusion(str(tmp_path / "absent.json"))

@@ -1,13 +1,30 @@
-import numpy as np
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from qnbench import wahp
+from qnbench.acceptance import _dichotomy_inclusions
 from qnbench.expectations import (
+    conditional_expectation,
     diagonal_subalgebra,
     full_subalgebra,
     scalar_subalgebra,
     subalgebra_closure,
 )
 from qnbench.matrixalg import build_algebra
-from qnbench.wahp import OptimizerConfig, hermitian_basis, wahp_gap, wahp_witness_search
+from qnbench.wahp import (
+    OptimizerConfig,
+    _exponential,
+    _objective_matrix,
+    _oracle_search,
+    _value_at,
+    _values,
+    hermitian_basis,
+    wahp_gap,
+    wahp_witness_search,
+)
 
 CFG = OptimizerConfig(seed=42, restarts=6, oracle_points=10000)
 
@@ -129,3 +146,120 @@ def test_optimizer_beats_oracle():
     report = wahp_gap(M, B, B, pairs, OptimizerConfig(seed=1, restarts=8, oracle_points=4000))
     assert report.objective_value <= report.oracle_value + 1e-8
     assert report.unitary_defect < 1e-10
+
+
+def random_form(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a.conj().T @ a / dim
+
+
+def scalar_value(M, herm, q, theta):
+    """The one-point reference the batched evaluator must reproduce."""
+    return _value_at(M, q, _exponential(M, herm, theta))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_values_match_scalar_path(seed, monkeypatch):
+    # a small chunk makes the 25 rows span several chunks and a ragged tail
+    monkeypatch.setattr(wahp, "ORACLE_CHUNK", 7)
+    rng = np.random.default_rng(seed)
+    M = build_algebra([2, 2, 1], [0.1, 0.2, 0.2])
+    herm = hermitian_basis(M, full_subalgebra(M))
+    assert len(herm) == 9
+    q = random_form(M.dim, rng)
+    for dim_h in range(10):
+        subset = herm[:dim_h]
+        thetas = rng.normal(size=(25, dim_h)) * rng.choice([0.3, 1.0, 3.0], size=(25, 1))
+        batched = _values(M, subset, q, thetas)
+        for theta, value in zip(thetas, batched):
+            expected = scalar_value(M, subset, q, theta)
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def loop_oracle(fun, dim_h, config, rng):
+    """The one-call-per-point oracle the batched search replaced."""
+    best_value, best_theta = fun(np.zeros(dim_h)), np.zeros(dim_h)
+    if dim_h <= 2:
+        side = max(2, int(round(config.oracle_points ** (1.0 / dim_h))))
+        axes = [np.linspace(0.0, 2 * np.pi, side, endpoint=False) for _ in range(dim_h)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        thetas = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    else:
+        scales = np.array([0.3, 1.0, 3.0])[rng.integers(0, 3, size=config.oracle_points)]
+        thetas = rng.normal(size=(config.oracle_points, dim_h)) * scales[:, None]
+    for theta in thetas:
+        value = fun(theta)
+        if value < best_value:
+            best_value, best_theta = value, theta
+    return float(best_value), best_theta
+
+
+@pytest.mark.parametrize(
+    "dims, weights, sub_of",
+    [
+        ([2], [0.5], scalar_subalgebra),          # grid, one direction
+        ([2], [0.5], diagonal_subalgebra),        # grid, two directions
+        ([3], [1 / 3], diagonal_subalgebra),      # seeded sampling, three directions
+        ([2, 1], [1 / 3, 1 / 3], full_subalgebra),  # seeded sampling, five directions
+    ],
+)
+def test_batched_oracle_matches_loop(dims, weights, sub_of):
+    rng = np.random.default_rng(11)
+    M = build_algebra(dims, weights)
+    herm = hermitian_basis(M, sub_of(M))
+    q = random_form(M.dim, rng)
+    config = OptimizerConfig(seed=5, oracle_points=400)
+    value, theta = _oracle_search(M, herm, q, config, np.random.default_rng(5))
+    expected, _ = loop_oracle(lambda t: scalar_value(M, herm, q, t), len(herm), config,
+                              np.random.default_rng(5))
+    assert abs(value - expected) <= 1e-12 * max(1.0, expected)
+    assert abs(scalar_value(M, herm, q, theta) - value) <= 1e-12 * max(1.0, value)
+
+
+PROPER_MID = [row for row in _dichotomy_inclusions() if row[3] is not None]
+EXACT_GAPS = {
+    "m2/diag/diag": Fraction(1), "m2/scalars/scalars": Fraction(3, 4),
+    "m2/scalars/diag": Fraction(1, 2), "m3/diag/diag": Fraction(2),
+    "m3/scalars/scalars": Fraction(8, 9), "m2+c/diag/diag": Fraction(2, 3),
+    "c2/scalars/scalars": Fraction(1, 4), "m2+m2/diag/diag": Fraction(1),
+    "m2+c/scalars/diag": Fraction(2, 9), "m2/diag/m2+scalars": Fraction(5, 16),
+}
+
+
+@pytest.mark.parametrize("name, algebra, sub, mid", PROPER_MID, ids=[r[0] for r in PROPER_MID])
+def test_witness_functional_is_constant_on_unitaries(name, algebra, sub, mid):
+    basis = algebra.basis()
+    pairs = [(x, y) for x in basis for y in basis]
+    q = _objective_matrix(algebra, sub, pairs, conditional_expectation(algebra, mid))
+    herm = hermitian_basis(algebra, sub)
+    thetas = np.random.default_rng(0).normal(scale=np.pi, size=(50, len(herm)))
+    at_one = _value_at(algebra, q, algebra.one())
+    assert np.max(np.abs(_values(algebra, herm, q, thetas) - at_one)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, algebra, sub, mid", PROPER_MID, ids=[r[0] for r in PROPER_MID])
+def test_witness_search_exact_gaps(name, algebra, sub, mid):
+    report = wahp_witness_search(algebra, sub, mid, CFG)
+    assert abs(report.objective_value - float(EXACT_GAPS[name])) <= 1e-12
+    assert abs(report.oracle_value - report.objective_value) <= 1e-12
+    assert report.converged and not report.exact_zero
+    assert report.restarts == report.iterations == 0
+    assert (report.minimizer - algebra.one()).norm2() == 0.0
+
+
+def test_chunked_oracle_memory_is_bounded():
+    # B = M_6 in M_6: 36 directions, 10 000 points.  Measured peak 5.9 MB
+    # chunked (the sampled thetas are 2.9 MB of it) against 38.5 MB when the
+    # whole (10 000, 6, 6) stack goes through one eigh.
+    M = build_algebra([6], [1 / 6])
+    herm = hermitian_basis(M, full_subalgebra(M))
+    assert len(herm) == 36
+    q = random_form(M.dim, np.random.default_rng(0))
+    config = OptimizerConfig(seed=1, oracle_points=10000)
+    tracemalloc.start()
+    try:
+        _oracle_search(M, herm, q, config, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
