@@ -18,6 +18,7 @@ from .certificates import (
     identity_certificate,
     product_compose,
     replay_certificate,
+    translate_certificate,
 )
 from .conditions import (
     DiagnosisConfig,

@@ -18,7 +18,13 @@ import numpy as np
 from .basic import basic_construction, left_operator, module_projection, right_operator
 from .bimodule import orthonormal_basis
 from .certificates import compose_certificates, product_compose
-from .conditions import DiagnosisConfig, check_c1, diagnose_inclusion, normality_test
+from .conditions import (
+    DiagnosisConfig,
+    check_c1,
+    check_search_settings,
+    diagnose_inclusion,
+    normality_test,
+)
 from .corners import cutdown_comparison, tensor_module_check
 from .expectations import (
     central_projections,
@@ -50,6 +56,9 @@ class AcceptanceConfig:
     budget: int = 1000
     radius: int = 3
     threshold: int = 100
+
+    def __post_init__(self):
+        check_search_settings(self.radius, self.budget, self.threshold)
 
 
 @dataclass

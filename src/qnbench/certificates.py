@@ -9,12 +9,18 @@ closure under the generators implies closure under their inverses and hence
 under the whole subgroup they generate.
 
 Replay re-checks every claim with the subgroup's membership backend and is
-the only notion of certificate validity used anywhere.
+the only notion of certificate validity used anywhere.  A replayed
+certificate is reused for another element ``g'`` of the covered union
+(``translate_certificate``): the cover and the transition table stand
+unchanged, since the union is closed under ``H`` and contains ``g' H``, so
+translation re-checks the one claim it changes, the coset of ``g'``.
+Compositions are replayed as a whole, so their inputs are not replayed
+again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CertificateError, DescriptorMismatchError, IndeterminateResultError
@@ -139,6 +145,19 @@ def certificate_from_cover(spec: SubgroupSpec, element: GroupElement, cover) -> 
     return cert
 
 
+def translate_certificate(cert: QnCertificate, element: GroupElement) -> QnCertificate:
+    """The certificate of ``element``, for instance a double-coset mate of
+    ``cert.element``, with the same cover and transitions."""
+    spec = cert.subgroup
+    for i, c in enumerate(cert.cover):
+        verdict = coset_equal(spec, c, element)
+        if verdict is Trit.YES:
+            return replace(cert, element=element, element_index=i)
+        if verdict is Trit.UNKNOWN:
+            raise IndeterminateResultError("cover coset of the translated element is undecided")
+    raise CertificateError("translated element lies in no cover coset")
+
+
 def identity_certificate(spec: SubgroupSpec, member: GroupElement) -> QnCertificate:
     """Certificate of cover size one for an element of the subgroup itself."""
     return certificate_from_cover(spec, member, [member])
@@ -153,8 +172,6 @@ def compose_certificates(c1: QnCertificate, c2: QnCertificate) -> QnCertificate:
     """
     if c1.subgroup is not c2.subgroup:
         raise CertificateError("certificates must share a subgroup")
-    replay_certificate(c1)
-    replay_certificate(c2)
     group = c1.subgroup.group
     element = group.multiply(c1.element, c2.element)
     cover = [group.multiply(a, b) for a in c1.cover for b in c2.cover]
@@ -178,8 +195,6 @@ def product_compose(
         product_spec = product_subgroup(product_group, c1.subgroup, c2.subgroup)
     elif not isinstance(product_spec, ProductSubgroup):
         raise DescriptorMismatchError("product certificate needs a product subgroup spec")
-    replay_certificate(c1)
-    replay_certificate(c2)
     element = product_group.pair(c1.element, c2.element)
     cover = [product_group.pair(a, b) for a in c1.cover for b in c2.cover]
     return certificate_from_cover(product_spec, element, cover)

@@ -4,7 +4,9 @@ For an inclusion ``H <= G`` the engine checks, over a finite ball of the
 ambient group:
 
 * condition C1 -- every element outside ``H`` has at least ``threshold``
-  distinct ``H``-conjugates (or provably finitely many);
+  distinct ``H``-conjugates (or provably finitely many).  Free, finite-table,
+  shift-tail and product subgroups have the class in closed form; finitely
+  presented and generator-given subgroups grow it by a conjugate search;
 * condition C2 -- some ``h`` in ``H`` keeps all products ``g_i h g_j``
   outside ``H`` for a supplied family of outside elements;
 * condition C3 -- no element outside ``H`` carries a certified finite coset
@@ -23,15 +25,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .certificates import QnCertificate
+from .certificates import QnCertificate, translate_certificate
 from .errors import GroupValidationError, IndeterminateResultError
 from .groups import BALL_CAP, GroupDescriptor, GroupElement, Trit, enumerate_ball
-from .certificates import certificate_from_cover
 from .orbits import MembershipVerdict, qn1_membership
-from .subgroups import SubgroupSpec, double_coset_key, is_subgroup_member, subgroup_ball
+from .subgroups import (
+    INFINITE,
+    SubgroupSpec,
+    double_coset_key,
+    is_subgroup_member,
+    subgroup_ball,
+)
 
 
 # -- condition C1 -------------------------------------------------------------
+
+
+C1_CROSS_CHECK = 4  # threshold of the search that cross-checks a closed-form class
 
 
 @dataclass(frozen=True)
@@ -47,22 +57,57 @@ class C1Result:
 
 
 def check_c1(spec: SubgroupSpec, g: GroupElement, threshold: int = 100) -> C1Result:
-    """Grow the conjugate set ``{h g h^-1}`` over subgroup balls.
+    """Count the ``H``-conjugates of ``g`` up to ``threshold``.
 
-    ``at_least`` reports that ``threshold`` distinct conjugates were found;
-    ``finite`` is returned only when the set is closed under conjugation by
-    every listed generator, which decides finiteness exactly.  Requires an
-    exact-equality family (distinctness must be decidable) and ``g`` outside
-    the subgroup.
+    ``at_least`` reports ``threshold`` distinct conjugates; ``finite`` the
+    whole class, sorted.  The class comes from the family's closed form
+    (``SubgroupSpec.conjugacy_class``) and is cross-checked against the
+    search at ``C1_CROSS_CHECK`` wherever the search is sound, that is,
+    wherever the listed generators generate ``H``: shift tails and products
+    containing one are exempt.  Families without a closed form (finitely
+    presented and generator-given subgroups) run the search.  Requires
+    ``threshold >= 2``, an exact-equality family and ``g`` outside the
+    subgroup.
     """
-    group = spec.group
+    if threshold < 2:
+        raise GroupValidationError(f"threshold must be at least 2, got {threshold}")
     membership = is_subgroup_member(spec, g)
     if membership is Trit.YES:
         raise GroupValidationError("conjugacy growth is only defined outside the subgroup")
     if membership is Trit.UNKNOWN:
         raise IndeterminateResultError("membership of the base element is undecided")
-    if not group.equality_is_exact():
+    if not spec.group.equality_is_exact():
         raise IndeterminateResultError("conjugate counting needs exact equality")
+    conjugates = spec.conjugacy_class(g)
+    if conjugates is None:
+        return _c1_search(spec, g, threshold)
+    if spec.generators_generate:
+        expected = _c1_from_class(g, conjugates, C1_CROSS_CHECK)
+        found = _c1_search(spec, g, C1_CROSS_CHECK)
+        if found != expected:
+            raise GroupValidationError(
+                f"C1 backend disagreement: search {found.kind, found.count} "
+                f"vs closed form {expected.kind, expected.count}"
+            )
+    return _c1_from_class(g, conjugates, threshold)
+
+
+def _c1_from_class(g: GroupElement, conjugates, threshold: int) -> C1Result:
+    """The search's answer for a known class (``threshold >= 2``)."""
+    if conjugates is INFINITE or len(conjugates) >= threshold:
+        return C1Result(element=g, kind="at_least", count=threshold)
+    return C1Result(element=g, kind="finite", count=len(conjugates),
+                    conjugates=tuple(sorted(conjugates, key=g.group.sort_key)))
+
+
+def _c1_search(spec: SubgroupSpec, g: GroupElement, threshold: int) -> C1Result:
+    """Grow the conjugate set ``{h g h^-1}`` over subgroup balls.
+
+    ``finite`` is returned only when the set is closed under conjugation by
+    every listed generator, which decides finiteness exactly when the listed
+    generators generate the subgroup.
+    """
+    group = spec.group
     max_radius = max(threshold, 8)
     moves = spec.generator_moves()
     conjugates = {group.element(g.payload)}
@@ -231,12 +276,27 @@ C2_SAMPLE = 6  # outside elements fed to the witness search
 C1_SAMPLE = 32  # outside elements whose conjugate growth is tested
 
 
+def check_search_settings(radius: int, budget: int, threshold: int) -> None:
+    """Reject settings under which a search proves nothing: a negative ball
+    radius, an orbit budget below one coset, or a C1 threshold below 2 (the
+    conjugate ``g`` alone would count as evidence of infinitely many)."""
+    if radius < 0:
+        raise GroupValidationError(f"radius must be nonnegative, got {radius}")
+    if budget < 1:
+        raise GroupValidationError(f"budget must be at least 1, got {budget}")
+    if threshold < 2:
+        raise GroupValidationError(f"threshold must be at least 2, got {threshold}")
+
+
 @dataclass
 class DiagnosisConfig:
     radius: int = 3
     budget: int = 1000
     threshold: int = 100
     claim_abelian: bool = False
+
+    def __post_init__(self):
+        check_search_settings(self.radius, self.budget, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -342,7 +402,7 @@ def _shared_verdict(spec: SubgroupSpec, g: GroupElement,
     if cached is None:
         return None
     if cached.certified_in:
-        cert = certificate_from_cover(spec, g, list(cached.certificate.cover))
+        cert = translate_certificate(cached.certificate, g)
         return MembershipVerdict(status=cached.status, certificate=cert, budget=budget,
                                  orbit_explored=cached.orbit_explored)
     return MembershipVerdict(status=cached.status, reason=cached.reason, budget=budget,

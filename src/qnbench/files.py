@@ -108,6 +108,14 @@ def _numbers(values, kind, context: str, what: str) -> list:
     return [_number(value, kind, context, what) for value in _list(values, context, what)]
 
 
+def _strings(values, context: str, what: str) -> list:
+    values = _list(values, context, what)
+    for value in values:
+        if not isinstance(value, str):
+            raise InputFormatError(f"{context}: {what} must hold strings, got {value!r}")
+    return values
+
+
 def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:
     letters: list = []
     for token in text.split():
@@ -149,10 +157,11 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
     if family == "free":
         _require_fields(doc, {"family", "generators", "subgroup_generators", "subgroup_abelian"},
                         {"family", "generators", "subgroup_generators"}, context)
-        names = list(doc["generators"])
+        names = _strings(doc["generators"], context, "generators")
         group = FreeGroupDescriptor(range(len(names)), dict(enumerate(names)))
         ids = {n: i for i, n in enumerate(names)}
-        gens = [group.element(_parse_word(w, ids, context)) for w in doc["subgroup_generators"]]
+        gens = [group.element(_parse_word(w, ids, context))
+                for w in _strings(doc["subgroup_generators"], context, "subgroup_generators")]
         spec = subgroup(group, gens)
     elif family == "fp":
         _require_fields(
@@ -162,17 +171,20 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
             {"family", "generators", "relators", "subgroup_generators"},
             context,
         )
-        names = list(doc["generators"])
+        names = _strings(doc["generators"], context, "generators")
         ids = {n: i for i, n in enumerate(names)}
-        relators = [_parse_word(w, ids, context) for w in doc["relators"]]
+        relators = [_parse_word(w, ids, context)
+                    for w in _strings(doc["relators"], context, "relators")]
         rules = None
         if "rewriting_rules" in doc:
-            rules = [
-                (_parse_word(l, ids, context), _parse_word(r, ids, context))
-                for l, r in doc["rewriting_rules"]
-            ]
+            rules = []
+            for rule in _list(doc["rewriting_rules"], context, "rewriting_rules"):
+                if len(_strings(rule, context, "a rewriting rule")) != 2:
+                    raise InputFormatError(f"{context}: rewriting rules are two-word lists")
+                rules.append(tuple(_parse_word(w, ids, context) for w in rule))
         group = FpGroupDescriptor(len(names), relators, names=names, rewriting_rules=rules)
-        gens = [group.element(_parse_word(w, ids, context)) for w in doc["subgroup_generators"]]
+        gens = [group.element(_parse_word(w, ids, context))
+                for w in _strings(doc["subgroup_generators"], context, "subgroup_generators")]
         spec = subgroup(group, gens)
     elif family == "finite_table":
         _require_fields(
@@ -181,10 +193,15 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
             {"family", "table", "subgroup_generators"},
             context,
         )
-        group = FiniteTableGroup(doc["table"], doc.get("element_names"))
+        table = [_numbers(row, int, context, "table rows")
+                 for row in _list(doc["table"], context, "table")]
+        names = doc.get("element_names")
+        if names is not None:
+            names = _strings(names, context, "element_names")
+        group = FiniteTableGroup(table, names)
         names = {n: i for i, n in enumerate(group.names)}
         gens = []
-        for token in doc["subgroup_generators"]:
+        for token in _strings(doc["subgroup_generators"], context, "subgroup_generators"):
             if token not in names:
                 raise InputFormatError(f"{context}: unknown element {token!r}")
             gens.append(group.element(names[token]))
@@ -209,7 +226,8 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
                 raise InputFormatError(f"{context}: bad tail subgroup {label!r}") from None
             spec = shift_tail_subgroup(group, threshold)
         elif "subgroup_generators" in doc:
-            gens = [_parse_shift_word(w, group, context) for w in doc["subgroup_generators"]]
+            gens = [_parse_shift_word(w, group, context)
+                    for w in _strings(doc["subgroup_generators"], context, "subgroup_generators")]
             spec = subgroup(group, gens)
         else:
             raise InputFormatError(f"{context}: need subgroup or subgroup_generators")

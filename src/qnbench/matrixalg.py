@@ -14,6 +14,7 @@ GNS space become ordinary square matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -117,8 +118,8 @@ def build_algebra(block_dims: Sequence[int], block_weights: Sequence[float],
         raise GroupValidationError("need matching nonempty dimension and weight lists")
     if any(n <= 0 or int(n) != n for n in block_dims):
         raise GroupValidationError("block dimensions must be positive integers")
-    if any(w <= 0 for w in block_weights):
-        raise GroupValidationError("block weights must be positive")
+    if any(not (0 < w < math.inf) for w in block_weights):
+        raise GroupValidationError("block weights must be positive and finite")
     total = float(sum(w * n for w, n in zip(block_weights, block_dims)))
     rescaled = abs(total - 1.0) > tolerances.weight_sum
     weights = tuple(float(w) / total for w in block_weights) if rescaled \

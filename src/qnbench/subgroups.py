@@ -13,14 +13,15 @@ Unknown.  Each subclass answers membership exactly:
   by all base generators with index at least ``n``, with a closed-form rule;
 * ``ProductSubgroup`` -- a pair of component specs in a direct product.
 
-Every class answers ``member``, ``coset_key``, ``double_coset_key`` and
-``normalizes``; the module functions of the same names are the call path.
+Every class answers ``member``, ``coset_key``, ``double_coset_key``,
+``normalizes`` and ``conjugacy_class``; the module functions of the first
+four names are the call path, and ``conditions.check_c1`` calls the last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import words as W
 from .errors import DescriptorMismatchError, GroupValidationError
@@ -44,6 +45,8 @@ WORD_SEARCH_LENGTH = 8  # generator letters per product in the membership search
 WORD_SEARCH_NODES = 2000  # distinct products the membership search may store
 COSET_ENUMERATION_MAX = 4096  # cosets a fp subgroup's coset table may reach
 
+INFINITE = "infinite"  # ``conjugacy_class`` marker: the class is infinite
+
 
 @dataclass(frozen=True, kw_only=True)
 class SubgroupSpec:
@@ -52,6 +55,10 @@ class SubgroupSpec:
     group: GroupDescriptor
     generators: tuple
     label: str = ""
+
+    # whether the listed generators generate the subgroup, so that closure
+    # under them is closure under the subgroup
+    generators_generate: ClassVar[bool] = True
 
     def __post_init__(self):
         for g in self.generators:
@@ -137,6 +144,11 @@ class SubgroupSpec:
                 results.append(is_subgroup_member(self, conj))
         return Trit.conjunction(results)
 
+    def conjugacy_class(self, g: GroupElement):
+        """The ``H``-conjugacy class of ``g``: a frozenset when it is finite,
+        ``INFINITE`` when it is not, None where no closed form exists."""
+        return None
+
 
 @dataclass(frozen=True, kw_only=True)
 class FreeSubgroup(SubgroupSpec):
@@ -151,6 +163,21 @@ class FreeSubgroup(SubgroupSpec):
 
     def normalizes(self, g: GroupElement) -> Trit:
         return Trit.from_bool(graphs_equal(conjugate_graph(self.graph, g.payload), self.graph))
+
+    def conjugacy_class(self, g: GroupElement):
+        """``{g}`` when every listed generator commutes with ``g``, else infinite.
+
+        For ``g != 1`` the centralizer ``C_F(g)`` is cyclic, so ``C_H(g)`` is
+        cyclic.  If it has finite index in the free group ``H`` (a finite
+        class), ``H`` is cyclic by the Schreier index formula, and its
+        generator commutes with ``g`` because ``C_F`` of a nontrivial power is
+        the same maximal cyclic subgroup.  The rule also holds for ``g`` in
+        ``H``, which products need.
+        """
+        group = self.group
+        if all(group.multiply(s, g) == group.multiply(g, s) for s in self.generators):
+            return frozenset({g})
+        return INFINITE
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -173,6 +200,12 @@ class TableSubgroup(SubgroupSpec):
         conjugated = {table[table[g.payload][h]][inverse[g.payload]] for h in self.subset}
         return Trit.from_bool(conjugated == set(self.subset))
 
+    def conjugacy_class(self, g: GroupElement):
+        """``{h g h^-1 : h in H}``, read from the table."""
+        table, inverse = self.group.table, self.group.inverse
+        return frozenset(GroupElement(self.group, table[table[h][g.payload]][inverse[h]])
+                         for h in self.subset)
+
 
 @dataclass(frozen=True, kw_only=True)
 class CosetTableSubgroup(SubgroupSpec):
@@ -188,6 +221,8 @@ class CosetTableSubgroup(SubgroupSpec):
 @dataclass(frozen=True, kw_only=True)
 class ShiftTailSubgroup(SubgroupSpec):
     n: int
+
+    generators_generate = False  # only the window generators are listed
 
     def member(self, g: GroupElement) -> Trit:
         word, shift = g.payload
@@ -221,6 +256,20 @@ class ShiftTailSubgroup(SubgroupSpec):
         # normalizer of the tail subgroup is the subgroup itself
         return is_subgroup_member(self, g)
 
+    def conjugacy_class(self, g: GroupElement):
+        """``{1}`` for the identity, infinite for every other element.
+
+        ``K_n`` is free on ``g_i``, ``i >= n``, of infinite rank.  A member
+        ``w != 1`` has a cyclic centralizer in ``K_n``, of infinite index.  For
+        a non-member ``w t^s``, a finite-index subgroup of ``K_n`` centralizing
+        it would contain some ``g_i^k`` for every ``i``: with ``s = 0``, ``w``
+        would commute with two different ``g_i^k``, forcing ``w = 1``; with
+        ``s != 0``, ``w g_{i+s}^k w^-1 = g_i^k`` fails in the abelianization.
+        """
+        if g == self.group.identity():
+            return frozenset({g})
+        return INFINITE
+
 
 @dataclass(frozen=True, kw_only=True)
 class ProductSubgroup(SubgroupSpec):
@@ -241,6 +290,20 @@ class ProductSubgroup(SubgroupSpec):
     def normalizes(self, g: GroupElement) -> Trit:
         return Trit.conjunction([self.left.normalizes(g.payload[0]),
                                  self.right.normalizes(g.payload[1])])
+
+    @property
+    def generators_generate(self) -> bool:
+        return self.left.generators_generate and self.right.generators_generate
+
+    def conjugacy_class(self, g: GroupElement):
+        """The product of the component classes: conjugation acts componentwise."""
+        left = self.left.conjugacy_class(g.payload[0])
+        right = self.right.conjugacy_class(g.payload[1])
+        if left is None or right is None:
+            return None
+        if left is INFINITE or right is INFINITE:
+            return INFINITE
+        return frozenset(self.group.pair(x, y) for x in left for y in right)
 
 
 def subgroup(group: GroupDescriptor, generators: Sequence[GroupElement],

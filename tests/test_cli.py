@@ -130,11 +130,17 @@ def test_vn_command_tolerance_override():
         ["verify-paper", "--criteria", "5,x"],
         ["verify-paper", "--criteria", "11"],
         ["verify-paper", "--criteria", "0"],
+        ["verify-paper", "--criteria", "5", "--threshold", "1"],
+        ["verify-paper", "--criteria", "5", "--threshold", "-5"],
+        ["verify-paper", "--criteria", "6", "--budget", "0"],
+        ["verify-paper", "--criteria", "1", "--radius", "-1"],
     ],
     ids=["vn_unknown_key", "vn_unread_key", "group_tolerance", "verify_tolerance",
          "vn_budget", "vn_radius", "vn_threshold", "group_seed", "vn_tolerance_not_float",
          "vn_tolerance_nan", "vn_tolerance_inf", "vn_tolerance_minus_inf",
-         "verify_criterion_not_int", "verify_criterion_11", "verify_criterion_0"],
+         "verify_criterion_not_int", "verify_criterion_11", "verify_criterion_0",
+         "verify_threshold_1", "verify_threshold_negative", "verify_budget_0",
+         "verify_radius_negative"],
 )
 def test_rejected_invocation_exits_2(argv):
     # bad values exit 2 from the handler, flags a subcommand does not read exit
@@ -177,6 +183,96 @@ def test_document_bad_number_exits_2(tmp_path, capsys, change):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+            [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+S3_DOC = {"family": "finite_table", "table": S3_TABLE, "subgroup_generators": ["x1"]}
+FREE_DOC = {"family": "free", "generators": ["a", "b"], "subgroup_generators": ["a"]}
+FP_DOC = {"family": "fp", "generators": ["a", "r"], "relators": ["r r", "r a r a"],
+          "rewriting_rules": [["r^-1", "r"], ["r r", ""], ["r a", "a^-1 r"], ["r a^-1", "a r"]],
+          "subgroup_generators": ["a"]}
+GROUP_DOCS = {
+    "free": FREE_DOC,
+    "fp": FP_DOC,
+    "finite_table": S3_DOC,
+    "shift_extension": {"family": "shift_extension", "generator_window": 1, "subgroup": "K0"},
+    "shift_generators": {"family": "shift_extension", "generator_window": 1,
+                         "subgroup_generators": ["g0", "g1"]},
+    "direct_product": {"family": "direct_product", "left": FREE_DOC, "right": S3_DOC},
+}
+
+
+def write_doc(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", [["--threshold", "1"], ["--threshold", "-5"],
+                                   ["--budget", "0"], ["--budget", "-3"]],
+                         ids=["threshold_1", "threshold_negative", "budget_0", "budget_negative"])
+@pytest.mark.parametrize("family", sorted(GROUP_DOCS))
+def test_group_vacuous_search_settings_exit_2(tmp_path, capsys, family, flags):
+    # a threshold below 2 made C1 hold with one conjugate; budget 0 exited 2
+    # on some families only
+    code, out = run_cli(["group", write_doc(tmp_path, GROUP_DOCS[family]), "--radius", "1",
+                         *flags])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("family", sorted(GROUP_DOCS))
+def test_group_documents_of_every_family_run(tmp_path, family):
+    code, out = run_cli(["group", write_doc(tmp_path, GROUP_DOCS[family]), "--radius", "1",
+                         "--threshold", "2", "--budget", "1"])
+    assert code == 0
+    assert json.loads(out)["config"] == {"radius": 1, "budget": 1, "threshold": 2}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**FREE_DOC, "generators": ["a", 2]},
+        {**FREE_DOC, "generators": "ab"},
+        {**FREE_DOC, "subgroup_generators": [1]},
+        {**GROUP_DOCS["shift_generators"], "subgroup_generators": [["g0"]]},
+        {**S3_DOC, "subgroup_generators": [[1]]},
+        {**FP_DOC, "relators": [["r", "r"]]},
+        {**FP_DOC, "rewriting_rules": [["r^-1", 1]]},
+        {**FP_DOC, "rewriting_rules": [["r^-1", "r", "r"]]},
+        {**FP_DOC, "rewriting_rules": "r^-1 r"},
+        {**S3_DOC, "element_names": ["e", "x1", 2, 3, 4, 5]},
+        {**S3_DOC, "table": [["x"] * 6] + S3_TABLE[1:]},
+        {**S3_DOC, "table": [0, 1]},
+        {"family": "direct_product", "left": FREE_DOC,
+         "right": {**S3_DOC, "table": [[None] * 6] + S3_TABLE[1:]}},
+    ],
+    ids=["generators_entry", "generators_string", "subgroup_generators_free",
+         "subgroup_generators_shift", "subgroup_generators_table", "relators",
+         "rewriting_rule_entry", "rewriting_rule_length", "rewriting_rules_string",
+         "element_names", "table_entry", "table_row", "product_table_entry"],
+)
+def test_group_document_bad_value_exits_2(tmp_path, capsys, doc):
+    # values of the wrong type are input errors, not tracebacks
+    code, _ = run_cli(["group", write_doc(tmp_path, doc), "--radius", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_group_shift_tail_product_c1_counts_the_whole_tail(tmp_path):
+    # K0 lists only g0 in window 0; conjugating (g0, x3) by the listed
+    # generators closes at two elements, but g1 in K0 moves g0 to infinitely many
+    doc = {"family": "direct_product",
+           "left": {"family": "shift_extension", "generator_window": 0, "subgroup": "K0"},
+           "right": S3_DOC}
+    code, out = run_cli(["group", write_doc(tmp_path, doc), "--radius", "2"])
+    assert code == 0
+    rows = {row["element"]: row for row in json.loads(out)["c1"]["results"]}
+    assert rows["(g0, x3)"] == {"element": "(g0, x3)", "kind": "at_least", "count": 100}
+    assert rows["(1, x3)"]["kind"] == "finite"  # a class of the S3 factor alone
+    assert all(row["kind"] == "at_least" for name, row in rows.items() if "g0" in name)
 
 
 def test_help_returns_0():

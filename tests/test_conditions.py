@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from qnbench.conditions import (
     DiagnosisConfig,
+    _c1_search,
     check_c1,
     check_c2,
     check_c3,
@@ -11,12 +14,15 @@ from qnbench.conditions import (
     verify_abelian,
 )
 from qnbench.errors import GroupValidationError, IndeterminateResultError
+from qnbench.files import parse_group_inclusion
 from qnbench.groups import (
+    DirectProductDescriptor,
     FiniteTableGroup,
     FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     Trit,
+    enumerate_ball,
     free_abelian_of_rank_two,
     identity,
     infinite_dihedral,
@@ -24,7 +30,13 @@ from qnbench.groups import (
     multiply,
 )
 from qnbench.orbits import qn1_membership
-from qnbench.subgroups import shift_tail_subgroup, subgroup
+from qnbench.subgroups import (
+    INFINITE,
+    FreeSubgroup,
+    product_subgroup,
+    shift_tail_subgroup,
+    subgroup,
+)
 from qnbench.words import concat, generator
 
 F2 = FreeGroupDescriptor.of_rank(2)
@@ -66,6 +78,143 @@ def test_c1_infinite_dihedral():
 def test_c1_rejects_subgroup_element():
     with pytest.raises(GroupValidationError):
         check_c1(cyclic_a(), A, threshold=10)
+
+
+@pytest.mark.parametrize("threshold", [1, 0, -5])
+def test_c1_rejects_vacuous_threshold(threshold):
+    # g alone is one conjugate, so a threshold below 2 would count every
+    # element as evidence of infinitely many
+    with pytest.raises(GroupValidationError, match="threshold"):
+        check_c1(cyclic_a(), B, threshold=threshold)
+
+
+@pytest.mark.parametrize("settings", [{"threshold": 1}, {"budget": 0}, {"radius": -1}])
+def test_diagnosis_config_rejects_vacuous_settings(settings):
+    with pytest.raises(GroupValidationError):
+        DiagnosisConfig(**settings)
+
+
+# the free subgroups of the benchmark's group-exact templates
+FREE_TEMPLATES = [
+    (2, ["a b a^-1 b^-1"]),
+    (2, ["a^3", "b", "a b a^-1", "a^2 b a^-2"]),
+    (2, ["a^2", "b^2"]),
+    (3, ["a", "b"]),
+    (3, ["a^2", "b", "c", "a b a^-1", "a c a^-1"]),
+]
+
+
+def free_template(rank, words):
+    doc = parse_group_inclusion({"family": "free", "generators": list("abc"[:rank]),
+                                 "subgroup_generators": words})
+    return doc.group, doc.subgroup
+
+
+def symmetric_group(degree):
+    cycle = tuple(range(1, degree)) + (0,)
+    return FiniteTableGroup.from_permutations([(1, 0) + tuple(range(2, degree)), cycle])
+
+
+def small_table_subgroups(group):
+    """Every subgroup generated by one or two elements, once each."""
+    specs = {}
+    for x, y in itertools.combinations_with_replacement(group.all_elements(), 2):
+        spec = subgroup(group, [x, y])
+        specs.setdefault(spec.subset, spec)
+    return list(specs.values())
+
+
+def assert_closed_form_matches_search(group, spec, elements):
+    outside = [g for g in elements if spec.member(g) is Trit.NO]
+    assert outside
+    for g in outside:
+        for threshold in (2, 5, 100):
+            assert check_c1(spec, g, threshold) == _c1_search(spec, g, threshold), (
+                spec.describe(), g, threshold)
+
+
+@pytest.mark.parametrize("rank, words", FREE_TEMPLATES,
+                         ids=[" ".join(words) for _, words in FREE_TEMPLATES])
+def test_c1_closed_form_matches_search_on_free_templates(rank, words):
+    group, spec = free_template(rank, words)
+    assert isinstance(spec, FreeSubgroup)
+    assert_closed_form_matches_search(group, spec, enumerate_ball(group, 3))
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_c1_closed_form_matches_search_on_symmetric_groups(degree):
+    group = symmetric_group(degree)
+    specs = small_table_subgroups(group)
+    assert len(specs) == {3: 6, 4: 30}[degree]
+    for spec in specs:
+        if len(spec.subset) < group.order:
+            assert_closed_form_matches_search(group, spec, group.all_elements())
+
+
+def test_c1_closed_form_matches_search_on_products():
+    s3 = symmetric_group(3)
+    table_specs = small_table_subgroups(s3)
+    free_specs = [free_template(2, ["a"]), free_template(*FREE_TEMPLATES[2])]
+    cyclic_specs = [subgroup(s3, [g]) for g in s3.generators()]  # orders 2 and 3
+    for (free_group, free_spec), table_spec in itertools.product(free_specs, cyclic_specs):
+        group = DirectProductDescriptor(free_group, s3)
+        spec = product_subgroup(group, free_spec, table_spec)
+        assert_closed_form_matches_search(group, spec, enumerate_ball(group, 2))
+    group = DirectProductDescriptor(s3, s3)
+    for left, right in itertools.product(table_specs[:3], table_specs[-3:]):
+        spec = product_subgroup(group, left, right)
+        assert_closed_form_matches_search(group, spec, group_pairs(group))
+
+
+def group_pairs(group):
+    return [group.pair(x, y) for x in group.left.all_elements()
+            for y in group.right.all_elements()]
+
+
+def test_c1_shift_tail_product_counterexample_to_the_search():
+    # K1 lists only g1 in window 1, so the search closes {(g1, (012)), (g1, (021))}
+    # under the listed generators, while g2 in K1 moves g1 to infinitely many
+    shift = ShiftExtensionDescriptor(window=1)
+    s3 = symmetric_group(3)
+    transposition, three_cycle = s3.generators()
+    group = DirectProductDescriptor(shift, s3)
+    spec = product_subgroup(group, shift_tail_subgroup(shift, 1), subgroup(s3, [transposition]))
+    g = group.pair(shift.base_generator(1), three_cycle)
+    searched = _c1_search(spec, g, 100)
+    assert (searched.kind, searched.count) == ("finite", 2)
+    closed = check_c1(spec, g, 100)
+    assert (closed.kind, closed.count, closed.conjugates) == ("at_least", 100, None)
+    assert spec.conjugacy_class(g) is INFINITE
+
+
+def test_c1_shift_tail_classes():
+    G = ShiftExtensionDescriptor(window=1)
+    K0 = shift_tail_subgroup(G, 0)
+    assert K0.conjugacy_class(G.identity()) == frozenset({G.identity()})
+    for g in (G.base_generator(1), G.base_generator(-1), G.stable_letter()):
+        assert K0.conjugacy_class(g) is INFINITE
+    assert check_c1(K0, G.stable_letter(-1), 100).kind == "at_least"
+
+
+def test_c1_free_class_of_members_for_products():
+    # a power of the cyclic generator commutes with it; a free generator of a
+    # rank-two subgroup does not commute with the other one
+    assert cyclic_a().conjugacy_class(F2.word((0, 3))) == frozenset({F2.word((0, 3))})
+    assert subgroup(F2, [A, B]).conjugacy_class(A) is INFINITE
+
+
+def test_c1_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr(FreeSubgroup, "conjugacy_class", lambda self, g: frozenset({g}))
+    with pytest.raises(GroupValidationError, match="C1 backend disagreement"):
+        check_c1(cyclic_a(), B, threshold=100)
+
+
+def test_c1_fp_family_keeps_the_search():
+    D = infinite_dihedral()
+    a, r = D.generators()
+    H = subgroup(D, [a])
+    assert H.conjugacy_class(r) is None
+    assert check_c1(H, r, threshold=50) == _c1_search(H, r, 50)
 
 
 # -- C2 -------------------------------------------------------------------------

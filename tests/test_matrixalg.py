@@ -42,6 +42,16 @@ def test_invalid_weights():
         build_algebra([0], [1.0])
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_rejected(weight):
+    # NaN passes both `w <= 0` and the normalization test, since every
+    # comparison with it is false
+    with pytest.raises(GroupValidationError, match="finite"):
+        build_algebra([2], [weight])
+    with pytest.raises(GroupValidationError, match="finite"):
+        build_algebra([1, 1], [0.5, weight])
+
+
 def test_norm_matches_trace_formula():
     M = build_algebra([2, 1], [1 / 3, 1 / 3])
     rng = np.random.default_rng(0)

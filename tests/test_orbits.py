@@ -1,10 +1,13 @@
 import pytest
 
+from qnbench import certificates
 from qnbench.certificates import (
+    QnCertificate,
     compose_certificates,
     identity_certificate,
     product_compose,
     replay_certificate,
+    translate_certificate,
 )
 from qnbench.errors import CertificateError, IndeterminateResultError
 from qnbench.groups import (
@@ -270,8 +273,6 @@ def test_compose_rejects_mismatched_subgroups():
 def test_tampered_certificate_fails_replay():
     H = subgroup(F2, INDEX_TWO_GENS)
     cert = qn1_membership(H, A, budget=10).certificate
-    from qnbench.certificates import QnCertificate
-
     bad = QnCertificate(
         subgroup=cert.subgroup,
         element=B,  # certified element swapped out
@@ -281,6 +282,50 @@ def test_tampered_certificate_fails_replay():
     )
     with pytest.raises(CertificateError):
         replay_certificate(bad)
+
+
+def test_translated_certificate_replays_for_double_coset_mates():
+    S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    H = subgroup(S4, [S4.generators()[0]])
+    g = S4.generators()[1]
+    cert = qn1_membership(H, g, budget=100).certificate
+    members = [S4.element(i) for i in H.subset]
+    mates = {S4.multiply(S4.multiply(h1, g), h2) for h1 in members for h2 in members}
+    assert len(mates) > cert.cover_size
+    for mate in mates:
+        moved = translate_certificate(cert, mate)
+        assert (moved.cover, moved.transitions) == (cert.cover, cert.transitions)
+        replay_certificate(moved)
+    outside = [x for x in S4.all_elements()
+               if all(S4.multiply(S4.invert(c), x).payload not in H.subset for c in cert.cover)]
+    assert outside
+    for x in outside:
+        with pytest.raises(CertificateError):
+            translate_certificate(cert, x)
+
+
+def test_product_compose_replays_only_the_composed_certificate(monkeypatch):
+    G, K0 = shift_setup()
+    t_inv_cert = qn1_membership(K0, G.stable_letter(-1), budget=10).certificate
+    free_cert = qn1_membership(subgroup(F2, INDEX_TWO_GENS), A, budget=10).certificate
+    replayed = []
+    original = certificates.replay_certificate
+    monkeypatch.setattr(certificates, "replay_certificate",
+                        lambda cert: replayed.append(cert) or original(cert))
+    pair_cert = product_compose(t_inv_cert, free_cert)
+    assert replayed == [pair_cert]
+
+
+def test_product_compose_rejects_tampered_component():
+    G, K0 = shift_setup()
+    t_inv_cert = qn1_membership(K0, G.stable_letter(-1), budget=10).certificate
+    cert = qn1_membership(subgroup(F2, INDEX_TWO_GENS), A, budget=10).certificate
+    bad = QnCertificate(subgroup=cert.subgroup, element=B, cover=cert.cover,
+                        element_index=cert.element_index, transitions=cert.transitions)
+    with pytest.raises(CertificateError):
+        product_compose(t_inv_cert, bad)
+    with pytest.raises(CertificateError):
+        compose_certificates(bad, cert)
 
 
 def test_product_compose_pairs():
