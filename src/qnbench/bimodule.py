@@ -4,8 +4,8 @@ Over a subalgebra ``B`` of a multi-matrix algebra, every right-``B``-module
 of vectors admits a basis ``eta_i`` with ``E_B(eta_i* eta_j) = delta_ij p_i``
 for support projections ``p_i`` in ``B``, and every module vector
 reconstructs as ``sum_i eta_i E_B(eta_i* v)`` (Pimsner-Popa).  The basis is
-in closed form, from one minimal projection of ``B`` per simple summand
-(``orthonormal_basis``).
+in closed form, from the minimal projection ``E_11`` of each simple summand
+of ``B`` (``expectations.matrix_units``, used by ``orthonormal_basis``).
 
 When only the module itself is needed, the basis is not: ``B`` is unital
 and closed under products, so the linear span of the ``g b`` (``g`` a
@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expectations import SubalgebraHandle, central_projections
-from .matrixalg import AlgebraElement, spectral_projections
+from .expectations import SubalgebraHandle, matrix_units
+from .matrixalg import AlgebraElement
 from .tolerances import Tolerances
 
 Expectation = Callable[[AlgebraElement], AlgebraElement]
@@ -65,20 +65,6 @@ class BimoduleBasis:
         return worst
 
 
-def minimal_projections(sub: SubalgebraHandle) -> list:
-    """One minimal projection of ``B`` per simple summand.
-
-    On each minimal central projection ``z`` a fixed generic self-adjoint
-    ``a`` in ``B`` acts as a generic matrix of the summand, so the top
-    eigenvalue cluster of ``z a z + (1 + |a|) z`` is a minimal projection;
-    the lift keeps that cluster above the zero eigenvalue of ``1 - z``.
-    """
-    ambient = sub.ambient
-    a = sub.project(ambient.random_selfadjoint(np.random.default_rng(0)))
-    lift = 1.0 + a.sup_norm()
-    return [spectral_projections(z @ a @ z + lift * z)[-1] for z in central_projections(sub)]
-
-
 def orthonormal_basis(
     sub: SubalgebraHandle,
     expectation: Expectation,
@@ -87,7 +73,8 @@ def orthonormal_basis(
 ) -> BimoduleBasis:
     """Module basis of the right-``B`` span ``X`` of the generators.
 
-    For a minimal projection ``p`` of ``B``, ``p B p = C p``, so any
+    Take ``p = E_11`` of each simple summand of ``B``.  A minimal
+    projection has ``p B p = C p``, so any
     trace-orthonormal frame ``xi_j`` of ``X p`` has
     ``E_B(xi_i* xi_j) = delta_ij p / tau(p)``; scaled by ``tau(p)^(1/2)`` the
     frame has support ``p`` and generates ``X z`` for the central support
@@ -100,7 +87,7 @@ def orthonormal_basis(
               for col in module_frame(sub, module_generators, tolerances).T]
     vectors: list[AlgebraElement] = []
     supports: list[AlgebraElement] = []
-    for p in minimal_projections(sub):
+    for p in (grid[0][0] for grid in matrix_units(sub)):
         frame = _frame(ambient, [x @ p for x in module], tolerances)
         # fix the phase: the largest entry of each column is real positive
         peaks = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .certificates import QnCertificate, translate_certificate
 from .errors import GroupValidationError, IndeterminateResultError
 from .groups import BALL_CAP, GroupDescriptor, GroupElement, Trit, enumerate_ball
-from .orbits import MembershipVerdict, qn1_membership
+from .orbits import MembershipVerdict, h1_status, qn1_membership
 from .subgroups import (
     INFINITE,
     SubgroupSpec,
@@ -455,18 +455,10 @@ def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
 
     for g in ball:
         verdict = verdicts[g]
-        h1_status = None
-        inverse = group.invert(g)
-        if verdict is not None and inverse in verdicts and verdicts[inverse] is not None:
-            forward, backward = verdict, verdicts[inverse]
-            if forward.certified_in and backward.certified_in:
-                h1_status = "certified_in"
-            elif forward.certified_out or backward.certified_out:
-                h1_status = "certified_out"
-            else:
-                h1_status = "unknown"
+        backward = verdicts.get(group.invert(g))
+        status = None if verdict is None or backward is None else h1_status(verdict, backward)
         report.gamma.append(
-            GammaEntry(element=g, in_subgroup=memberships[g], verdict=verdict, h1_status=h1_status)
+            GammaEntry(element=g, in_subgroup=memberships[g], verdict=verdict, h1_status=status)
         )
         if verdict is not None and verdict.certified_in:
             report.h2_witnesses.append(g)

@@ -37,7 +37,7 @@ class RepresentationError(QnbenchError):
 
 
 class ConstructionError(QnbenchError):
-    """A build-time identity check of the basic construction failed."""
+    """A build-time identity check (basic construction, matrix units) failed."""
 
 
 class InputFormatError(QnbenchError):

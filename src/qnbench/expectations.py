@@ -9,17 +9,31 @@ vanish exactly rather than to rounding error.
 Closures start from the spectral projections of the generators' real and
 imaginary parts, which span the same algebra with a well conditioned basis
 where powers of a generator would not.
+
+The Wedderburn structure of a subalgebra has one source,
+``matrix_units``: the minimal projections of one seeded generic element
+and the links between them.  Minimal central projections, the module
+basis supports (``bimodule``), the self-adjoint basis of the gap optimizer
+(``wahp``) and the irreducible blocks of a group algebra (``group_algebra``)
+are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GroupValidationError
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra, spectral_projections
+from .errors import ConstructionError, GroupValidationError
+from .matrixalg import (
+    SPECTRAL_GAP,
+    AlgebraElement,
+    MultiMatrixAlgebra,
+    spectral_frames,
+    spectral_projections,
+)
 from .tolerances import Tolerances
 
 
@@ -153,21 +167,60 @@ def conditional_expectation(
     return sub.project
 
 
-def central_projections(sub: SubalgebraHandle) -> list:
-    """Minimal central projections of a subalgebra.
+def matrix_units(sub: SubalgebraHandle) -> list:
+    """Matrix units of the subalgebra, one ``d x d`` nested list per simple summand.
 
-    The center is the null space of ``c -> (b c - c b)_b`` over the basis.
-    The expectation onto it of a fixed seeded Gaussian self-adjoint element
-    is a generic self-adjoint central element, whose spectral projections
-    are the minimal central projections.
+    ``units[j][a][b]`` is ``E_ab`` of summand ``j``.  One seeded generic
+    element ``x = E_B(g)`` gives them: the spectral projections ``p_i`` of
+    ``(x + x*)/2`` are minimal projections of ``B``, and a link
+    ``p_i x p_j`` is nonzero (2-norm above ``SPECTRAL_GAP * max(1, |x|_2)``)
+    exactly when ``p_i`` and ``p_j`` lie in one summand.  There
+    ``p_1 x p_a = c e_1a``, so ``E_1a = (p_1 x p_a) tau(p_a)^(1/2) /
+    |p_1 x p_a|_2`` and ``E_ab = E_1a* E_1b``, computed in the eigenvector
+    frames; ``E_ba`` is stored as the adjoint of ``E_ab``.
+
+    A degenerate draw raises ``ConstructionError``: the summands must fill
+    ``B`` and ``E_1a E_1b* = delta_ab E_11`` must hold within
+    ``construction_identity``.  That makes each ``E_1a*`` a partial isometry
+    with initial projection ``E_11``, so ``E_ab E_cd = E_1a* (E_1b E_1c*)
+    E_1d = delta_bc E_ad`` follows.
     """
     ambient = sub.ambient
-    stacked = np.concatenate([
-        np.stack([ambient.to_vector(b @ c - c @ b) for c in sub.basis], axis=1)
-        for b in sub.basis
-    ])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
-    center = sub.coordinates @ vh[rank:].conj().T  # orthonormal frame of the center
-    h = ambient.to_vector(ambient.random_selfadjoint(np.random.default_rng(0)))
-    return spectral_projections(ambient.from_vector(center @ (center.conj().T @ h)))
+    weights = ambient.block_weights
+    x = sub.project(ambient.random_element(np.random.default_rng(0)))
+    frames = spectral_frames(0.5 * (x + x.adjoint()))
+    cutoff = SPECTRAL_GAP * max(1.0, x.norm2())
+    summands: list = []  # per summand: (cluster, normalized link from its first cluster)
+    for j, frame in enumerate(frames):
+        trace = sum(w * f.shape[1] for w, f in zip(weights, frame))  # tau(p_j)
+        for summand in summands:
+            link = [f.conj().T @ xb @ g for f, xb, g in zip(frames[summand[0][0]], x.blocks, frame)]
+            size = np.sqrt(sum(w * np.sum(np.abs(b) ** 2) for w, b in zip(weights, link)))
+            if size > cutoff:
+                summand.append((j, [np.sqrt(trace) / size * b for b in link]))
+                break
+        else:
+            summands.append([(j, [np.eye(f.shape[1]) for f in frame])])
+    filled = sum(len(s) ** 2 for s in summands)
+    if filled != sub.dim:
+        raise ConstructionError(f"matrix units fill dimension {filled}, not {sub.dim}")
+    units = []
+    for summand in summands:
+        grid = [[None] * len(summand) for _ in summand]
+        for (a, (i, la)), (b, (j, lb)) in combinations_with_replacement(enumerate(summand), 2):
+            grid[a][b] = AlgebraElement(ambient, tuple(
+                fa @ (ma.conj().T @ mb) @ fb.conj().T
+                for fa, ma, mb, fb in zip(frames[i], la, lb, frames[j])))
+            grid[b][a] = grid[a][b].adjoint() if a < b else grid[a][b]
+        units.append(grid)
+    zero, bound = ambient.zero(), Tolerances().construction_identity
+    defect = max((g[0][a] @ g[b][0] - (g[0][0] if a == b else zero)).norm2()
+                 for g in units for a in range(len(g)) for b in range(len(g)))
+    if defect > bound:
+        raise ConstructionError(f"matrix unit residual {defect:.2e} exceeds {bound:.2e}")
+    return units
+
+
+def central_projections(sub: SubalgebraHandle) -> list:
+    """Minimal central projections of a subalgebra: ``sum_a E_aa`` per summand."""
+    return [sum((g[a][a] for a in range(1, len(g))), g[0][0]) for g in matrix_units(sub)]

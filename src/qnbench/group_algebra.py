@@ -2,15 +2,13 @@
 
 The left regular representation of a finite group decomposes into matrix
 blocks, one per irreducible representation, with the normalized permutation
-trace turning into block weights ``d_i / |G|``.  The decomposition is
-computed numerically:
-
-* central idempotents are the clustered eigenprojections of a generic
-  self-adjoint central element (central = constant on conjugacy classes);
-* inside an isotypic component, a generic self-adjoint element acts as
-  ``a (x) 1``, so the eigenvectors of its top eigenvalue cluster are simple
-  tensors; the orbit of one of them under the group spans a single
-  irreducible copy, read off in an orthonormal basis.
+trace turning into block weights ``d_i / |G|``.  The decomposition is read
+off the matrix units of the group algebra: the regular matrices
+``lambda(g)`` are trace-orthonormal, so they form a subalgebra handle as
+they stand, and ``expectations.matrix_units`` splits it into simple
+summands.  With ``E_ab`` the units of one summand,
+``rho(g)_ab = tau(E_ab* lambda(g)) / tau(E_11)`` is an irreducible unitary
+representation, and every irreducible one appears once.
 
 The result is verified: block dimensions square-sum to the order, images
 are unitary, the map is multiplicative on a generating set, and the block
@@ -29,10 +27,11 @@ from .expectations import (
     SubalgebraHandle,
     conditional_expectation,
     full_subalgebra,
+    matrix_units,
     subalgebra_closure,
 )
 from .groups import FiniteTableGroup, GroupElement
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, eigenvalue_clusters
+from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
 from .tolerances import Tolerances
 
 
@@ -49,116 +48,35 @@ class GroupAlgebraInclusion:
         return self.images[g.payload]
 
 
-def _conjugacy_classes(group: FiniteTableGroup) -> list:
-    seen = set()
-    classes = []
-    for i in range(group.order):
-        if i in seen:
-            continue
-        orbit = set()
-        for h in range(group.order):
-            orbit.add(group.table[group.table[h][i]][group.inverse[h]])
-        classes.append(sorted(orbit))
-        seen |= orbit
-    return classes
-
-
-def _regular_matrices(group: FiniteTableGroup) -> list:
-    n = group.order
-    mats = []
-    for g in range(n):
-        mat = np.zeros((n, n))
-        for h in range(n):
-            mat[group.table[g][h], h] = 1.0
-        mats.append(mat)
-    return mats
-
-
-def decompose_regular_representation(group: FiniteTableGroup, seed: int = 42,
-                                     attempts: int = 8) -> tuple:
+def decompose_regular_representation(group: FiniteTableGroup) -> tuple:
     """Irreducible representations of a finite table group.
 
     Returns ``(dims, reps)`` where ``reps[i]`` maps an element index to a
-    ``dims[i]`` square unitary matrix.
+    ``dims[i]`` square unitary matrix, in increasing order of dimension.
+    With ``E_ab`` the matrix units of one summand of the span of ``lambda(G)``,
+    ``rho(g)_ab = tau(E_ab* lambda(g)) / tau(E_11)``.
     """
     n = group.order
-    reg = _regular_matrices(group)
-    classes = _conjugacy_classes(group)
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        # complex class coefficients, hermitian-symmetrized: real coefficients
-        # cannot separate complex-conjugate representations
-        coeffs = rng.standard_normal(len(classes)) + 1j * rng.standard_normal(len(classes))
-        z = np.zeros((n, n), dtype=complex)
-        for c, cls in zip(coeffs, classes):
-            for g in cls:
-                z += c * reg[g]
-        z = 0.5 * (z + z.conj().T)
-        vals, vecs = np.linalg.eigh(z)
-        clusters = eigenvalue_clusters(vals)
-        dims = []
-        for cluster in clusters:
-            d = np.sqrt(len(cluster))
-            if abs(d - round(d)) > 1e-9:
-                dims = None
-                break
-            dims.append(int(round(d)))
-        if dims is None or sum(d * d for d in dims) != n or len(dims) != len(classes):
-            continue
-        reps = []
-        ok = True
-        for cluster, d in zip(clusters, dims):
-            basis = vecs[:, cluster]
-            rep = _single_copy(group, reg, basis, d, rng)
-            if rep is None:
-                ok = False
-                break
-            reps.append(rep)
-        if ok:
-            order = np.argsort([r[group.identity_index].shape[0] for r in reps], kind="stable")
-            return [reps[i][group.identity_index].shape[0] for i in order], [reps[i] for i in order]
-    raise GroupValidationError("failed to split the regular representation")
-
-
-def _single_copy(group: FiniteTableGroup, reg, isotypic: np.ndarray, d: int, rng):
-    """One irreducible copy inside an isotypic component.
-
-    A self-adjoint element of the group algebra acts on the component as
-    ``a (x) 1``, so eigenvectors of a simple eigenvalue cluster are simple
-    tensors and the group orbit of one of them spans a single copy.
-    """
-    n = group.order
-    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        a += weights[g] * reg[g]
-    a = 0.5 * (a + a.conj().T)
-    compressed = isotypic.conj().T @ a @ isotypic
-    compressed = 0.5 * (compressed + compressed.conj().T)
-    vals, vecs = np.linalg.eigh(compressed)
-    # the top eigenvalue of the first tensor factor appears with multiplicity
-    # d; its eigenvectors are simple tensors
-    top = vecs[:, -1]
-    psi = isotypic @ top
-    orbit = np.stack([reg[g] @ psi for g in range(n)], axis=1)
-    q, r = np.linalg.qr(orbit)
-    rank_cols = [j for j in range(r.shape[0]) if abs(r[j, j]) > 1e-8]
-    basis = q[:, rank_cols]
-    if basis.shape[1] != d:
-        return None
-    rep = {}
-    for g in range(n):
-        mat = basis.conj().T @ reg[g] @ basis
-        if np.linalg.norm(mat.conj().T @ mat - np.eye(d)) > 1e-8:
-            return None
-        rep[g] = mat
-    return rep
+    ambient = build_algebra([n], [1.0 / n])
+    order = [group.identity_index] + [g for g in range(n) if g != group.identity_index]
+    # lambda(g) sends e_h to e_gh; lambda(G) is tau-orthonormal, so it is the
+    # handle's basis as it stands
+    regular = [ambient.element([np.eye(n)[:, list(group.table[g])]]) for g in order]
+    coords = np.stack([ambient.to_vector(u) for u in regular], axis=1)
+    handle = SubalgebraHandle(ambient=ambient, basis=regular, coordinates=coords)
+    summands = sorted(matrix_units(handle), key=len)
+    reps = []
+    for grid in summands:
+        d = len(grid)
+        flat = np.stack([ambient.to_vector(e) for row in grid for e in row])
+        coeffs = (flat.conj() @ coords / grid[0][0].trace().real).reshape(d, d, n)
+        reps.append({g: coeffs[:, :, col] for col, g in enumerate(order)})
+    return [len(grid) for grid in summands], reps
 
 
 def group_algebra_inclusion(
     group: FiniteTableGroup,
     subgroup_elements: Sequence[GroupElement],
-    seed: int = 42,
     tolerances: Optional[Tolerances] = None,
 ) -> GroupAlgebraInclusion:
     """Decomposed group algebra of ``G`` with the span of a subgroup inside.
@@ -186,7 +104,7 @@ def group_algebra_inclusion(
             if group.table[i][j] not in subset:
                 raise GroupValidationError("subgroup set is not closed under products")
 
-    dims, reps = decompose_regular_representation(group, seed=seed)
+    dims, reps = decompose_regular_representation(group)
     weights = [d / group.order for d in dims]
     algebra = build_algebra(dims, weights, tolerances)
     images = {

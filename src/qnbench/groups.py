@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import words as W
 from .errors import DescriptorMismatchError, GroupValidationError, ResourceLimitError
 from .rewriting import (
@@ -162,16 +164,19 @@ class FiniteTableGroup(GroupDescriptor):
         return tuple(inv)
 
     def _check_associativity(self) -> None:
-        t = self.table
-        for i in range(self.order):
-            for j in range(self.order):
-                tij = t[i][j]
-                row_j = t[j]
-                for k in range(self.order):
-                    if t[tij][k] != t[i][row_j[k]]:
-                        raise GroupValidationError(
-                            f"table is not associative at ({i},{j},{k})"
-                        )
+        """``(i j) k = i (j k)`` for all triples, one ``n x n`` comparison per ``j``.
+
+        Reports the lexicographically first failing ``(i, j, k)``.
+        """
+        t = np.asarray(self.table, dtype=np.intp)
+        failures = []
+        for j in range(self.order):
+            bad = np.argwhere(t[t[:, j]] != t[:, t[j]])
+            if bad.size:
+                failures.append((int(bad[0][0]), j, int(bad[0][1])))
+        if failures:
+            raise GroupValidationError(
+                "table is not associative at ({},{},{})".format(*min(failures)))
 
     @staticmethod
     def cyclic(n: int) -> "FiniteTableGroup":

@@ -230,22 +230,28 @@ def eigenvalue_clusters(vals: np.ndarray) -> list:
     return np.split(order, cuts)
 
 
-def spectral_projections(x: AlgebraElement) -> list:
-    """One spectral projection per eigenvalue cluster of a self-adjoint element.
+def spectral_frames(x: AlgebraElement) -> list:
+    """Per eigenvalue cluster of a self-adjoint element, one orthonormal
+    eigenvector frame per block (``n_k x m``, ``m`` possibly 0).
 
     Eigenvalues are clustered across all blocks, so an eigenvalue shared by
-    two blocks gives one projection; the list follows increasing eigenvalues
-    and sums to the identity.
+    two blocks gives one cluster; the list follows increasing eigenvalues.
     """
     spectra = [np.linalg.eigh(block) for block in x.blocks]
     vals = np.concatenate([v for v, _ in spectra])
     owner = np.repeat(np.arange(len(spectra)), [v.size for v, _ in spectra])
     column = np.concatenate([np.arange(v.size) for v, _ in spectra])
-    projections = []
-    for cluster in eigenvalue_clusters(vals):
-        blocks = []
-        for k, (_, vecs) in enumerate(spectra):
-            frame = vecs[:, column[cluster[owner[cluster] == k]]]
-            blocks.append(frame @ frame.conj().T)
-        projections.append(AlgebraElement(x.algebra, tuple(blocks)))
-    return projections
+    return [
+        tuple(vecs[:, column[cluster[owner[cluster] == k]]] for k, (_, vecs) in enumerate(spectra))
+        for cluster in eigenvalue_clusters(vals)
+    ]
+
+
+def spectral_projections(x: AlgebraElement) -> list:
+    """One spectral projection per eigenvalue cluster of a self-adjoint element.
+
+    The projections of ``spectral_frames``: they follow increasing
+    eigenvalues and sum to the identity.
+    """
+    return [AlgebraElement(x.algebra, tuple(f @ f.conj().T for f in frames))
+            for frames in spectral_frames(x)]

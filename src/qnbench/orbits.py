@@ -227,15 +227,25 @@ def qn1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> M
     return MembershipVerdict(status=UNKNOWN, budget=budget, orbit_explored=orbit.explored)
 
 
-def h1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> MembershipVerdict:
-    """Two-sided variant: certified when both ``g`` and ``g^-1`` certify.
+def h1_status(forward: MembershipVerdict, backward: MembershipVerdict) -> str:
+    """Two-sided status from the verdicts for ``g`` and ``g^-1``.
 
-    One exact refutation on either side refutes; otherwise the verdict stays
-    Unknown.
+    Certified when both sides certify; one exact refutation on either side
+    refutes; otherwise Unknown.
     """
+    if forward.certified_in and backward.certified_in:
+        return CERTIFIED_IN
+    if forward.certified_out or backward.certified_out:
+        return CERTIFIED_OUT
+    return UNKNOWN
+
+
+def h1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> MembershipVerdict:
+    """Two-sided variant: ``h1_status`` of the verdicts for ``g`` and ``g^-1``."""
     forward = qn1_membership(spec, g, budget)
     backward = qn1_membership(spec, spec.group.invert(g), budget)
-    if forward.certified_in and backward.certified_in:
+    status = h1_status(forward, backward)
+    if status == CERTIFIED_IN:
         return MembershipVerdict(
             status=CERTIFIED_IN,
             certificate=forward.certificate,
@@ -243,7 +253,7 @@ def h1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> Me
             budget=budget,
             orbit_explored=forward.orbit_explored,
         )
-    if forward.certified_out or backward.certified_out:
+    if status == CERTIFIED_OUT:
         side = forward if forward.certified_out else backward
         return MembershipVerdict(
             status=CERTIFIED_OUT,

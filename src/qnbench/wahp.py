@@ -8,7 +8,9 @@ functional is
 minimized over unitaries ``u`` of ``B``.  The unitary group of a
 finite-dimensional algebra is compact and connected, so the infimum is
 attained and the exponential parametrization ``u = exp(i h)`` with ``h``
-self-adjoint in ``B`` reaches every unitary.
+self-adjoint in ``B`` reaches every unitary.  The coordinates of ``h`` are
+taken in the real-orthonormal basis that the matrix units of ``B`` give
+(``hermitian_basis``).
 
 Each map ``u -> x u y - E_N(x) u E_N(y)`` is linear on the GNS space, so the
 whole functional is a positive-semidefinite quadratic form ``v* Q v`` in the
@@ -35,7 +37,7 @@ import numpy as np
 
 from .basic import left_operator, right_operator
 from .errors import GroupValidationError
-from .expectations import SubalgebraHandle, conditional_expectation
+from .expectations import SubalgebraHandle, conditional_expectation, matrix_units
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
 from .tolerances import Tolerances
 
@@ -80,24 +82,20 @@ class WahpGapReport:
 
 
 def hermitian_basis(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle) -> list:
-    """Real-orthonormal basis of the self-adjoint part of the subalgebra."""
-    candidates = []
-    for b in sub.basis:
-        candidates.append(0.5 * (b + b.adjoint()))
-        candidates.append(complex(0, -0.5) * (b - b.adjoint()))
-    out: list[AlgebraElement] = []
-    vecs: list[np.ndarray] = []
-    for c in candidates:
-        vec = ambient.to_vector(c)
-        real = np.concatenate([vec.real, vec.imag])
-        for v in vecs:
-            real = real - (v @ real) * v
-        norm = float(np.linalg.norm(real))
-        if norm > 1e-10:
-            real /= norm
-            vecs.append(real)
-            half = real.shape[0] // 2
-            out.append(ambient.from_vector(real[:half] + 1j * real[half:]))
+    """Real-orthonormal basis of the self-adjoint part of the subalgebra.
+
+    Read off the matrix units of each summand: ``E_aa``, and for ``a < b``
+    ``E_ab + E_ba`` and ``i (E_ab - E_ba)``, each scaled to unit 2-norm
+    (``|E_ab|_2^2 = tau(E_11)``), so the list has ``dim B`` elements.
+    """
+    out = []
+    for grid in matrix_units(sub):
+        scale = 1.0 / np.sqrt(grid[0][0].trace().real)
+        for a, row in enumerate(grid):
+            out.append(scale * row[a])
+            for b in range(a + 1, len(grid)):
+                out.append(scale / np.sqrt(2) * (row[b] + grid[b][a]))
+                out.append(1j * scale / np.sqrt(2) * (row[b] - grid[b][a]))
     return out
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qnbench.basic import basic_construction
@@ -32,6 +33,16 @@ def test_s3_block_structure():
     G = s3()
     dims, _ = decompose_regular_representation(G)
     assert dims == [1, 1, 2]
+
+
+def test_s5_splits_into_seven_irreducibles():
+    G = FiniteTableGroup.from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    dims, reps = decompose_regular_representation(G)
+    assert dims == [1, 1, 4, 4, 5, 5, 6]
+    for rep in reps:
+        for g in G.generator_indices:
+            for h in range(G.order):
+                assert np.abs(rep[g] @ rep[h] - rep[G.table[g][h]]).max() <= 1e-10
 
 
 def test_group_trace_conventions():

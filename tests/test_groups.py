@@ -261,15 +261,38 @@ def test_table_validation_rejects_bad_tables():
         FiniteTableGroup([[0, 1], [1, 1]])  # not a group
     # a loop (Latin square with identity and inverses) that is not associative
     with pytest.raises(GroupValidationError):
-        FiniteTableGroup(
-            [
-                [0, 1, 2, 3, 4],
-                [1, 0, 3, 4, 2],
-                [2, 4, 0, 1, 3],
-                [3, 2, 4, 0, 1],
-                [4, 3, 1, 2, 0],
-            ]
-        )
+        FiniteTableGroup(LOOP5)
+
+
+def _first_non_associative(table):
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return f"({i},{j},{k})"
+    return None
+
+
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(1, 7)
+                                 if (a + b) % 7 and (a + b + 1) % 7])
+def test_associativity_check_names_the_first_failing_triple(a, b):
+    # Z7 with the single product a*b changed: identity and inverses survive;
+    # the first failure in (i, j, k) order often has a larger j than others
+    table = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    table[a][b] = (a + b + 1) % 7
+    with pytest.raises(GroupValidationError) as err:
+        FiniteTableGroup(table)
+    assert str(err.value) == f"table is not associative at {_first_non_associative(table)}"
 
 
 def test_from_permutations_builds_s3():

@@ -42,6 +42,20 @@ def test_hermitian_basis_spans_selfadjoint_part():
         assert (s - s.adjoint()).norm2() < 1e-12
 
 
+@pytest.mark.parametrize("dims", [[2], [2, 3], [3, 1, 2]])
+def test_hermitian_basis_is_real_orthonormal_of_length_dim_b(dims):
+    M = build_algebra(dims, [1.0] * len(dims))
+    for B in (full_subalgebra(M), diagonal_subalgebra(M)):
+        herm = hermitian_basis(M, B)
+        assert len(herm) == B.dim
+        vecs = np.array([M.to_vector(h) for h in herm])
+        gram = (vecs.conj() @ vecs.T).real
+        assert np.abs(gram - np.eye(B.dim)).max() < 1e-12
+        for h in herm:
+            assert (h - h.adjoint()).norm2() < 1e-12
+            assert B.contains(h)
+
+
 def closed_form_diag_pair_gap():
     """Hand oracle for B = N = diag in M2 with the off-diagonal unit pair.
 
