@@ -2,9 +2,13 @@
 
 Everything lives on the GNS space of the ambient trace: elements become
 coordinate vectors, left and right multiplications ``lambda``/``rho`` become
-square matrices (blockwise Kronecker products; the orthonormal scaling
-cancels), and the projection ``e`` of the construction is the orthogonal
-projection onto the subalgebra's vector span.
+square block-diagonal matrices (the orthonormal scaling cancels), and the
+projection ``e`` of the construction is the orthogonal projection onto the
+subalgebra's vector span.  ``left_operators`` builds ``lambda`` for a whole
+stack of elements at once, per block the stack broadcast against the
+identity; the trace identity (all matrix units) and ``module_projection``
+(all ``eta_i``) use it directly, and ``left_operator``/``right_operator``
+are its one-element cases.
 
 The rest is closed form in a module basis ``eta_i`` of the ambient algebra
 over the subalgebra ``B``: the trace vector, then the closed-form basis of
@@ -30,34 +34,49 @@ the Pimsner-Popa identity in operator norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .bimodule import BimoduleBasis, module_frame, orthonormal_basis, remove_component
+from .bimodule import BimoduleBasis, orthonormal_basis, product_frame, remove_component
 from .errors import ConstructionError, RepresentationError
 from .expectations import SubalgebraHandle, conditional_expectation
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
 from .tolerances import Tolerances
 
 
-def _block_diag(blocks: list) -> np.ndarray:
-    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
-    at = 0
-    for b in blocks:
-        out[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
+def left_operators(ambient: MultiMatrixAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Matrices ``(count, dim, dim)`` of left multiplication on the GNS space by
+    the elements of per-block stacks ``(count, n_k, n_k)``.
+
+    Per block, ``vec(x z) = (x (x) 1) vec(z)``: the stack broadcast against the
+    identity, placed on the block's diagonal range.
+    """
+    count = len(stacks[0])
+    out = np.zeros((count, ambient.dim, ambient.dim), dtype=complex)
+    for part, n, s in zip(ambient.block_slices, ambient.block_dims, stacks):
+        out[:, part, part] = (s[:, :, None, :, None] * np.eye(n)[:, None, :]) \
+            .reshape(count, n * n, n * n)
     return out
 
 
 def left_operator(x: AlgebraElement) -> np.ndarray:
     """Matrix of left multiplication on the GNS space."""
-    return _block_diag([np.kron(b, np.eye(b.shape[0], dtype=complex)) for b in x.blocks])
+    return left_operators(x.algebra, [b[None] for b in x.blocks])[0]
 
 
 def right_operator(y: AlgebraElement) -> np.ndarray:
-    """Matrix of right multiplication on the GNS space."""
-    return _block_diag([np.kron(np.eye(b.shape[0], dtype=complex), b.T) for b in y.blocks])
+    """Matrix of right multiplication on the GNS space.
+
+    ``z y = (y^T z^T)^T``, so it is ``lambda(y^T)`` conjugated by the
+    transposition ``vec(z) -> vec(z^T)`` of each block.
+    """
+    algebra = y.algebra
+    flip = np.concatenate([
+        np.arange(part.start, part.stop).reshape(n, n).T.reshape(-1)
+        for part, n in zip(algebra.block_slices, algebra.block_dims)
+    ])
+    return left_operators(algebra, [b.T[None] for b in y.blocks])[0][np.ix_(flip, flip)]
 
 
 @dataclass
@@ -76,19 +95,6 @@ class BasicConstruction:
 
     def element_of(self, vec: np.ndarray) -> AlgebraElement:
         return self.algebra.from_vector(vec)
-
-    def conjugation(self, x: AlgebraElement) -> AlgebraElement:
-        """The canonical conjugation of the GNS space: the adjoint map."""
-        return x.adjoint()
-
-    def vector_operator(self, eta: AlgebraElement) -> np.ndarray:
-        """Operator attached to a vector of the GNS space.
-
-        On ``x`` (as a vector) it returns ``eta x``; identifying vectors
-        with elements this is left multiplication by ``eta``, and the
-        operator attached to ``x (trace vector)`` is exactly ``left_operator(x)``.
-        """
-        return left_operator(eta)
 
     def basic_operator(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         """The spanning operator ``lambda(x) e lambda(y)``."""
@@ -127,9 +133,12 @@ class BasicConstruction:
 
     def trace_identity_residual(self) -> float:
         """Largest ``|Tr(x e y) - tau(x y)|`` over all pairs of matrix units."""
-        dim = self.algebra.dim
-        units = self.algebra.basis()
-        lefts = np.stack([left_operator(u) for u in units])
+        algebra = self.algebra
+        dim = algebra.dim
+        # the matrix units: block k's stack is the identity on its coordinate range
+        units = [np.eye(dim, dtype=complex)[:, part].reshape(dim, n, n)
+                 for part, n in zip(algebra.block_slices, algebra.block_dims)]
+        lefts = left_operators(algebra, units)
         # Tr(L_x e L_y) = sum_ab (L_x)_ab (e L_y F)_ba with F the trace form
         factors = (self.e_sub @ lefts @ self.trace_form).transpose(0, 2, 1)
         traces = lefts.reshape(dim, -1) @ factors.reshape(dim, -1).T
@@ -207,12 +216,11 @@ def _verify_construction(c: BasicConstruction) -> None:
 def module_projection(construction: BasicConstruction, basis: BimoduleBasis) -> np.ndarray:
     """Projection onto the closed module a basis spans: ``sum w_i w_i*`` with
     ``w_i = lambda(eta_i) e``."""
-    dim = construction.algebra.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for eta in basis.vectors:
-        w = left_operator(eta) @ construction.e_sub
-        out += w @ w.conj().T
-    return out
+    algebra = construction.algebra
+    # the w_i side by side: (dim, count * dim)
+    w = (left_operators(algebra, algebra.stack(basis.vectors)) @ construction.e_sub) \
+        .transpose(1, 0, 2).reshape(algebra.dim, -1)
+    return w @ w.conj().T
 
 
 @dataclass
@@ -231,8 +239,9 @@ def qn1_module_test(construction: BasicConstruction, x: AlgebraElement) -> Modul
     the orthogonal projector onto that column span; the report's generators
     are an orthonormal frame of it.
     """
-    sub = construction.subalgebra
-    frame = module_frame(sub, [b @ x for b in sub.basis], construction.tolerances)
+    sub, algebra = construction.subalgebra, construction.algebra
+    frame = product_frame(sub, [s @ b for s, b in zip(sub.stacks, x.blocks)],
+                          construction.tolerances)
     return ModuleReport(module_dim=frame.shape[1],
-                        generators=[construction.element_of(col) for col in frame.T],
+                        generators=algebra.elements(algebra.stacks_of(frame)),
                         projection=frame @ frame.conj().T)

@@ -12,6 +12,11 @@ and closed under products, so the linear span of the ``g b`` (``g`` a
 generator, ``b`` in ``B``) is already a right-``B``-module.  Its projection
 is the orthogonal projector onto a column span, read off one SVD
 (``module_frame``).
+
+Both work on per-block stacks: all ``g b`` are one broadcast ``matmul`` of
+the generator stack against the handle's basis stacks per block
+(``product_frame``), and all ``x p`` over a module frame are one ``matmul``
+per block on the frame's coordinates.
 """
 
 from __future__ import annotations
@@ -83,24 +88,29 @@ def orthonormal_basis(
     """
     tolerances = tolerances or Tolerances()
     ambient = sub.ambient
-    module = [ambient.from_vector(col)
-              for col in module_frame(sub, module_generators, tolerances).T]
-    vectors: list[AlgebraElement] = []
+    module = module_frame(sub, module_generators, tolerances)
+    # the frame's coordinate blocks: vec(x p) = vec(x) p per block, as the
+    # block scaling commutes with right multiplication
+    chunks = [module[part].T.reshape(-1, n, n)
+              for part, n in zip(ambient.block_slices, ambient.block_dims)]
+    total = np.zeros((ambient.dim, 0), dtype=complex)
     supports: list[AlgebraElement] = []
     for p in (grid[0][0] for grid in matrix_units(sub)):
-        frame = _frame(ambient, [x @ p for x in module], tolerances)
+        products = np.concatenate(
+            [(c @ b).reshape(len(c), b.size) for c, b in zip(chunks, p.blocks)], axis=1)
+        frame = _span_frame(products.T, tolerances)
         # fix the phase: the largest entry of each column is real positive
         peaks = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]
         frame = frame * (np.sqrt(p.trace().real) * peaks.conj() / np.abs(peaks))
-        for i, col in enumerate(frame.T):
-            eta = ambient.from_vector(col)
-            if i < len(vectors):
-                vectors[i], supports[i] = vectors[i] + eta, supports[i] + p
-            else:
-                vectors.append(eta)
-                supports.append(p)
+        width = frame.shape[1]
+        if width > total.shape[1]:
+            total = np.pad(total, ((0, 0), (0, width - total.shape[1])))
+        total[:, :width] += frame
+        supports = [q + p for q in supports[:width]] + supports[width:] \
+            + [p] * (width - len(supports))
     return BimoduleBasis(subalgebra=sub, expectation=expectation,
-                         vectors=vectors, supports=supports)
+                         vectors=ambient.elements(ambient.stacks_of(total)),
+                         supports=supports)
 
 
 def remove_component(ys: Sequence[AlgebraElement], expectation: Expectation) -> list:
@@ -112,16 +122,29 @@ def module_frame(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
                  tolerances: Optional[Tolerances] = None) -> np.ndarray:
     """Orthonormal frame of the right module the generators span.
 
-    The left singular vectors of the stacked ``vec(g b)`` whose singular
-    values exceed ``subalgebra_closure * max(1, s_max)``.
+    The left singular vectors of the stacked ``vec(g b)``, in ``(g, b)``
+    order, whose singular values exceed ``subalgebra_closure * max(1,
+    s_max)``.
     """
-    return _frame(sub.ambient, [g @ b for g in generators for b in sub.basis],
-                  tolerances or Tolerances())
+    return product_frame(sub, sub.ambient.stack(generators), tolerances)
 
 
-def _frame(ambient, elements: list, tolerances: Tolerances) -> np.ndarray:
-    columns = np.array([ambient.to_vector(x) for x in elements], dtype=complex)
-    frame, svals, _ = np.linalg.svd(columns.reshape(-1, ambient.dim).T, full_matrices=False)
+def product_frame(sub: SubalgebraHandle, generators: Sequence[np.ndarray],
+                  tolerances: Optional[Tolerances] = None) -> np.ndarray:
+    """``module_frame`` of generators given as per-block stacks ``(count, n_k, n_k)``.
+
+    Per block, every ``g b`` is one broadcast ``matmul`` of the generator
+    stack against the handle's ``stacks``.
+    """
+    ambient = sub.ambient
+    products = [(g[:, None] @ s).reshape(-1, n, n)
+                for g, s, n in zip(generators, sub.stacks, ambient.block_dims)]
+    return _span_frame(ambient.vectors_of(products), tolerances or Tolerances())
+
+
+def _span_frame(columns: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+    """Left singular vectors of the column span above the relative cutoff."""
+    frame, svals, _ = np.linalg.svd(columns, full_matrices=False)
     return frame[:, svals > tolerances.subalgebra_closure * np.max(svals, initial=1.0)]
 
 

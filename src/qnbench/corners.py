@@ -129,22 +129,34 @@ def tensor_module_check(
     """Exact dimension count: the module of a simple tensor over the tensor
     subalgebra is the tensor product of the component modules."""
     tolerances = tolerances or Tolerances()
-    m1, m2 = c1.algebra, c2.algebra
-    product = m1.tensor(m2)
-    # tau is multiplicative on the product, so the products of the two
-    # tau-orthonormal bases are a tau-orthonormal basis of B1 (x) B2, and the
-    # first one is the identity
-    basis = [
-        m1.tensor_element(product, b1, b2)
-        for b1 in c1.subalgebra.basis
-        for b2 in c2.subalgebra.basis
-    ]
-    sub = SubalgebraHandle(ambient=product, basis=basis,
-                           coordinates=np.stack([product.to_vector(b) for b in basis], axis=1))
+    sub = tensor_subalgebra(c1.subalgebra, c2.subalgebra)
     # the product module is computed from x1 (x) x2 alone, independently of
     # both component modules
-    x = m1.tensor_element(product, x1, x2)
-    product_dim = module_dimension(sub, [b @ x for b in sub.basis], tolerances)
+    product = sub.ambient
+    x = c1.algebra.tensor_element(product, x1, x2)
+    product_dim = module_dimension(
+        sub, product.elements([s @ b for s, b in zip(sub.stacks, x.blocks)]), tolerances)
     return TensorModuleCheck(left_dim=qn1_module_test(c1, x1).module_dim,
                              right_dim=qn1_module_test(c2, x2).module_dim,
                              product_dim=product_dim)
+
+
+def tensor_subalgebra(sub1: SubalgebraHandle, sub2: SubalgebraHandle) -> SubalgebraHandle:
+    """The handle of ``B1 (x) B2`` inside ``M1 (x) M2``.
+
+    tau is multiplicative on the product, so the products of the two
+    tau-orthonormal bases are a tau-orthonormal basis, and the first one is
+    the identity.  Per block pair, ``b1 (x) b2`` is the broadcast product
+    ``a[i, j] b[k, l]`` at row ``(i, k)`` and column ``(j, l)``, in
+    ``(b1, b2)`` order.
+    """
+    m1, m2 = sub1.ambient, sub2.ambient
+    product = m1.tensor(m2)
+    stacks = [
+        (s1[:, None, :, None, :, None] * s2[None, :, None, :, None, :])
+        .reshape(len(s1) * len(s2), n1 * n2, n1 * n2)
+        for s1, n1 in zip(sub1.stacks, m1.block_dims)
+        for s2, n2 in zip(sub2.stacks, m2.block_dims)
+    ]
+    return SubalgebraHandle(ambient=product, basis=product.elements(stacks),
+                            coordinates=product.vectors_of(stacks))

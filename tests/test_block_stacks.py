@@ -1,0 +1,151 @@
+"""Per-block basis stacks against the element-at-a-time forms they replaced.
+
+The references below form every product, Kronecker operator and tensor
+element one at a time; they live here only, as oracles for the batched
+module frames, left operators and product bases.
+"""
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import given, settings
+
+from qnbench.acceptance import _DIM_POOL
+from qnbench.basic import (
+    basic_construction,
+    left_operator,
+    left_operators,
+    module_projection,
+    right_operator,
+)
+from qnbench.bimodule import module_frame, orthonormal_basis
+from qnbench.corners import tensor_subalgebra
+from qnbench.expectations import (
+    SubalgebraHandle,
+    conditional_expectation,
+    diagonal_subalgebra,
+    full_subalgebra,
+    matrix_units,
+    scalar_subalgebra,
+    subalgebra_closure,
+)
+from qnbench.matrixalg import build_algebra
+from qnbench.tolerances import Tolerances
+
+
+def reference_frame(sub, generators):
+    ambient = sub.ambient
+    columns = np.array([ambient.to_vector(g @ b) for g in generators for b in sub.basis],
+                       dtype=complex).reshape(-1, ambient.dim).T
+    frame, svals, _ = np.linalg.svd(columns, full_matrices=False)
+    cutoff = Tolerances().subalgebra_closure * np.max(svals, initial=1.0)
+    return frame[:, svals > cutoff]
+
+
+def block_diag(blocks):
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def reference_left(x):
+    return block_diag([np.kron(b, np.eye(len(b))) for b in x.blocks])
+
+
+def reference_right(y):
+    return block_diag([np.kron(np.eye(len(b)), b.T) for b in y.blocks])
+
+
+@st.composite
+def inclusions(draw, kinds=("scalar", "diagonal", "generic", "generic", "full")):
+    dims = draw(st.sampled_from(_DIM_POOL))
+    # weights off normalization exercise the rescaled algebras
+    weights = draw(st.lists(st.floats(0.2, 5.0), min_size=len(dims), max_size=len(dims)))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    M = build_algebra(dims, weights)
+    if kind == "scalar":
+        B = scalar_subalgebra(M)
+    elif kind == "diagonal":
+        B = diagonal_subalgebra(M)
+    elif kind == "full":
+        B = full_subalgebra(M)
+    else:
+        B = subalgebra_closure(M, [M.random_selfadjoint(rng)])
+    return rng, M, B
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions(), st.integers(0, 3))
+def test_module_frame_matches_element_products(case, count):
+    rng, M, B = case
+    gens = [M.random_element(rng) for _ in range(count)]
+    if count:
+        gens.append(gens[0] @ B.basis[-1])  # a dependent generator
+    frame, reference = module_frame(B, gens), reference_frame(B, gens)
+    assert frame.shape == reference.shape
+    assert np.linalg.norm(frame @ frame.conj().T - reference @ reference.conj().T, 2) <= 1e-10
+
+
+def test_module_frame_of_no_generators_is_empty():
+    M = build_algebra([2, 1], [1 / 3, 1 / 3])
+    assert module_frame(diagonal_subalgebra(M), []).shape == (M.dim, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions())
+def test_left_operators_match_kronecker_stack(case):
+    rng, M, B = case
+    xs = B.basis + [M.random_element(rng) for _ in range(3)]
+    lefts = left_operators(M, M.stack(xs))
+    assert lefts.shape == (len(xs), M.dim, M.dim)
+    for op, x in zip(lefts, xs):
+        np.testing.assert_array_equal(op, left_operator(x))
+        np.testing.assert_allclose(op, reference_left(x), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(right_operator(x), reference_right(x), rtol=0, atol=1e-13)
+    assert left_operators(M, M.stack([])).shape == (0, M.dim, M.dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(inclusions(), inclusions())
+def test_tensor_stacks_match_tensor_elements(first, second):
+    _, M1, B1 = first
+    _, M2, B2 = second
+    sub = tensor_subalgebra(B1, B2)
+    product = sub.ambient
+    assert sub.dim == B1.dim * B2.dim
+    for index, (b1, b2) in enumerate((b1, b2) for b1 in B1.basis for b2 in B2.basis):
+        expected = M1.tensor_element(product, b1, b2)
+        for block, stack, want in zip(sub.basis[index].blocks, sub.stacks, expected.blocks):
+            np.testing.assert_allclose(block, want, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(stack[index], want, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(sub.coordinates[:, index], product.to_vector(expected),
+                                   rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(inclusions(kinds=("full",)))
+def test_empty_modules_over_the_whole_algebra(case):
+    # over B = M the complement of B is zero: a module basis with no vectors
+    # and the zero projection
+    _, M, B = case
+    c = basic_construction(M, B)
+    E = conditional_expectation(M, B)
+    basis = orthonormal_basis(B, E, [x - E(x) for x in M.basis()])
+    assert basis.length == 0
+    assert np.linalg.norm(module_projection(c, basis)) == 0.0
+
+
+def test_matrix_units_are_cached_per_handle_object():
+    M = build_algebra([2, 1], [1 / 3, 1 / 3])
+    sub = subalgebra_closure(M, [M.random_selfadjoint(np.random.default_rng(3))])
+    assert matrix_units(sub) is matrix_units(sub)
+    twin = SubalgebraHandle(ambient=M, basis=list(sub.basis), coordinates=sub.coordinates.copy())
+    units, twin_units = matrix_units(sub), matrix_units(twin)
+    assert twin_units is not units
+    assert [len(g) for g in twin_units] == [len(g) for g in units]
+    for grid, twin_grid in zip(units, twin_units):
+        for row, twin_row in zip(grid, twin_grid):
+            assert all((a - b).norm2() < 1e-12 for a, b in zip(row, twin_row))
