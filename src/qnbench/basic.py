@@ -4,11 +4,12 @@ Everything lives on the GNS space of the ambient trace: elements become
 coordinate vectors, left and right multiplications ``lambda``/``rho`` become
 square block-diagonal matrices (the orthonormal scaling cancels), and the
 projection ``e`` of the construction is the orthogonal projection onto the
-subalgebra's vector span.  ``left_operators`` builds ``lambda`` for a whole
-stack of elements at once, per block the stack broadcast against the
-identity; the trace identity (all matrix units) and ``module_projection``
-(all ``eta_i``) use it directly, and ``left_operator``/``right_operator``
-are its one-element cases.
+subalgebra's vector span.  ``left_operators`` and ``right_operators`` build
+``lambda`` and ``rho`` for a whole stack of elements at once, per block the
+stack broadcast against the identity; the trace identity (all matrix
+units), ``module_projection`` (all ``eta_i``) and the pull-down's span check
+(all of ``rho(B)``) use them directly, and ``left_operator`` and
+``right_operator`` are their one-element cases.
 
 The rest is closed form in a module basis ``eta_i`` of the ambient algebra
 over the subalgebra ``B``: the trace vector, then the closed-form basis of
@@ -45,6 +46,15 @@ from .matrixalg import AlgebraElement, MultiMatrixAlgebra
 from .tolerances import Tolerances
 
 
+def _block_operators(ambient: MultiMatrixAlgebra, stacks: Sequence[np.ndarray], place
+                     ) -> np.ndarray:
+    count = len(stacks[0])
+    out = np.zeros((count, ambient.dim, ambient.dim), dtype=complex)
+    for part, n, s in zip(ambient.block_slices, ambient.block_dims, stacks):
+        out[:, part, part] = place(s, np.eye(n)).reshape(count, n * n, n * n)
+    return out
+
+
 def left_operators(ambient: MultiMatrixAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Matrices ``(count, dim, dim)`` of left multiplication on the GNS space by
     the elements of per-block stacks ``(count, n_k, n_k)``.
@@ -52,12 +62,17 @@ def left_operators(ambient: MultiMatrixAlgebra, stacks: Sequence[np.ndarray]) ->
     Per block, ``vec(x z) = (x (x) 1) vec(z)``: the stack broadcast against the
     identity, placed on the block's diagonal range.
     """
-    count = len(stacks[0])
-    out = np.zeros((count, ambient.dim, ambient.dim), dtype=complex)
-    for part, n, s in zip(ambient.block_slices, ambient.block_dims, stacks):
-        out[:, part, part] = (s[:, :, None, :, None] * np.eye(n)[:, None, :]) \
-            .reshape(count, n * n, n * n)
-    return out
+    return _block_operators(ambient, stacks,
+                            lambda s, one: s[:, :, None, :, None] * one[:, None, :])
+
+
+def right_operators(ambient: MultiMatrixAlgebra, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Matrices ``(count, dim, dim)`` of right multiplication on the GNS space.
+
+    Per block, ``vec(z y) = (1 (x) y^T) vec(z)``.
+    """
+    return _block_operators(ambient, stacks, lambda s, one: one[:, None, :, None]
+                            * s.transpose(0, 2, 1)[:, None, :, None, :])
 
 
 def left_operator(x: AlgebraElement) -> np.ndarray:
@@ -66,17 +81,8 @@ def left_operator(x: AlgebraElement) -> np.ndarray:
 
 
 def right_operator(y: AlgebraElement) -> np.ndarray:
-    """Matrix of right multiplication on the GNS space.
-
-    ``z y = (y^T z^T)^T``, so it is ``lambda(y^T)`` conjugated by the
-    transposition ``vec(z) -> vec(z^T)`` of each block.
-    """
-    algebra = y.algebra
-    flip = np.concatenate([
-        np.arange(part.start, part.stop).reshape(n, n).T.reshape(-1)
-        for part, n in zip(algebra.block_slices, algebra.block_dims)
-    ])
-    return left_operators(algebra, [b.T[None] for b in y.blocks])[0][np.ix_(flip, flip)]
+    """Matrix of right multiplication on the GNS space."""
+    return right_operators(y.algebra, [b[None] for b in y.blocks])[0]
 
 
 @dataclass
@@ -89,12 +95,6 @@ class BasicConstruction:
     trace_form: np.ndarray  # sum of |eta_i><eta_i|
 
     # -- operators -----------------------------------------------------------
-
-    def vector_of(self, x: AlgebraElement) -> np.ndarray:
-        return self.algebra.to_vector(x)
-
-    def element_of(self, vec: np.ndarray) -> AlgebraElement:
-        return self.algebra.from_vector(vec)
 
     def basic_operator(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         """The spanning operator ``lambda(x) e lambda(y)``."""
@@ -118,16 +118,16 @@ class BasicConstruction:
         action of the subalgebra.
         """
         bound = self.tolerances.pull_down * max(1.0, float(np.linalg.norm(op)))
-        for b in self.subalgebra.basis:
-            rb = right_operator(b)
-            err = float(np.linalg.norm(op @ rb - rb @ op))
-            if err > bound:
-                raise RepresentationError(
-                    f"operator is outside the x e y span (commutator {err:.2e})")
-        out = self.algebra.zero()
-        for eta in self.trace_vectors.vectors:
-            out = out + self.element_of(op @ self.vector_of(eta)) @ eta.adjoint()
-        return out
+        algebra = self.algebra
+        rights = right_operators(algebra, self.subalgebra.stacks)
+        errs = np.linalg.norm(op @ rights - rights @ op, axis=(1, 2))
+        if np.any(errs > bound):
+            raise RepresentationError("operator is outside the x e y span "
+                                      f"(commutator {errs[np.argmax(errs > bound)]:.2e})")
+        etas = algebra.stack(self.trace_vectors.vectors)
+        images = algebra.stacks_of(op @ algebra.vectors_of(etas))  # T eta_i
+        return AlgebraElement(algebra, tuple(
+            np.einsum("aij,akj->ik", t, e.conj()) for t, e in zip(images, etas)))
 
     # -- identity checks -----------------------------------------------------------
 
@@ -142,7 +142,7 @@ class BasicConstruction:
         # Tr(L_x e L_y) = sum_ab (L_x)_ab (e L_y F)_ba with F the trace form
         factors = (self.e_sub @ lefts @ self.trace_form).transpose(0, 2, 1)
         traces = lefts.reshape(dim, -1) @ factors.reshape(dim, -1).T
-        one = self.vector_of(self.algebra.one())
+        one = algebra.to_vector(algebra.one())
         products = (one.conj() @ lefts) @ (lefts @ one).T  # tau(x y) = <1, x y 1>
         return float(np.max(np.abs(traces - products)))
 
@@ -155,7 +155,7 @@ class BasicConstruction:
 
     def vector_norm_residual(self, w: np.ndarray) -> float:
         """``| |w e|_Tr - |w (trace vector)|_tau |`` for an operator ``w``."""
-        eta = self.element_of(w @ self.vector_of(self.algebra.one()))
+        eta = self.algebra.from_vector(w @ self.algebra.to_vector(self.algebra.one()))
         return abs(self.extension_norm(w @ self.e_sub) - eta.norm2())
 
     def pimsner_popa_residual(self) -> float:
@@ -203,7 +203,7 @@ def _verify_construction(c: BasicConstruction) -> None:
     if (c.trace_vectors.vectors[0] - c.algebra.one()).norm2() > tol:
         raise ConstructionError("module basis does not start at the trace vector")
     for eta in c.trace_vectors.vectors[1:]:
-        if float(np.linalg.norm(c.e_sub @ c.vector_of(eta))) > tol:
+        if float(np.linalg.norm(c.e_sub @ c.algebra.to_vector(eta))) > tol:
             raise ConstructionError("module basis vector has a nonzero subalgebra component")
     worst = c.trace_identity_residual()
     if worst > tol:

@@ -11,7 +11,8 @@ When only the module itself is needed, the basis is not: ``B`` is unital
 and closed under products, so the linear span of the ``g b`` (``g`` a
 generator, ``b`` in ``B``) is already a right-``B``-module.  Its projection
 is the orthogonal projector onto a column span, read off one SVD
-(``module_frame``).
+(``module_frame``); its dimension needs the singular values alone
+(``module_dimension``).
 
 Both work on per-block stacks: all ``g b`` are one broadcast ``matmul`` of
 the generator stack against the handle's basis stacks per block
@@ -131,24 +132,31 @@ def module_frame(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
 
 def product_frame(sub: SubalgebraHandle, generators: Sequence[np.ndarray],
                   tolerances: Optional[Tolerances] = None) -> np.ndarray:
-    """``module_frame`` of generators given as per-block stacks ``(count, n_k, n_k)``.
+    """``module_frame`` of generators given as per-block stacks ``(count, n_k, n_k)``."""
+    return _span_frame(_products(sub, generators), tolerances or Tolerances())
 
-    Per block, every ``g b`` is one broadcast ``matmul`` of the generator
-    stack against the handle's ``stacks``.
-    """
+
+def _products(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinate columns of every ``g b`` in ``(g, b)`` order: per block, one
+    broadcast ``matmul`` of the generator stack against the handle's ``stacks``."""
     ambient = sub.ambient
-    products = [(g[:, None] @ s).reshape(-1, n, n)
-                for g, s, n in zip(generators, sub.stacks, ambient.block_dims)]
-    return _span_frame(ambient.vectors_of(products), tolerances or Tolerances())
+    return ambient.vectors_of([(g[:, None] @ s).reshape(-1, n, n)
+                               for g, s, n in zip(generators, sub.stacks, ambient.block_dims)])
+
+
+def _kept(svals: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+    """The singular values above the relative cutoff ``subalgebra_closure * max(1, s_max)``."""
+    return svals > tolerances.subalgebra_closure * np.max(svals, initial=1.0)
 
 
 def _span_frame(columns: np.ndarray, tolerances: Tolerances) -> np.ndarray:
     """Left singular vectors of the column span above the relative cutoff."""
     frame, svals, _ = np.linalg.svd(columns, full_matrices=False)
-    return frame[:, svals > tolerances.subalgebra_closure * np.max(svals, initial=1.0)]
+    return frame[:, _kept(svals, tolerances)]
 
 
 def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
                      tolerances: Optional[Tolerances] = None) -> int:
-    """Linear dimension of the right module the generators span."""
-    return module_frame(sub, generators, tolerances).shape[1]
+    """Linear dimension of the right module the generators span, from its singular values."""
+    svals = np.linalg.svd(_products(sub, sub.ambient.stack(generators)), compute_uv=False)
+    return int(np.count_nonzero(_kept(svals, tolerances or Tolerances())))

@@ -30,7 +30,8 @@ from .tolerances import Tolerances
 from .wahp import OptimizerConfig, wahp_gap
 
 
-def _parse_tolerances(pairs) -> Tolerances:
+def _parse_tolerances(pairs, base: Tolerances) -> Tolerances:
+    """``base`` with the ``KEY=VALUE`` overrides applied."""
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -42,7 +43,7 @@ def _parse_tolerances(pairs) -> Tolerances:
             overrides[key] = float(value)
         except ValueError:
             raise InputFormatError(f"tolerance {key!r} needs a number, got {value!r}") from None
-    return Tolerances().override(**overrides)
+    return base.override(**overrides)
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -83,7 +84,7 @@ def run_group_analysis(args) -> int:
 
 def run_vn_analysis(args) -> int:
     doc = load_matrix_inclusion(args.file)
-    tolerances = doc.tolerances if args.tolerance is None else _parse_tolerances(args.tolerance)
+    tolerances = _parse_tolerances(args.tolerance, doc.tolerances)
     seed = args.seed if args.seed is not None else (doc.seed if doc.seed is not None else 42)
     algebra = build_algebra(doc.blocks, doc.weights, tolerances)
     sub = subalgebra_closure(algebra, [algebra.element(g) for g in doc.subalgebra_generators],

@@ -20,7 +20,7 @@ from .basic import BasicConstruction, basic_construction, qn1_module_test
 from .bimodule import module_dimension, module_frame
 from .errors import GroupValidationError
 from .expectations import SubalgebraHandle, subalgebra_closure
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
+from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, kron_stacks
 from .tolerances import Tolerances
 
 
@@ -146,17 +146,9 @@ def tensor_subalgebra(sub1: SubalgebraHandle, sub2: SubalgebraHandle) -> Subalge
 
     tau is multiplicative on the product, so the products of the two
     tau-orthonormal bases are a tau-orthonormal basis, and the first one is
-    the identity.  Per block pair, ``b1 (x) b2`` is the broadcast product
-    ``a[i, j] b[k, l]`` at row ``(i, k)`` and column ``(j, l)``, in
-    ``(b1, b2)`` order.
+    the identity.  The products are the ``kron_stacks`` of the two handles'
+    stacks, in ``(b1, b2)`` order.
     """
-    m1, m2 = sub1.ambient, sub2.ambient
-    product = m1.tensor(m2)
-    stacks = [
-        (s1[:, None, :, None, :, None] * s2[None, :, None, :, None, :])
-        .reshape(len(s1) * len(s2), n1 * n2, n1 * n2)
-        for s1, n1 in zip(sub1.stacks, m1.block_dims)
-        for s2, n2 in zip(sub2.stacks, m2.block_dims)
-    ]
-    return SubalgebraHandle(ambient=product, basis=product.elements(stacks),
-                            coordinates=product.vectors_of(stacks))
+    product = sub1.ambient.tensor(sub2.ambient)
+    return SubalgebraHandle(ambient=product,
+                            coordinates=product.vectors_of(kron_stacks(sub1.stacks, sub2.stacks)))

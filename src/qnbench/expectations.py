@@ -1,19 +1,23 @@
 """Unital *-subalgebras and trace-preserving conditional expectations.
 
-A subalgebra handle stores a trace-orthonormal linear basis whose first
-vector is the identity.  The conditional expectation onto the subalgebra is
-the orthogonal projection in the trace inner product; at full dimension it
-short-circuits to the literal identity map so that downstream differences
-vanish exactly rather than to rounding error.
+A subalgebra handle is its coordinates: the orthonormal coordinate columns
+of a trace-orthonormal linear basis whose first vector is the identity.  The
+conditional expectation onto the subalgebra is the orthogonal projection in
+the trace inner product; at full dimension it short-circuits to the literal
+identity map so that downstream differences vanish exactly rather than to
+rounding error.
 
-The handle also keeps its basis as per-block stacks ``(dim B, n_k, n_k)``
-(``SubalgebraHandle.stacks``, read lazily from ``coordinates`` and cached),
-so module and construction code forms every product with the basis as one
-batched ``matmul`` per block instead of one element at a time.
+Everything else is read from the coordinates and cached: the basis as
+per-block stacks ``(dim B, n_k, n_k)`` (``SubalgebraHandle.stacks``), so
+module and construction code forms every product with the basis as one
+batched ``matmul`` per block, and the basis elements (``basis``) as views
+of those stacks.
 
 Closures start from the spectral projections of the generators' real and
 imaginary parts, which span the same algebra with a well conditioned basis
-where powers of a generator would not.
+where powers of a generator would not.  Each round forms the adjoints and
+all pairwise products of the current basis as one broadcast ``matmul`` per
+block of its stacks.
 
 The Wedderburn structure of a subalgebra has one source,
 ``matrix_units``: the minimal projections of one seeded generic element
@@ -47,19 +51,23 @@ from .tolerances import Tolerances
 @dataclass
 class SubalgebraHandle:
     ambient: MultiMatrixAlgebra
-    basis: list  # tau-orthonormal AlgebraElements, basis[0] = identity
-    coordinates: np.ndarray  # dim x len(basis), orthonormal columns
+    coordinates: np.ndarray  # dim x dim B, orthonormal columns, column 0 = vec(1)
     # matrix_units of this handle object, filled on first use
     units: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.coordinates.shape[1]
 
     @cached_property
     def stacks(self) -> list:
         """The basis as per-block stacks ``(dim B, n_k, n_k)``, read from ``coordinates``."""
         return self.ambient.stacks_of(self.coordinates)
+
+    @cached_property
+    def basis(self) -> list:
+        """The tau-orthonormal basis elements, views of ``stacks``; ``basis[0] = 1``."""
+        return self.ambient.elements(self.stacks)
 
     def project_vector(self, vec: np.ndarray) -> np.ndarray:
         return self.coordinates @ (self.coordinates.conj().T @ vec)
@@ -71,17 +79,18 @@ class SubalgebraHandle:
         vec = self.ambient.to_vector(x)
         return float(np.linalg.norm(vec - self.project_vector(vec))) <= tol * max(1.0, x.norm2())
 
-    def closure_defect(self, sample: Optional[Sequence[AlgebraElement]] = None) -> float:
-        """Largest residual of products and adjoints falling back into the span."""
-        items = list(sample) if sample is not None else self.basis
-        worst = 0.0
-        for x in items:
-            vec = self.ambient.to_vector(x.adjoint())
-            worst = max(worst, float(np.linalg.norm(vec - self.project_vector(vec))))
-            for y in items:
-                vec = self.ambient.to_vector(x @ y)
-                worst = max(worst, float(np.linalg.norm(vec - self.project_vector(vec))))
-        return worst
+    def closure_defect(self) -> float:
+        """Largest residual of adjoints and products of the basis falling back into the span."""
+        vecs = _adjoints_and_products(self.ambient, self.coordinates)
+        return float(np.max(np.linalg.norm(vecs - self.project_vector(vecs), axis=0)))
+
+
+def _adjoints_and_products(ambient: MultiMatrixAlgebra, coords: np.ndarray) -> np.ndarray:
+    """Coordinate columns of ``x*`` and then ``x y`` for every ``y``, per basis
+    element ``x`` of the coordinates: one broadcast ``matmul`` per block."""
+    return ambient.vectors_of([
+        np.concatenate([s.conj().transpose(0, 2, 1)[:, None], s[:, None] @ s], axis=1)
+        .reshape(-1, n, n) for s, n in zip(ambient.stacks_of(coords), ambient.block_dims)])
 
 
 def _orthonormalize(ambient: MultiMatrixAlgebra, vectors: np.ndarray, tol: float) -> np.ndarray:
@@ -114,44 +123,32 @@ def subalgebra_closure(
     re-orthonormalization until the dimension stabilizes, which takes at
     most ``ambient.dim`` rounds.
     """
-    tolerances = tolerances or Tolerances()
-    tol = tolerances.subalgebra_closure
+    tol = (tolerances or Tolerances()).subalgebra_closure
     columns = [ambient.to_vector(ambient.one())]
     for g in generators:
         for part in (0.5 * (g + g.adjoint()), complex(0, -0.5) * (g - g.adjoint())):
             columns += [ambient.to_vector(p) for p in spectral_projections(part)]
     coords = _orthonormalize(ambient, np.stack(columns, axis=1), tol)
     while True:
-        basis = [ambient.from_vector(coords[:, j]) for j in range(coords.shape[1])]
-        new_columns = list(coords.T)
-        for x in basis:
-            new_columns.append(ambient.to_vector(x.adjoint()))
-            for y in basis:
-                new_columns.append(ambient.to_vector(x @ y))
-        refreshed = _orthonormalize(ambient, np.stack(new_columns, axis=1), tol)
+        refreshed = _orthonormalize(
+            ambient, np.concatenate([coords, _adjoints_and_products(ambient, coords)], axis=1), tol)
         if refreshed.shape[1] == coords.shape[1]:
-            coords = refreshed
-            break
+            return SubalgebraHandle(ambient=ambient, coordinates=refreshed)
         coords = refreshed
-    basis = [ambient.from_vector(coords[:, j]) for j in range(coords.shape[1])]
-    return SubalgebraHandle(ambient=ambient, basis=basis, coordinates=coords)
 
 
 def full_subalgebra(ambient: MultiMatrixAlgebra, tolerances: Optional[Tolerances] = None
                     ) -> SubalgebraHandle:
-    """Handle for the whole algebra."""
-    columns = [ambient.to_vector(ambient.one())]
-    columns += [ambient.to_vector(b) for b in ambient.basis()]
-    coords = _orthonormalize(ambient, np.stack(columns, axis=1),
+    """Handle for the whole algebra: the coordinate axes orthonormalized after the identity."""
+    one = ambient.to_vector(ambient.one())
+    coords = _orthonormalize(ambient, np.concatenate([one[:, None], np.eye(ambient.dim)], axis=1),
                              (tolerances or Tolerances()).subalgebra_closure)
-    basis = [ambient.from_vector(coords[:, j]) for j in range(coords.shape[1])]
-    return SubalgebraHandle(ambient=ambient, basis=basis, coordinates=coords)
+    return SubalgebraHandle(ambient=ambient, coordinates=coords)
 
 
 def scalar_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
-    one = ambient.to_vector(ambient.one())
-    return SubalgebraHandle(ambient=ambient, basis=[ambient.one()],
-                            coordinates=one.reshape(-1, 1))
+    return SubalgebraHandle(ambient=ambient,
+                            coordinates=ambient.to_vector(ambient.one()).reshape(-1, 1))
 
 
 def diagonal_subalgebra(ambient: MultiMatrixAlgebra,

@@ -61,9 +61,9 @@ def decompose_regular_representation(group: FiniteTableGroup) -> tuple:
     order = [group.identity_index] + [g for g in range(n) if g != group.identity_index]
     # lambda(g) sends e_h to e_gh; lambda(G) is tau-orthonormal, so it is the
     # handle's basis as it stands
-    regular = [ambient.element([np.eye(n)[:, list(group.table[g])]]) for g in order]
-    coords = np.stack([ambient.to_vector(u) for u in regular], axis=1)
-    handle = SubalgebraHandle(ambient=ambient, basis=regular, coordinates=coords)
+    coords = ambient.vectors_of([np.array([np.eye(n)[:, list(group.table[g])] for g in order],
+                                          dtype=complex)])
+    handle = SubalgebraHandle(ambient=ambient, coordinates=coords)
     summands = sorted(matrix_units(handle), key=len)
     reps = []
     for grid in summands:

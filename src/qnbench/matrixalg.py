@@ -140,8 +140,15 @@ class MultiMatrixAlgebra:
 
     def tensor_element(self, product: "MultiMatrixAlgebra", x: "AlgebraElement",
                        y: "AlgebraElement") -> "AlgebraElement":
-        blocks = [np.kron(a, b) for a in x.blocks for b in y.blocks]
-        return product.element(blocks)
+        return product.elements(kron_stacks(self.stack([x]), y.algebra.stack([y])))[0]
+
+
+def kron_stacks(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> list:
+    """All ``a (x) b`` of two per-block stack lists: per block pair, the broadcast
+    product ``a[i, j] b[k, l]`` at row ``(i, k)`` and column ``(j, l)``, in ``(a, b)`` order."""
+    return [(s1[:, None, :, None, :, None] * s2[None, :, None, :, None, :])
+            .reshape(len(s1) * len(s2), s1.shape[1] * s2.shape[1], -1)
+            for s1 in first for s2 in second]
 
 
 def build_algebra(block_dims: Sequence[int], block_weights: Sequence[float],

@@ -17,10 +17,12 @@ whole functional is a positive-semidefinite quadratic form ``v* Q v`` in the
 coordinates ``v = vec(u)``; ``Q`` is assembled once and every evaluation is a
 single matrix-vector product.  A seeded multi-restart quasi-Newton descent is
 cross-checked against a grid or random-search oracle, and the report carries
-both values.  The oracle is evaluated in batches: per block, one stacked
-``eigh`` over a fixed-size chunk of parameter rows, and one ``einsum`` for the
-quadratic form of the whole chunk.  A vanishing family (``N = M`` makes every
-term cancel exactly) yields the exact gap ``0.0`` with no optimization at all.
+both values.  Every evaluation is batched: per block, one stacked ``eigh``
+gives ``exp(i h)`` for a fixed-size chunk of parameter rows, and one
+``einsum`` the quadratic form of the whole chunk; the quasi-Newton objective
+and the minimizer are one-row calls of the same code.  A vanishing family
+(``N = M`` makes every term cancel exactly) yields the exact gap ``0.0`` with
+no optimization at all.
 
 Over the full family of basis pairs the functional is constant on the
 unitaries of ``B`` (see ``wahp_witness_search``), so the witness search
@@ -99,46 +101,28 @@ def hermitian_basis(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle) -> list:
     return out
 
 
-def _exponential(ambient: MultiMatrixAlgebra, herm: Sequence[AlgebraElement],
-                 theta: np.ndarray) -> AlgebraElement:
-    blocks = []
-    for k, n in enumerate(ambient.block_dims):
-        h = np.zeros((n, n), dtype=complex)
-        for coef, s in zip(theta, herm):
-            h += coef * s.blocks[k]
-        vals, vecs = np.linalg.eigh(h)
-        blocks.append((vecs * np.exp(1j * vals)) @ vecs.conj().T)
-    return ambient.element(blocks)
-
-
-def _value_at(ambient: MultiMatrixAlgebra, q: np.ndarray, u: AlgebraElement) -> float:
-    v = ambient.to_vector(u)
-    return float((v.conj() @ (q @ v)).real)
+def _unitaries(stacks: Sequence[np.ndarray], thetas: np.ndarray) -> list:
+    """Per-block stacks of ``u = exp(i sum_d theta_d h_d)``, one per row of ``thetas``,
+    from the per-block stacks of the ``h_d``."""
+    out = []
+    for stack in stacks:
+        vals, vecs = np.linalg.eigh(np.einsum("pd,dij->pij", thetas, stack))
+        out.append((vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
+    return out
 
 
 def _values(ambient: MultiMatrixAlgebra, herm: Sequence[AlgebraElement], q: np.ndarray,
             thetas: np.ndarray) -> np.ndarray:
     """``v* Q v`` at ``u = exp(i sum_d theta_d h_d)`` for every row of ``thetas``.
 
-    Batched form of ``_value_at(_exponential(theta))``: per block, one stacked
-    ``eigh`` over ``ORACLE_CHUNK`` rows at a time, so peak memory stays
+    ``ORACLE_CHUNK`` rows at a time, so peak memory stays
     ``O(ORACLE_CHUNK * n^2)`` however many rows are asked for.
     """
-    stacks = [
-        np.array([s.blocks[k] for s in herm], dtype=complex).reshape(len(herm), n, n)
-        for k, n in enumerate(ambient.block_dims)
-    ]
-    roots = np.sqrt(ambient.block_weights)
+    stacks = ambient.stack(herm)
     out = np.empty(len(thetas))
     for start in range(0, len(thetas), ORACLE_CHUNK):
         chunk = thetas[start:start + ORACLE_CHUNK]
-        parts = []
-        for stack, root in zip(stacks, roots):
-            h = np.einsum("pd,dij->pij", chunk, stack)
-            vals, vecs = np.linalg.eigh(h)
-            u = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-            parts.append(root * u.reshape(len(chunk), -1))
-        v = np.concatenate(parts, axis=1)
+        v = ambient.vectors_of(_unitaries(stacks, chunk)).T
         out[start:start + len(chunk)] = np.einsum("pi,ij,pj->p", v.conj(), q, v).real
     return out
 
@@ -204,11 +188,8 @@ def wahp_gap(
     herm = hermitian_basis(ambient, sub)
     rng = np.random.default_rng(config.seed)
 
-    def unitary_of(theta: np.ndarray) -> AlgebraElement:
-        return _exponential(ambient, herm, theta)
-
     def fun(theta: np.ndarray) -> float:
-        return _value_at(ambient, q, unitary_of(theta))
+        return float(_values(ambient, herm, q, theta[None])[0])
 
     if not q.any():
         return _exact_zero_report(ambient, pairs, config)
@@ -235,7 +216,7 @@ def wahp_gap(
     if not converged:
         best_value, best_theta = oracle_value, oracle_theta
 
-    u = unitary_of(best_theta)
+    u = ambient.elements(_unitaries(ambient.stack(herm), best_theta[None]))[0]
     defect = (u.adjoint() @ u - ambient.one()).norm2()
     if defect > tolerances.unitary:
         raise GroupValidationError(f"minimizer drifted off the unitary group ({defect:.2e})")
@@ -312,18 +293,17 @@ def wahp_witness_search(
     if not q.any():
         return _exact_zero_report(ambient, pairs, config)
 
-    one = ambient.one()
-    value = _value_at(ambient, q, one)
     herm = hermitian_basis(ambient, sub)
     rng = np.random.default_rng(config.seed)
-    samples = _values(ambient, herm, q,
-                      rng.normal(scale=np.pi, size=(CROSS_CHECK_POINTS, len(herm))))
+    thetas = rng.normal(scale=np.pi, size=(CROSS_CHECK_POINTS, len(herm)))
+    values = _values(ambient, herm, q, np.concatenate([np.zeros((1, len(herm))), thetas]))
+    value, samples = float(values[0]), values[1:]  # row 0 is u = 1
     spread = float(np.max(np.abs(samples - value)))
     return WahpGapReport(
         witness_pairs=pairs,
         objective_value=value,
         oracle_value=float(samples.min()),
-        minimizer=one,
+        minimizer=ambient.one(),
         unitary_defect=0.0,
         converged=spread <= tolerances.oracle_slack,
         restarts=0,

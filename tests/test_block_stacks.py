@@ -1,8 +1,9 @@
 """Per-block basis stacks against the element-at-a-time forms they replaced.
 
-The references below form every product, Kronecker operator and tensor
-element one at a time; they live here only, as oracles for the batched
-module frames, left operators and product bases.
+The references below form every product, Kronecker operator, tensor element
+and closure round one at a time; they live here only, as oracles for the
+batched module frames, left and right operators, product bases and
+subalgebra closures.
 """
 
 import hypothesis.strategies as st
@@ -16,11 +17,13 @@ from qnbench.basic import (
     left_operators,
     module_projection,
     right_operator,
+    right_operators,
 )
-from qnbench.bimodule import module_frame, orthonormal_basis
+from qnbench.bimodule import module_dimension, module_frame, orthonormal_basis
 from qnbench.corners import tensor_subalgebra
 from qnbench.expectations import (
     SubalgebraHandle,
+    _orthonormalize,
     conditional_expectation,
     diagonal_subalgebra,
     full_subalgebra,
@@ -28,7 +31,7 @@ from qnbench.expectations import (
     scalar_subalgebra,
     subalgebra_closure,
 )
-from qnbench.matrixalg import build_algebra
+from qnbench.matrixalg import build_algebra, spectral_projections
 from qnbench.tolerances import Tolerances
 
 
@@ -39,6 +42,27 @@ def reference_frame(sub, generators):
     frame, svals, _ = np.linalg.svd(columns, full_matrices=False)
     cutoff = Tolerances().subalgebra_closure * np.max(svals, initial=1.0)
     return frame[:, svals > cutoff]
+
+
+def reference_closure(ambient, generators):
+    """Closure coordinates with every adjoint and product formed one element at a time."""
+    tol = Tolerances().subalgebra_closure
+    columns = [ambient.to_vector(ambient.one())]
+    for g in generators:
+        for part in (0.5 * (g + g.adjoint()), complex(0, -0.5) * (g - g.adjoint())):
+            columns += [ambient.to_vector(p) for p in spectral_projections(part)]
+    coords = _orthonormalize(ambient, np.stack(columns, axis=1), tol)
+    while True:
+        basis = [ambient.from_vector(c) for c in coords.T]
+        new_columns = list(coords.T)
+        for x in basis:
+            new_columns.append(ambient.to_vector(x.adjoint()))
+            for y in basis:
+                new_columns.append(ambient.to_vector(x @ y))
+        refreshed = _orthonormalize(ambient, np.stack(new_columns, axis=1), tol)
+        if refreshed.shape[1] == coords.shape[1]:
+            return refreshed
+        coords = refreshed
 
 
 def block_diag(blocks):
@@ -86,6 +110,7 @@ def test_module_frame_matches_element_products(case, count):
         gens.append(gens[0] @ B.basis[-1])  # a dependent generator
     frame, reference = module_frame(B, gens), reference_frame(B, gens)
     assert frame.shape == reference.shape
+    assert module_dimension(B, gens) == frame.shape[1]
     assert np.linalg.norm(frame @ frame.conj().T - reference @ reference.conj().T, 2) <= 1e-10
 
 
@@ -99,13 +124,48 @@ def test_module_frame_of_no_generators_is_empty():
 def test_left_operators_match_kronecker_stack(case):
     rng, M, B = case
     xs = B.basis + [M.random_element(rng) for _ in range(3)]
-    lefts = left_operators(M, M.stack(xs))
-    assert lefts.shape == (len(xs), M.dim, M.dim)
-    for op, x in zip(lefts, xs):
+    lefts, rights = left_operators(M, M.stack(xs)), right_operators(M, M.stack(xs))
+    assert lefts.shape == rights.shape == (len(xs), M.dim, M.dim)
+    for op, right, x in zip(lefts, rights, xs):
         np.testing.assert_array_equal(op, left_operator(x))
         np.testing.assert_allclose(op, reference_left(x), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(right_operator(x), reference_right(x), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(right, right_operator(x))
+        np.testing.assert_allclose(right, reference_right(x), rtol=0, atol=1e-13)
     assert left_operators(M, M.stack([])).shape == (0, M.dim, M.dim)
+
+
+def random_projection(M, rng):
+    """Per block, the projection onto a random subspace of half the block's
+    dimension (all of a 1 x 1 block)."""
+    blocks = []
+    for n in M.block_dims:
+        k = max(1, n // 2)
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        blocks.append(q @ q.conj().T)
+    return M.element(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions(), st.sampled_from(["inside", "projections"]),
+       st.sampled_from(["inside", "ambient", None]))
+def test_closure_matches_element_products(case, first, second):
+    # the first generator is not self-adjoint: an element of B, or P + iQ for
+    # two projections in general position, whose closure needs words longer
+    # than one round of products (P Q P); the optional second one is in B
+    # too or a generic self-adjoint element of M
+    rng, M, B = case
+    if first == "inside":
+        gens = [B.project(M.random_element(rng))]
+    else:
+        gens = [random_projection(M, rng) + 1j * random_projection(M, rng)]
+    if second == "inside":
+        gens.append(B.project(M.random_selfadjoint(rng)))
+    elif second == "ambient":
+        gens.append(M.random_selfadjoint(rng))
+    assert (gens[0] - gens[0].adjoint()).norm2() > 1e-6
+    coords, reference = subalgebra_closure(M, gens).coordinates, reference_closure(M, gens)
+    assert coords.shape == reference.shape
+    assert np.linalg.norm(coords @ coords.conj().T - reference @ reference.conj().T, 2) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,7 +202,7 @@ def test_matrix_units_are_cached_per_handle_object():
     M = build_algebra([2, 1], [1 / 3, 1 / 3])
     sub = subalgebra_closure(M, [M.random_selfadjoint(np.random.default_rng(3))])
     assert matrix_units(sub) is matrix_units(sub)
-    twin = SubalgebraHandle(ambient=M, basis=list(sub.basis), coordinates=sub.coordinates.copy())
+    twin = SubalgebraHandle(ambient=M, coordinates=sub.coordinates.copy())
     units, twin_units = matrix_units(sub), matrix_units(twin)
     assert twin_units is not units
     assert [len(g) for g in twin_units] == [len(g) for g in units]

@@ -112,6 +112,18 @@ def test_vn_command_tolerance_override():
     assert doc["identities"]["trace_identity"]["tolerance"] == 1e-6
 
 
+def test_vn_command_tolerance_override_keeps_document_tolerances(tmp_path):
+    doc = json.loads(Path(SAMPLES, "diag_m2.json").read_text())
+    doc["tolerances"] = {"reconstruction": 1e-3}
+    path = tmp_path / "loose_reconstruction.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["vn", str(path), "--tolerance", "trace_identity=1e-6"])
+    assert code == 0
+    identities = json.loads(out)["identities"]
+    assert identities["trace_identity"]["tolerance"] == 1e-6
+    assert identities["module_reconstruction"]["tolerance"] == 1e-3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -87,7 +87,7 @@ def test_central_projections_of_skew_basis():
     # the central element must not be built from Hermitian parts of the basis
     M, B = m2_m3_diag()
     skew = [B.basis[0]] + [1j * b for b in B.basis[1:]]
-    handle = SubalgebraHandle(ambient=M, basis=skew,
+    handle = SubalgebraHandle(ambient=M,
                               coordinates=np.stack([M.to_vector(b) for b in skew], axis=1))
     projections = central_projections(handle)
     assert len(projections) == 5

@@ -68,7 +68,7 @@ def test_units_of_a_skew_basis_handle():
     M = build_algebra([2, 3], [1 / 10, 4 / 15])
     B = diagonal_subalgebra(M)
     skew = [B.basis[0]] + [1j * b for b in B.basis[1:]]
-    handle = SubalgebraHandle(ambient=M, basis=skew,
+    handle = SubalgebraHandle(ambient=M,
                               coordinates=np.stack([M.to_vector(b) for b in skew], axis=1))
     assert len(assert_matrix_units(handle)) == 5
 
@@ -78,7 +78,7 @@ def test_a_span_that_is_not_an_algebra_is_rejected():
     # two minimal projections into a 2 x 2 summand, which does not fit
     M = build_algebra([2], [0.5])
     span = [M.one(), np.sqrt(2) * M.matrix_unit(0, 0, 1)]
-    handle = SubalgebraHandle(ambient=M, basis=span,
+    handle = SubalgebraHandle(ambient=M,
                               coordinates=np.stack([M.to_vector(b) for b in span], axis=1))
     with pytest.raises(ConstructionError):
         matrix_units(handle)

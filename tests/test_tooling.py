@@ -1,23 +1,30 @@
 """The benchmark tracer wraps qnbench functions by name, so each name it
-lists must still exist: a rename fails here instead of at ``--trace 1``."""
+lists must still exist, and its count hooks must still read what those
+functions take and return: a rename or a changed signature fails here
+instead of at ``--trace 1``."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+from qnbench.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "benchmarks" / "tracer.py"
 
 
-def _tracer_targets():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("qnbench_bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_tracer_target_resolves():
     missing = []
-    for module_name, path, _, _ in _tracer_targets():
+    for module_name, path, _, _ in _tracer_module().TARGETS:
         home = importlib.import_module(f"qnbench.{module_name}")
         if "." in path:  # a method, patched on its class
             cls_name, attr = path.split(".")
@@ -27,3 +34,19 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append(f"{module_name}.{path}")
     assert not missing, f"tracer targets without a qnbench attribute: {missing}"
+
+
+def test_tracer_hooks_run_on_the_matrix_side():
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["vn", str(ROOT / "sample_inputs" / "diag_m2.json")]),
+                     main(["verify-paper", "--criteria", "6"])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    summary = tracer.summary()
+    for name in ("expectations.subalgebra_closure", "bimodule.orthonormal_basis",
+                 "basic.pull_down", "wahp.wahp_gap"):
+        assert summary[name]["calls"] > 0, name

@@ -16,10 +16,8 @@ from qnbench.expectations import (
 from qnbench.matrixalg import build_algebra
 from qnbench.wahp import (
     OptimizerConfig,
-    _exponential,
     _objective_matrix,
     _oracle_search,
-    _value_at,
     _values,
     hermitian_basis,
     wahp_gap,
@@ -165,6 +163,23 @@ def test_optimizer_beats_oracle():
 def random_form(dim, rng):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a.conj().T @ a / dim
+
+
+def _exponential(ambient, herm, theta):
+    """``exp(i sum_d theta_d h_d)`` one block and one direction at a time."""
+    blocks = []
+    for k, n in enumerate(ambient.block_dims):
+        h = np.zeros((n, n), dtype=complex)
+        for coef, s in zip(theta, herm):
+            h += coef * s.blocks[k]
+        vals, vecs = np.linalg.eigh(h)
+        blocks.append((vecs * np.exp(1j * vals)) @ vecs.conj().T)
+    return ambient.element(blocks)
+
+
+def _value_at(ambient, q, u):
+    v = ambient.to_vector(u)
+    return float((v.conj() @ (q @ v)).real)
 
 
 def scalar_value(M, herm, q, theta):
