@@ -85,7 +85,7 @@ def right_operator(y: AlgebraElement) -> np.ndarray:
     return right_operators(y.algebra, [b[None] for b in y.blocks])[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class BasicConstruction:
     algebra: MultiMatrixAlgebra
     subalgebra: SubalgebraHandle
@@ -223,7 +223,7 @@ def module_projection(construction: BasicConstruction, basis: BimoduleBasis) -> 
     return w @ w.conj().T
 
 
-@dataclass
+@dataclass(eq=False)
 class ModuleReport:
     module_dim: int
     generators: list  # orthonormal vectors spanning the module

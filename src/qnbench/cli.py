@@ -140,23 +140,12 @@ def _identity_summary(construction, rng, tolerances: Tolerances) -> dict:
     worst_recon = max(
         recon.reconstruction_residual(algebra.random_element(rng)) for _ in range(5)
     )
-    summary = {
-        "trace_identity": {"residual": worst_trace,
-                           "tolerance": tolerances.trace_identity,
-                           "ok": worst_trace <= tolerances.trace_identity},
-        "compression_identity": {"residual": worst_compression,
-                                 "tolerance": tolerances.compression_identity,
-                                 "ok": worst_compression <= tolerances.compression_identity},
-        "vector_norm_match": {"residual": worst_norm,
-                              "tolerance": tolerances.vector_norm_match,
-                              "ok": worst_norm <= tolerances.vector_norm_match},
-        "module_reconstruction": {"residual": worst_recon,
-                                  "tolerance": tolerances.reconstruction,
-                                  "ok": worst_recon <= tolerances.reconstruction},
-    }
-    for entry in summary.values():
-        entry["tier"] = "numerical"
-    return summary
+    rows = (("trace_identity", worst_trace, tolerances.trace_identity),
+            ("compression_identity", worst_compression, tolerances.compression_identity),
+            ("vector_norm_match", worst_norm, tolerances.vector_norm_match),
+            ("module_reconstruction", worst_recon, tolerances.reconstruction))
+    return {name: {"residual": residual, "tolerance": bound, "ok": residual <= bound,
+                   "tier": "numerical"} for name, residual, bound in rows}
 
 
 def run_verify_paper(args) -> int:
@@ -176,11 +165,8 @@ def run_verify_paper(args) -> int:
     )
     results = verify_paper(config, numbers)
     if args.format == "json":
-        payload = {
-            "criteria": [r.canonical() for r in results],
-            "all_passed": all(r.passed for r in results),
-        }
-        sys.stdout.write(json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
+        _emit({"criteria": [r.canonical() for r in results],
+               "all_passed": all(r.passed for r in results)}, "json")
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -24,7 +24,7 @@ from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, kron_s
 from .tolerances import Tolerances
 
 
-@dataclass
+@dataclass(eq=False)
 class Cutdown:
     corner: MultiMatrixAlgebra
     kept_blocks: list

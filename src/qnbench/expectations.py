@@ -25,7 +25,8 @@ and the links between them.  Minimal central projections, the module
 basis supports (``bimodule``), the self-adjoint basis of the gap optimizer
 (``wahp``) and the irreducible blocks of a group algebra (``group_algebra``)
 are all read from it.  The units are decomposed once per handle object and
-cached beside the stacks (``SubalgebraHandle.units``).
+cached beside the stacks (``SubalgebraHandle.units``); handles, like the
+other matrix-engine records, compare by identity.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ from .matrixalg import (
 from .tolerances import Tolerances
 
 
-@dataclass
+@dataclass(eq=False)
 class SubalgebraHandle:
     ambient: MultiMatrixAlgebra
     coordinates: np.ndarray  # dim x dim B, orthonormal columns, column 0 = vec(1)
     # matrix_units of this handle object, filled on first use
-    units: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    units: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -14,8 +14,9 @@ taken in the real-orthonormal basis that the matrix units of ``B`` give
 
 Each map ``u -> x u y - E_N(x) u E_N(y)`` is linear on the GNS space, so the
 whole functional is a positive-semidefinite quadratic form ``v* Q v`` in the
-coordinates ``v = vec(u)``; ``Q`` is assembled once and every evaluation is a
-single matrix-vector product.  A seeded multi-restart quasi-Newton descent is
+coordinates ``v = vec(u)``; ``Q`` is assembled once, from stacked left and
+right multiplication operators, and every evaluation is a single
+matrix-vector product.  A seeded multi-restart quasi-Newton descent is
 cross-checked against a grid or random-search oracle, and the report carries
 both values.  Every evaluation is batched: per block, one stacked ``eigh``
 gives ``exp(i h)`` for a fixed-size chunk of parameter rows, and one
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basic import left_operator, right_operator
+from .basic import left_operators, right_operators
 from .errors import GroupValidationError
 from .expectations import SubalgebraHandle, conditional_expectation, matrix_units
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
@@ -46,6 +47,7 @@ from .tolerances import Tolerances
 
 MAX_ITERATIONS = 200  # L-BFGS iterations per restart
 ORACLE_CHUNK = 512  # oracle rows per stacked eigh, which bounds the oracle's memory
+PAIR_CHUNK = 16  # witness pairs per stacked operator product, which bounds Q's memory
 CROSS_CHECK_POINTS = 8  # random unitaries behind the witness search's invariance check
 
 
@@ -127,35 +129,30 @@ def _values(ambient: MultiMatrixAlgebra, herm: Sequence[AlgebraElement], q: np.n
     return out
 
 
-def _memo(build):
-    """Cache ``build`` per element object.
-
-    Keys are ``id``s, which stay unique only while the objects live: in
-    ``_objective_matrix`` the pair list holds the elements and the
-    expectation cache holds their images.
-    """
-    cache: dict = {}
-
-    def get(x):
-        if id(x) not in cache:
-            cache[id(x)] = build(x)
-        return cache[id(x)]
-    return get
-
-
 def _objective_matrix(ambient, sub, pairs, expect_mid) -> np.ndarray:
+    """``Q = sum_j A_j* A_j`` with ``A_j = P_B (L_x R_y - L_{E_N x} R_{E_N y})``.
+
+    Pairs whose two terms cancel identically are dropped.  The operators of
+    the distinct elements and of their images are built as one stack; the
+    ``A_j`` are formed ``PAIR_CHUNK`` pairs at a time, and ``Q`` is summed
+    pair by pair in order.
+    """
     proj = sub.coordinates @ sub.coordinates.conj().T
-    dim = ambient.dim
-    q = np.zeros((dim, dim), dtype=complex)
-    mid_of = _memo(expect_mid)
-    left, right = _memo(left_operator), _memo(right_operator)
-    for x, y in pairs:
-        xm, ym = mid_of(x), mid_of(y)
-        if xm is x and ym is y:
-            continue  # the two terms cancel identically
-        pair_map = left(x) @ right(y) - left(xm) @ right(ym)
-        filtered = proj @ pair_map
-        q += filtered.conj().T @ filtered
+    q = np.zeros((ambient.dim, ambient.dim), dtype=complex)
+    # the distinct element objects (elements hash by identity) and their images
+    image = {e: expect_mid(e) for e in dict.fromkeys(e for pair in pairs for e in pair)}
+    at = {e: i for i, e in enumerate(image)}
+    index = np.array([(at[x], at[y]) for x, y in pairs
+                      if not (image[x] is x and image[y] is y)],  # else the terms cancel
+                     dtype=int).reshape(-1, 2)
+    stacks = ambient.stack(list(image) + list(image.values()))
+    left, right = left_operators(ambient, stacks), right_operators(ambient, stacks)
+    mid = len(image)  # where the images start in the stacks
+    for start in range(0, len(index), PAIR_CHUNK):
+        ix, iy = index[start:start + PAIR_CHUNK].T
+        maps = left[ix] @ right[iy] - left[mid + ix] @ right[mid + iy]
+        for filtered in proj @ maps:
+            q += filtered.conj().T @ filtered
     return q
 
 

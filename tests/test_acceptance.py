@@ -5,9 +5,11 @@ the command line interface: ``qnbench verify-paper``.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from qnbench import acceptance
 from qnbench.acceptance import (
     AcceptanceConfig,
     canonical_bytes,
@@ -112,3 +114,29 @@ def test_criterion_10_determinism():
     payload = json.loads(canonical_bytes(first))
     assert [c["criterion"] for c in payload] == list(range(1, 10))
     assert all(c["passed"] for c in payload)
+
+
+@pytest.mark.parametrize("check_passed, seconds_taken, expected", [
+    (True, 0.5, True),
+    (True, 2.5, False),  # a passing check that overruns its bound
+    (False, 0.5, False),
+])
+def test_criterion_runner_applies_the_time_bound(monkeypatch, check_passed, seconds_taken,
+                                                 expected):
+    with monkeypatch.context() as patch:
+        ticks = iter([10.0, 10.0 + seconds_taken])
+        patch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        patch.setattr(acceptance, "CRITERIA", {})
+
+        @acceptance.criterion(99, "runner probe", seconds=1.0)
+        def probe(config):
+            return check_passed, {"value": 1}
+
+        assert acceptance.CRITERIA == {99: probe}
+        result = probe(CONFIG)
+    assert sorted(acceptance.CRITERIA) == list(range(1, 10))
+    assert result.passed is expected
+    assert result.elapsed == seconds_taken
+    # wall time stays out of the canonical form
+    assert result.canonical() == {"criterion": 99, "name": "runner probe",
+                                  "passed": expected, "details": {"value": 1}}

@@ -8,7 +8,7 @@ subalgebra closures.
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 
 from qnbench.acceptance import _DIM_POOL
 from qnbench.basic import (
@@ -16,11 +16,12 @@ from qnbench.basic import (
     left_operator,
     left_operators,
     module_projection,
+    qn1_module_test,
     right_operator,
     right_operators,
 )
 from qnbench.bimodule import module_dimension, module_frame, orthonormal_basis
-from qnbench.corners import tensor_subalgebra
+from qnbench.corners import cutdown, tensor_subalgebra
 from qnbench.expectations import (
     SubalgebraHandle,
     _orthonormalize,
@@ -83,7 +84,7 @@ def reference_right(y):
 
 
 @st.composite
-def inclusions(draw, kinds=("scalar", "diagonal", "generic", "generic", "full")):
+def inclusions(draw, kinds=("scalar", "diagonal", "generic", "generic", "projections", "full")):
     dims = draw(st.sampled_from(_DIM_POOL))
     # weights off normalization exercise the rescaled algebras
     weights = draw(st.lists(st.floats(0.2, 5.0), min_size=len(dims), max_size=len(dims)))
@@ -96,9 +97,22 @@ def inclusions(draw, kinds=("scalar", "diagonal", "generic", "generic", "full"))
         B = diagonal_subalgebra(M)
     elif kind == "full":
         B = full_subalgebra(M)
-    else:
+    elif kind == "projections":
+        # two projections in general position generate a non-abelian algebra,
+        # proper for instance in M_3, where it is M_2 + C
+        B = subalgebra_closure(M, [random_projection(M, rng) + 1j * random_projection(M, rng)])
+    else:  # generic: a maximal abelian subalgebra
         B = subalgebra_closure(M, [M.random_selfadjoint(rng)])
     return rng, M, B
+
+
+def test_inclusions_reach_a_non_abelian_proper_subalgebra():
+    def non_abelian_proper(case):
+        _, M, B = case
+        return B.dim < M.dim and max(len(grid) for grid in matrix_units(B)) >= 2
+
+    # raises NoSuchExample when no draw qualifies
+    find(inclusions(), non_abelian_proper, settings=settings(max_examples=200))
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,6 +210,21 @@ def test_empty_modules_over_the_whole_algebra(case):
     basis = orthonormal_basis(B, E, [x - E(x) for x in M.basis()])
     assert basis.length == 0
     assert np.linalg.norm(module_projection(c, basis)) == 0.0
+
+
+def test_engine_records_compare_by_identity():
+    # equality on these records is identity, as for the units cache; the
+    # generated field-wise == compared arrays and raised ValueError
+    M = build_algebra([2, 1], [1 / 3, 1 / 3])
+    B = diagonal_subalgebra(M)
+    twin = SubalgebraHandle(ambient=M, coordinates=B.coordinates.copy())
+    c = basic_construction(M, B)
+    x = M.random_element(np.random.default_rng(0))
+    for record, copy in ((B, twin), (c, basic_construction(M, B)),
+                         (qn1_module_test(c, x), qn1_module_test(c, x)),
+                         (cutdown(M, B, M.one()), cutdown(M, B, M.one()))):
+        assert record == record and record != copy
+        assert len({record, copy}) == 2
 
 
 def test_matrix_units_are_cached_per_handle_object():

@@ -9,6 +9,7 @@ import importlib.util
 import io
 from pathlib import Path
 
+from qnbench import acceptance
 from qnbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +51,11 @@ def test_tracer_hooks_run_on_the_matrix_side():
     for name in ("expectations.subalgebra_closure", "bimodule.orthonormal_basis",
                  "basic.pull_down", "wahp.wahp_gap"):
         assert summary[name]["calls"] > 0, name
+    # the tracer wraps the module attribute and the CRITERIA entry as one object
+    assert summary["acceptance.criterion_6"]["calls"] == 1
+
+
+def test_criteria_registry_holds_the_module_criteria():
+    # the tracer finds each criterion by object identity in both places
+    for n in range(1, 10):
+        assert acceptance.CRITERIA[n] is getattr(acceptance, f"criterion_{n}"), n

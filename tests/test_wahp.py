@@ -6,6 +6,7 @@ import pytest
 
 from qnbench import wahp
 from qnbench.acceptance import _dichotomy_inclusions
+from qnbench.basic import left_operator, right_operator
 from qnbench.expectations import (
     conditional_expectation,
     diagonal_subalgebra,
@@ -253,6 +254,37 @@ EXACT_GAPS = {
     "c2/scalars/scalars": Fraction(1, 4), "m2+m2/diag/diag": Fraction(1),
     "m2+c/scalars/diag": Fraction(2, 9), "m2/diag/m2+scalars": Fraction(5, 16),
 }
+
+
+def reference_objective_matrix(ambient, sub, pairs, expect_mid):
+    """``Q`` from one pair's left and right operators at a time, in pair order."""
+    proj = sub.coordinates @ sub.coordinates.conj().T
+    q = np.zeros((ambient.dim, ambient.dim), dtype=complex)
+    for x, y in pairs:
+        xm, ym = expect_mid(x), expect_mid(y)
+        if xm is x and ym is y:
+            continue
+        filtered = proj @ (left_operator(x) @ right_operator(y)
+                           - left_operator(xm) @ right_operator(ym))
+        q += filtered.conj().T @ filtered
+    return q
+
+
+@pytest.mark.parametrize("chunk", [5, 10**6])
+def test_objective_matrix_matches_pair_by_pair_reference(chunk, monkeypatch):
+    # chunk 5 splits every pair list into several stacks with a ragged tail;
+    # the pairs repeat element objects, and an element may pair with itself
+    monkeypatch.setattr(wahp, "PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    for name, algebra, sub, mid in _dichotomy_inclusions():
+        x = algebra.random_element(rng)
+        basis = algebra.basis()
+        pairs = [(b, c) for b in basis for c in basis] + [(x, x), (basis[-1], x)]
+        for handle in (mid if mid is not None else full_subalgebra(algebra), sub):
+            expect = conditional_expectation(algebra, handle)
+            np.testing.assert_array_equal(
+                _objective_matrix(algebra, sub, pairs, expect),
+                reference_objective_matrix(algebra, sub, pairs, expect), err_msg=name)
 
 
 @pytest.mark.parametrize("name, algebra, sub, mid", PROPER_MID, ids=[r[0] for r in PROPER_MID])
