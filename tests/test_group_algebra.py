@@ -1,11 +1,18 @@
+import itertools
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from qnbench.basic import basic_construction
+from qnbench.bimodule import module_dimension
 from qnbench.errors import GroupValidationError
 from qnbench.expectations import conditional_expectation
 from qnbench.group_algebra import decompose_regular_representation, group_algebra_inclusion
 from qnbench.groups import FiniteTableGroup
+from qnbench.orbits import qn1_membership
+from qnbench.subgroups import subgroup
 from qnbench.wahp import OptimizerConfig, wahp_witness_search
 
 
@@ -120,3 +127,43 @@ def test_group_algebra_gap_positive_for_proper_subgroup():
         OptimizerConfig(seed=5, restarts=4, oracle_points=2000),
     )
     assert report.objective_value > 0.01
+
+
+# -- the two engines check each other ------------------------------------------
+
+
+def symmetric_group(degree):
+    """S_d from a transposition and a d-cycle; ``from_permutations`` sorts the
+    elements, so a permutation's index is its lexicographic rank."""
+    return FiniteTableGroup.from_permutations(
+        [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)])
+
+
+@st.composite
+def permutation_subgroups(draw):
+    degree = draw(st.sampled_from([3, 4, 5]))
+    perms = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=2))
+    return degree, perms
+
+
+@settings(max_examples=8, deadline=None)
+@given(permutation_subgroups())
+def test_cover_size_times_dim_is_a_module_dimension(drawn):
+    # For g in G the right L(H)-module spanned by the u_h u_g is L(HgH), of
+    # dimension |HgH| = (number of cosets gH covering HgH) x |H|: the cover
+    # size the group engine certifies times dim L(H).
+    degree, perms = drawn
+    G = symmetric_group(degree)
+    rank = {p: i for i, p in enumerate(sorted(itertools.permutations(range(degree))))}
+    spec = subgroup(G, [G.element(rank[p]) for p in perms])
+    # beyond order 12 in S5 (orders 20, 24, 60, 120) one example takes 2-70 s,
+    # all of it in the SVDs of 120 x |H|^2 module spans
+    assume(degree < 5 or len(spec.subset) <= 12)
+    inclusion = group_algebra_inclusion(G, spec)
+    L_H = inclusion.sub
+    H = [inclusion.image(h) for h in inclusion.subgroup_elements]
+    assert L_H.dim == len(H)
+    for g in G.all_elements():
+        cover = qn1_membership(spec, g).certificate.cover_size
+        u_g = inclusion.image(g)
+        assert cover * L_H.dim == module_dimension(L_H, [u_h @ u_g for u_h in H]), g

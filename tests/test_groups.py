@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from qnbench.errors import DescriptorMismatchError, GroupValidationError, ResourceLimitError
 from qnbench.groups import (
     DirectProductDescriptor,
+    FpGroupDescriptor,
     FiniteTableGroup,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
@@ -20,7 +21,7 @@ from qnbench.groups import (
     multiply,
     normalize,
 )
-from qnbench.words import generator
+from qnbench.words import concat, generator, invert_word, reduce_word
 
 F2 = FreeGroupDescriptor.of_rank(2)
 
@@ -183,6 +184,38 @@ def test_free_abelian_rank_two():
     a, b = Z2.generators()
     assert multiply(a, b) == multiply(b, a)
     assert elements_equal(multiply(a, b), multiply(b, a)) is Trit.YES
+
+
+FP_LETTERS = st.lists(st.sampled_from([(0, 1), (0, -1), (1, 1), (1, -1)]), max_size=16).map(tuple)
+
+
+@pytest.mark.parametrize("make", [infinite_dihedral, free_abelian_of_rank_two])
+@settings(max_examples=60)
+@given(u=FP_LETTERS, v=FP_LETTERS)
+def test_fp_arithmetic_is_the_normal_form_of_the_reduced_word(make, u, v):
+    G = make()
+
+    def nf(word):
+        return G.rewriting.normal_form(reduce_word(word))
+
+    x, y = G.element(u), G.element(v)  # raw, unreduced payloads
+    assert x.payload == nf(concat(u))
+    assert multiply(x, y).payload == nf(concat(x.payload, y.payload))
+    assert invert(x).payload == nf(invert_word(x.payload))
+
+
+@pytest.mark.parametrize("with_rules", [True, False])
+def test_fp_bad_letters_raise_with_and_without_rules(with_rules):
+    D = infinite_dihedral()
+    G = D if with_rules else FpGroupDescriptor(2, D.relators, names=D.names)
+    for payload in [((2, 1),), ((0, 1), (-1, -1)), ((0, 1), (5, 1), (0, -1))]:
+        with pytest.raises(DescriptorMismatchError):
+            G.element(payload)
+    for payload in [((0, 2),), ((1, 1), (0, 0))]:
+        with pytest.raises(ValueError):
+            G.element(payload)
+    # letters outside the alphabet that cancel freely are no error
+    assert G.element(((0, 1), (7, 1), (7, -1))) == G.generators()[0]
 
 
 # -- balls ---------------------------------------------------------------------

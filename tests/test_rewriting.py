@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from qnbench.errors import GroupValidationError
+from qnbench.groups import free_abelian_of_rank_two
 from qnbench.rewriting import (
     RewritingSystem,
     abelianized,
@@ -105,6 +106,97 @@ def test_free_abelian_system():
     sys.verify([((0, 1), (1, 1), (0, -1), (1, -1))])
     assert sys.normal_form(((1, 1), (0, 1))) == ((0, 1), (1, 1))
     assert sys.normal_form(((1, 1), (0, 1), (1, -1))) == ((0, 1),)
+
+
+# -- the index automaton against the stack scan it replaced ---------------------
+
+
+def reference_normal_form(system, word):
+    """The stack scan over every rule: after each pushed letter, the first
+    rule in ``all_rules()`` order whose left-hand side is a suffix of the
+    stack fires."""
+    rules = system.all_rules()
+    stack = []
+    pending = list(reversed(word))
+    while pending:
+        stack.append(pending.pop())
+        for lhs, rhs in rules:
+            k = len(lhs)
+            if len(stack) >= k and tuple(stack[-k:]) == lhs:
+                del stack[-k:]
+                pending.extend(reversed(rhs))
+                break
+    return tuple(stack)
+
+
+def letters_of(num_gens):
+    return [(g, e) for g in range(num_gens) for e in (1, -1)]
+
+
+@st.composite
+def length_reducing_systems(draw):
+    """Strictly length-reducing rules on 1-3 generators, mostly not confluent.
+
+    Left-hand sides are drawn from a small pool, so duplicate left-hand sides
+    with different right-hand sides, and left-hand sides that are suffixes
+    of one another, are common.
+    """
+    num_gens = draw(st.integers(1, 3))
+    letter = st.sampled_from(letters_of(num_gens))
+    pool = draw(st.lists(st.lists(letter, min_size=1, max_size=4).map(tuple), min_size=1, max_size=4))
+    rules = []
+    for lhs in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)):
+        rules.append((lhs, tuple(draw(st.lists(letter, max_size=len(lhs) - 1)))))
+    return RewritingSystem(num_gens=num_gens, rules=rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(length_reducing_systems(), st.data())
+def test_normal_form_matches_the_stack_scan(system, data):
+    words = st.lists(st.sampled_from(letters_of(system.num_gens)), max_size=40)
+    for _ in range(3):
+        word = tuple(data.draw(words))
+        assert system.normal_form(word) == reference_normal_form(system, word)
+
+
+@pytest.mark.parametrize(
+    "rules, word, expected",
+    [
+        # duplicate left-hand sides: the first listed rule wins
+        ([((A, A), (R,)), ((A, A), ())], (A, A), (R,)),
+        ([((A, A), ()), ((A, A), (R,))], (A, A), ()),
+        # a shorter left-hand side listed first beats a longer one ending alike
+        ([((A,), ()), ((R, A), (AI,))], (R, A), (R,)),
+        ([((R, A), (AI,)), ((A,), ())], (R, A), (AI,)),
+        # a match that starts inside a longer partial match (failure link)
+        ([((A, R, R), ()), ((R, AI), ())], (A, R, AI), (A,)),
+        # a rewrite pops len(lhs) - 1 stacked letters
+        ([((A, R), (AI,))], (R, A, R), (R, AI)),
+    ],
+)
+def test_normal_form_examples(rules, word, expected):
+    system = RewritingSystem(num_gens=2, rules=rules)
+    assert system.normal_form(word) == reference_normal_form(system, word) == expected
+
+
+def test_dihedral_conjugates_match_the_stack_scan():
+    sys = dihedral_system()
+    for k in range(61):
+        w = generator(0, k) + (R,) + generator(0, -k)
+        assert sys.normal_form(w) == reference_normal_form(sys, w) == generator(0, 2 * k) + (R,)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.sampled_from([A, AI, R, RI]), max_size=40))
+def test_free_abelian_normal_form_matches_the_stack_scan(letters):
+    system = free_abelian_of_rank_two().rewriting
+    word = tuple(letters)
+    assert system.normal_form(word) == reference_normal_form(system, word)
+
+
+def test_rules_are_frozen_at_construction():
+    system = RewritingSystem(num_gens=2, rules=[[list(l), list(r)] for l, r in DIHEDRAL_RULES])
+    assert system.rules == tuple(DIHEDRAL_RULES)
 
 
 def test_relator_insertion_finds_dihedral_identity():

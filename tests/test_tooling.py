@@ -7,6 +7,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 from qnbench import acceptance
@@ -59,3 +60,23 @@ def test_criteria_registry_holds_the_module_criteria():
     # the tracer finds each criterion by object identity in both places
     for n in range(1, 10):
         assert acceptance.CRITERIA[n] is getattr(acceptance, f"criterion_{n}"), n
+
+
+def test_bench_files_report_declared_workloads_and_metrics():
+    # BENCH_<n>.json records parent and change runs of the declared benchmark
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        assert bench["workloads"], path.name
+        for name, sides in bench["workloads"].items():
+            assert name in workloads, (path.name, name)
+            for side in ("parent", "change"):
+                runs = sides[side] + [sides["median"][side]]
+                assert len(runs) > 1, (path.name, name, side)
+                for run in runs:
+                    missing = metrics - {k for k, v in run.items() if isinstance(v, (int, float))}
+                    assert not missing, (path.name, name, side, missing)
