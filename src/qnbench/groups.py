@@ -318,24 +318,12 @@ class FpGroupDescriptor(GroupDescriptor):
             system = RewritingSystem(num_gens=num_gens, rules=rewriting_rules)
             system.verify(self.relators)
             self.rewriting = system
-        self._letters = frozenset((g, e) for g in range(num_gens) for e in (1, -1))
         self._relator_lattice = [abelianized(r, num_gens) for r in self.relators]
 
     def identity(self):
         return GroupElement(self, W.EMPTY)
 
     def normalize_payload(self, payload):
-        """Freely reduced word, rewritten to its normal form by a verified system.
-
-        A verified system rewrites the raw payload directly: its free
-        cancellation rules do the free reduction.  That is sound only because
-        the system is confluent, so every order of rewriting ends in the same
-        normal form.  A payload with a letter outside the alphabet takes the
-        checking path, which raises ``ValueError`` for an exponent other than
-        +-1 and ``DescriptorMismatchError`` for a generator out of range.
-        """
-        if self.rewriting is not None and self._letters.issuperset(payload):
-            return self.rewriting.normal_form(payload)
         word = W.reduce_word(payload)
         for gen, _ in word:
             if not (0 <= gen < self.num_gens):
@@ -346,7 +334,7 @@ class FpGroupDescriptor(GroupDescriptor):
 
     def multiply(self, a, b):
         self.check_same(a, b)
-        return GroupElement(self, self.normalize_payload(a.payload + b.payload))
+        return GroupElement(self, self.normalize_payload(W.concat(a.payload, b.payload)))
 
     def invert(self, a):
         self.check_same(a)
