@@ -8,11 +8,24 @@ the subgroup exactly when its trace is a closed loop at the basepoint.
 
 Vertex ids are canonicalized by BFS order from the basepoint so that equal
 subgroups produce identical structures.
+
+The one-sided decision for ``w`` over ``H`` asks whether ``H and wHw^-1``
+has finite index in ``H`` (Stallings pullback, Kapovich-Myasnikov section 9).
+Two facts keep it to one walk per element.  Re-rooting ``H``'s graph at
+``w`` reads ``w^-1`` from the basepoint as far as the graph allows and hangs
+the unread rest on a fresh hair; the first unread letter has no edge where
+the hair lands, so the result is already folded.  And the spanning tree of
+``H``'s graph, built once per graph, makes its loose edges a free basis of
+``H``: a loop at the basepoint spells its element in that basis by the loose
+edges it crosses.  A pullback loop projects to such a loop, so the pullback
+BFS writes the intersection's generators in ``H``'s basis as it discovers
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import GroupValidationError
@@ -67,15 +80,6 @@ class SubgroupGraph:
     def labels(self) -> set[int]:
         return {gen for (_, gen) in self.out}
 
-    def degree(self, vertex: int) -> int:
-        d = 0
-        for (u, _), v in self.out.items():
-            if u == vertex:
-                d += 1
-            if v == vertex:
-                d += 1
-        return d
-
     # -- structure -------------------------------------------------------
 
     def spanning_tree(self) -> tuple[dict, list[tuple[int, int, int]]]:
@@ -84,72 +88,41 @@ class SubgroupGraph:
         Returns ``(parent, loose)`` where ``parent[v] = (u, gen, exp)`` walks
         one step towards the basepoint and ``loose`` lists non-tree edges in
         canonical order.  Non-tree edges are a free basis of the subgroup.
+        Moves from a vertex go by label, the forward edge before the backward
+        one; a folded graph has at most one of each.
         """
+        labels = sorted(self.labels())
         parent: dict[int, tuple[int, int, int]] = {}
         seen = {self.basepoint}
-        order = [self.basepoint]
         queue = [self.basepoint]
         tree_edges: set[tuple[int, int, int]] = set()
-        while queue:
-            v = queue.pop(0)
-            for gen, exp, w in self._moves(v):
-                if w not in seen:
+        for v in queue:  # also visits vertices appended below
+            for gen in labels:
+                w = self.out.get((v, gen))
+                if w is not None and w not in seen:
                     seen.add(w)
-                    parent[w] = (v, gen, -exp)
-                    edge = (v, gen, w) if exp > 0 else (w, gen, v)
-                    tree_edges.add(edge)
-                    order.append(w)
+                    parent[w] = (v, gen, -1)
+                    tree_edges.add((v, gen, w))
+                    queue.append(w)
+                w = self.inn.get((v, gen))
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    parent[w] = (v, gen, 1)
+                    tree_edges.add((w, gen, v))
                     queue.append(w)
         loose = [e for e in self.edges() if e not in tree_edges]
         return parent, loose
 
-    def _moves(self, v: int):
-        moves = []
-        for (u, gen), w in self.out.items():
-            if u == v:
-                moves.append((gen, 1, w))
-            if w == v:
-                moves.append((gen, -1, u))
-        moves.sort(key=lambda m: (m[0], 0 if m[1] > 0 else 1, m[2]))
-        return moves
+    @cached_property
+    def basis_letters(self) -> dict[tuple[int, int, int], int]:
+        """Loose edge ``(u, gen, v)`` -> its letter in the free basis.
 
-    def path_to_basepoint(self, v: int, parent: dict) -> Word:
-        letters = []
-        while v != self.basepoint:
-            u, gen, exp = parent[v]
-            letters.append((gen, exp))
-            v = u
-        return tuple(letters)
-
-    def basis(self) -> list[Word]:
-        """Free basis: one word per non-tree edge."""
-        parent, loose = self.spanning_tree()
-        paths = {v: invert_word(self.path_to_basepoint(v, parent)) for v in range(self.num_vertices)}
-        out = []
-        for u, gen, v in loose:
-            out.append(concat(paths[u], ((gen, 1),), invert_word(paths[v])))
-        return out
-
-    def rewrite_in_basis(self, word: Word) -> Optional[Word]:
-        """Express a subgroup member in the non-tree-edge basis.
-
-        Letters of the result index ``self.basis()``.  Returns None when the
-        word is not a member.
+        A loop at the basepoint is the subgroup element spelled, in this
+        basis, by the loose edges it crosses in order (exponent -1 when it
+        crosses one backwards).  Built once per graph.
         """
-        word = reduce_word(word)
-        if self.trace(word) != self.basepoint:
-            return None
-        parent, loose = self.spanning_tree()
-        index = {edge: i for i, edge in enumerate(loose)}
-        v = self.basepoint
-        letters = []
-        for gen, exp in word:
-            w = self.step(v, gen, exp)
-            edge = (v, gen, w) if exp > 0 else (w, gen, v)
-            if edge in index:
-                letters.append((index[edge], exp))
-            v = w
-        return reduce_word(letters)
+        _, loose = self.spanning_tree()
+        return {edge: i for i, edge in enumerate(loose)}
 
     def to_dot(self, name=None) -> str:
         """Graph in DOT format for external viewers."""
@@ -269,10 +242,6 @@ def _trim_and_canonicalize(edges: Iterable[tuple[int, int, int]], basepoint: int
 # -- operations ------------------------------------------------------------
 
 
-def graph_membership(graph: SubgroupGraph, word: Word) -> bool:
-    return graph.contains(word)
-
-
 def graph_index(graph: SubgroupGraph, alphabet: Sequence[int]):
     """``("finite", n)`` when the graph is a full cover of rank ``len(alphabet)``.
 
@@ -289,31 +258,88 @@ def graph_index(graph: SubgroupGraph, alphabet: Sequence[int]):
 
 def graph_intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based pullback: graph of the intersection of the two subgroups."""
+    edges, _ = _pullback(g1, g2)
+    return _trim_and_canonicalize(edges, 0)
+
+
+def _pullback(g1: SubgroupGraph, g2: SubgroupGraph) -> tuple[list, list]:
+    """One BFS over the based pullback of two folded graphs.
+
+    Returns ``(edges, loops)``.  ``edges`` lists every pullback edge once as
+    ``(u, gen, v)`` on BFS ids, the pair of basepoints being 0.  ``loops``
+    holds one free generator of the intersection per non-tree edge, written
+    in the free basis of ``g1`` (letters index ``g1.basis_letters``).
+
+    Each discovered pair carries ``crossed``: the reduced sequence of
+    ``g1``-basis letters its tree path crosses.  The tree path, then a
+    non-tree edge ``u -> v``, then the tree path back is a loop at the
+    basepoint pair; its projection to ``g1`` is a loop at ``g1``'s basepoint,
+    so the loop is the ``g1``-member ``crossed(u) . letter . crossed(v)^-1``
+    (``letter`` empty when the projected edge is a tree edge of ``g1``).
+    """
+    letters = g1.basis_letters
+    labels = sorted(g1.labels() & g2.labels())
     start = (g1.basepoint, g2.basepoint)
-    seen = {start: 0}
-    queue = [start]
-    labels = sorted(g1.labels() | g2.labels())
-    edges: list[list[int]] = []
-    while queue:
-        v1, v2 = pair = queue.pop(0)
-        vid = seen[pair]
+    ids = {start: 0}
+    pairs = [start]
+    crossed: list[Word] = [()]
+    # label of the backward tree edge a pair was reached by: that edge is the
+    # pair's own forward edge with this label, which must not count as a loop
+    reached_backwards: list[Optional[int]] = [None]
+    edges: list[tuple[int, int, int]] = []
+    loops: list[Word] = []
+    for i, (u1, u2) in enumerate(pairs):  # also visits pairs appended below
         for gen in labels:
-            w1, w2 = g1.out.get((v1, gen)), g2.out.get((v2, gen))
+            w1, w2 = g1.out.get((u1, gen)), g2.out.get((u2, gen))
             if w1 is not None and w2 is not None:
-                wp = (w1, w2)
-                if wp not in seen:
-                    seen[wp] = len(seen)
-                    queue.append(wp)
-                edges.append([vid, gen, seen[wp]])
-            u1, u2 = g1.inn.get((v1, gen)), g2.inn.get((v2, gen))
-            if u1 is not None and u2 is not None:
-                up = (u1, u2)
-                if up not in seen:
-                    seen[up] = len(seen)
-                    queue.append(up)
-                # forward edge from the backward move; dedup happens in _fold
-                edges.append([seen[up], gen, vid])
-    return _finish(len(seen), edges, 0)
+                letter = letters.get((u1, gen, w1))
+                step = () if letter is None else ((letter, 1),)
+                j = ids.get((w1, w2))
+                if j is None:
+                    j = ids[(w1, w2)] = len(pairs)
+                    pairs.append((w1, w2))
+                    crossed.append(concat(crossed[i], step))
+                    reached_backwards.append(None)
+                    edges.append((i, gen, j))
+                elif reached_backwards[i] != gen:
+                    edges.append((i, gen, j))
+                    loops.append(concat(crossed[i], step, invert_word(crossed[j])))
+            w1, w2 = g1.inn.get((u1, gen)), g2.inn.get((u2, gen))
+            if w1 is not None and w2 is not None and (w1, w2) not in ids:
+                letter = letters.get((w1, gen, u1))
+                j = ids[(w1, w2)] = len(pairs)
+                pairs.append((w1, w2))
+                crossed.append(concat(crossed[i], () if letter is None else ((letter, -1),)))
+                reached_backwards.append(gen)
+                edges.append((j, gen, i))
+    return edges, loops
+
+
+def _reroot(graph: SubgroupGraph, word: Word) -> SubgroupGraph:
+    """Graph of ``w H w^-1`` for a reduced ``w``, based at a new vertex.
+
+    Reading ``w^-1`` from the basepoint as far as the graph allows leaves an
+    unread rest ``r``; ``w`` is then ``r^-1`` followed by the read part's
+    inverse, so a hair spelling ``r^-1`` from a fresh basepoint into the
+    vertex reached finishes the graph.  It needs no fold: the hair is reduced
+    and its vertices are new, and its last edge takes the slot of the first
+    letter of ``r``, which has no edge at that vertex.  The result is folded
+    but not trimmed, and its vertex ids are not canonical.
+    """
+    vertex, rest = graph.trace_partial(invert_word(word))
+    if not rest:
+        return SubgroupGraph(graph.num_vertices, graph.out, graph.inn, basepoint=vertex)
+    hair = invert_word(rest)
+    out, inn = dict(graph.out), dict(graph.inn)
+    fresh = graph.num_vertices
+    v = fresh
+    for i, (gen, exp) in enumerate(hair):
+        target = vertex if i == len(hair) - 1 else fresh + i + 1
+        u, w = (v, target) if exp > 0 else (target, v)
+        out[(u, gen)] = w
+        inn[(w, gen)] = u
+        v = target
+    return SubgroupGraph(fresh + len(hair), out, inn, basepoint=fresh)
 
 
 def conjugate_graph(graph: SubgroupGraph, by: Word) -> SubgroupGraph:
@@ -321,19 +347,8 @@ def conjugate_graph(graph: SubgroupGraph, by: Word) -> SubgroupGraph:
     word = reduce_word(by)
     if not word:
         return graph
-    # re-root: new basepoint, path spelling `word` into the old basepoint
-    offset = len(word)  # vertices 0..len-1 form the path, old ids shift up
-    edges: list[list[int]] = [[u + offset, gen, v + offset] for (u, gen), v in graph.out.items()]
-    old_bp = graph.basepoint + offset
-    v = 0
-    for i, (gen, exp) in enumerate(word):
-        target = old_bp if i == len(word) - 1 else i + 1
-        if exp > 0:
-            edges.append([v, gen, target])
-        else:
-            edges.append([target, gen, v])
-        v = target
-    return _finish(offset + graph.num_vertices, edges, 0)
+    rerooted = _reroot(graph, word)
+    return _trim_and_canonicalize(rerooted.edges(), rerooted.basepoint)
 
 
 def graphs_equal(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
@@ -352,26 +367,24 @@ def free_qn1_decide(graph: SubgroupGraph, word: Word):
     index ``k`` in ``H`` (equivalently, the left cosets meeting ``Hw`` number
     ``k``, the minimal cover size), else ``("out", None)``.
 
-    The index is computed exactly: the intersection is rewritten in a free
-    basis of ``H`` and the covering-completeness test is run there.
+    The index is computed exactly.  One BFS walks the pullback of ``H``'s
+    graph with the re-rooted graph of ``wHw^-1`` (see ``_reroot``) and writes
+    each free generator of the intersection in ``H``'s basis as it goes: the
+    crossings of ``H``'s loose edges along a loop's projection are that
+    loop's spelling in the basis (see ``_pullback``).  The rose-cover test
+    on the graph of these words gives the index.  Every pullback loop
+    projects to a loop at ``H``'s basepoint, so every generator is a member
+    of ``H`` by construction and no membership check is needed.
     """
     word = reduce_word(word)
     if graph.contains(word):
         return ("in", 1)
-    meet = graph_intersect(graph, conjugate_graph(graph, word))
-    basis = graph.basis()
-    rank = len(basis)
+    rank = len(graph.basis_letters)
     if rank == 0:
         # trivial subgroup: H w is the singleton {w}, covered by w H
         return ("in", 1)
-    rewritten = []
-    for member in meet.basis():
-        expr = graph.rewrite_in_basis(member)
-        if expr is None:
-            raise GroupValidationError("pullback produced a non-member word")
-        rewritten.append(expr)
-    inner = build_subgroup_graph(rewritten)
-    kind, count = graph_index(inner, range(rank))
+    _, loops = _pullback(graph, _reroot(graph, word))
+    kind, count = graph_index(build_subgroup_graph(loops), range(rank))
     if kind == "finite":
         return ("in", count)
     return ("out", None)

@@ -3,13 +3,15 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from qnbench.errors import GroupValidationError
 from qnbench.stallings import (
+    SubgroupGraph,
+    _finish,
     build_subgroup_graph,
     conjugate_graph,
     free_qn1_decide,
     graph_index,
     graph_intersect,
-    graph_membership,
     graphs_equal,
 )
 from qnbench.words import concat, generator, invert_word, reduce_word
@@ -60,15 +62,15 @@ def test_empty_generators_trivial_subgroup():
     g = build_subgroup_graph([])
     assert g.num_vertices == 1
     assert g.edges() == []
-    assert graph_membership(g, ())
-    assert not graph_membership(g, A)
+    assert g.contains(())
+    assert not g.contains(A)
 
 
 def test_membership_examples():
     g = build_subgroup_graph([A])
-    assert graph_membership(g, concat(A, A, A))
-    assert not graph_membership(g, B)
-    assert not graph_membership(g, concat(B, A, BI))
+    assert g.contains(concat(A, A, A))
+    assert not g.contains(B)
+    assert not g.contains(concat(B, A, BI))
 
 
 @settings(max_examples=60)
@@ -80,7 +82,7 @@ def test_membership_agrees_with_word_search(picks):
     w = ()
     for p in picks:
         w = concat(w, letters[p % 4])
-    assert graph_membership(g, w)
+    assert g.contains(w)
 
 
 def test_graph_index():
@@ -110,8 +112,8 @@ def test_intersection_membership_iff_both(i, j):
     g2 = build_subgroup_graph([A, concat(B, B)])
     meet = graph_intersect(g1, g2)
     w = concat(generator(0, i), generator(1, j))
-    both = graph_membership(g1, w) and graph_membership(g2, w)
-    assert graph_membership(meet, w) == both
+    both = g1.contains(w) and g2.contains(w)
+    assert meet.contains(w) == both
 
 
 def test_conjugates():
@@ -133,7 +135,7 @@ def test_conjugate_membership(k, l):
     w = concat(generator(1, l), generator(0, 2 * k))
     conj = conjugate_graph(g, w)
     for h in [concat(A, A), B, concat(B, A, A)]:
-        assert graph_membership(conj, concat(w, h, invert_word(w))) == graph_membership(g, h)
+        assert conj.contains(concat(w, h, invert_word(w))) == g.contains(h)
 
 
 def test_folding_order_invariance():
@@ -175,7 +177,7 @@ def brute_coset_orbit(gens, g, cap):
         rep = frontier.pop(0)
         for l in letters:
             cand = concat(l, rep)
-            if not any(graph_membership(graph, concat(invert_word(r), cand)) for r in reps):
+            if not any(graph.contains(concat(invert_word(r), cand)) for r in reps):
                 reps.append(cand)
                 frontier.append(cand)
     return len(reps), not frontier
@@ -195,17 +197,17 @@ def test_free_qn1_matches_brute_orbit():
 
 def test_basis_and_rewrite():
     g = build_subgroup_graph(INDEX_TWO)
-    basis = g.basis()
+    basis = reference_basis(g)
     assert len(basis) == 3  # rank of an index-2 subgroup of F2
     for w in basis:
-        assert graph_membership(g, w)
-    expr = g.rewrite_in_basis(concat(A, A, B))
+        assert g.contains(w)
+    expr = reference_rewrite_in_basis(g, concat(A, A, B))
     # reassemble from basis words and compare
     assembled = ()
     for idx, exp in expr:
         assembled = concat(assembled, basis[idx] if exp > 0 else invert_word(basis[idx]))
     assert assembled == reduce_word(concat(A, A, B))
-    assert g.rewrite_in_basis(A) is None
+    assert reference_rewrite_in_basis(g, A) is None
 
 
 def test_to_dot_mentions_edges():
@@ -232,3 +234,200 @@ def test_finite_index_matches_coset_enumeration():
         if len(reps) > 8:
             break
     assert graph_index(build_subgroup_graph(INDEX_TWO), [0, 1]) == ("finite", len(reps))
+
+
+# -- reference: the fold-based decision ----------------------------------------
+#
+# The decision used to conjugate by folding a path into the graph, fold the
+# pullback into a meet graph, and rewrite each member of the meet's basis in
+# H's basis by tracing it.  It is kept here as the oracle for the one-walk
+# version in the module.
+
+
+def reference_spanning_tree(graph: SubgroupGraph):
+    """BFS tree whose moves come from a scan of every edge per vertex."""
+    parent = {}
+    seen = {graph.basepoint}
+    queue = [graph.basepoint]
+    tree_edges = set()
+    while queue:
+        v = queue.pop(0)
+        moves = []
+        for (u, gen), w in graph.out.items():
+            if u == v:
+                moves.append((gen, 1, w))
+            if w == v:
+                moves.append((gen, -1, u))
+        moves.sort(key=lambda m: (m[0], 0 if m[1] > 0 else 1, m[2]))
+        for gen, exp, w in moves:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = (v, gen, -exp)
+                tree_edges.add((v, gen, w) if exp > 0 else (w, gen, v))
+                queue.append(w)
+    return parent, [e for e in graph.edges() if e not in tree_edges]
+
+
+def reference_path_to_basepoint(graph, v, parent):
+    letters = []
+    while v != graph.basepoint:
+        u, gen, exp = parent[v]
+        letters.append((gen, exp))
+        v = u
+    return tuple(letters)
+
+
+def reference_basis(graph):
+    """Free basis: one word per non-tree edge."""
+    parent, loose = reference_spanning_tree(graph)
+    paths = {v: invert_word(reference_path_to_basepoint(graph, v, parent))
+             for v in range(graph.num_vertices)}
+    return [concat(paths[u], ((gen, 1),), invert_word(paths[v])) for u, gen, v in loose]
+
+
+def reference_rewrite_in_basis(graph, word):
+    """A member in the non-tree-edge basis, or None for a non-member."""
+    word = reduce_word(word)
+    if graph.trace(word) != graph.basepoint:
+        return None
+    _, loose = reference_spanning_tree(graph)
+    index = {edge: i for i, edge in enumerate(loose)}
+    v = graph.basepoint
+    letters = []
+    for gen, exp in word:
+        w = graph.step(v, gen, exp)
+        edge = (v, gen, w) if exp > 0 else (w, gen, v)
+        if edge in index:
+            letters.append((index[edge], exp))
+        v = w
+    return reduce_word(letters)
+
+
+def reference_graph_intersect(g1, g2):
+    start = (g1.basepoint, g2.basepoint)
+    seen = {start: 0}
+    queue = [start]
+    labels = sorted(g1.labels() | g2.labels())
+    edges = []
+    while queue:
+        v1, v2 = pair = queue.pop(0)
+        vid = seen[pair]
+        for gen in labels:
+            w1, w2 = g1.out.get((v1, gen)), g2.out.get((v2, gen))
+            if w1 is not None and w2 is not None:
+                if (w1, w2) not in seen:
+                    seen[(w1, w2)] = len(seen)
+                    queue.append((w1, w2))
+                edges.append([vid, gen, seen[(w1, w2)]])
+            u1, u2 = g1.inn.get((v1, gen)), g2.inn.get((v2, gen))
+            if u1 is not None and u2 is not None:
+                if (u1, u2) not in seen:
+                    seen[(u1, u2)] = len(seen)
+                    queue.append((u1, u2))
+                edges.append([seen[(u1, u2)], gen, vid])
+    return _finish(len(seen), edges, 0)
+
+
+def reference_conjugate_graph(graph, by):
+    word = reduce_word(by)
+    if not word:
+        return graph
+    # new basepoint 0, a path spelling `word` into the old basepoint, fold
+    offset = len(word)
+    edges = [[u + offset, gen, v + offset] for (u, gen), v in graph.out.items()]
+    old_bp = graph.basepoint + offset
+    v = 0
+    for i, (gen, exp) in enumerate(word):
+        target = old_bp if i == len(word) - 1 else i + 1
+        edges.append([v, gen, target] if exp > 0 else [target, gen, v])
+        v = target
+    return _finish(offset + graph.num_vertices, edges, 0)
+
+
+def reference_free_qn1_decide(graph, word):
+    word = reduce_word(word)
+    if graph.contains(word):
+        return ("in", 1)
+    meet = reference_graph_intersect(graph, reference_conjugate_graph(graph, word))
+    rank = len(reference_basis(graph))
+    if rank == 0:
+        return ("in", 1)
+    rewritten = []
+    for member in reference_basis(meet):
+        expr = reference_rewrite_in_basis(graph, member)
+        if expr is None:
+            raise GroupValidationError("pullback produced a non-member word")
+        rewritten.append(expr)
+    kind, count = graph_index(build_subgroup_graph(rewritten), range(rank))
+    return ("in", count) if kind == "finite" else ("out", None)
+
+
+def stabilizer_generators(perms):
+    """Schreier generators of the stabilizer of point 0 under the right action
+    ``p . a_i = perms[i][p]``; its index is the size of the orbit of 0."""
+    inverse = [{image: point for point, image in enumerate(perm)} for perm in perms]
+    reps = {0: ()}
+    queue = [0]
+    gens = []
+    for p in queue:
+        for i, perm in enumerate(perms):
+            for exp, q in ((1, perm[p]), (-1, inverse[i][p])):
+                step = concat(reps[p], ((i, exp),))
+                if q in reps:
+                    gens.append(concat(step, invert_word(reps[q])))
+                else:
+                    reps[q] = step
+                    queue.append(q)
+    return gens
+
+
+def letters_of(rank):
+    return st.tuples(st.integers(0, rank - 1), st.sampled_from([1, -1]))
+
+
+@st.composite
+def free_cases(draw):
+    """``(H's generators, w)``: 1-3 generators of length up to 7 in F2 or F3."""
+    rank = draw(st.sampled_from([2, 3]))
+    words = st.lists(letters_of(rank), max_size=7).map(tuple)
+    gens = draw(st.lists(words, min_size=1, max_size=3))
+    return gens, draw(st.lists(letters_of(rank), max_size=10).map(tuple))
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """``(H's generators, w)``: H is a point stabilizer of a random action of
+    F2 or F3 on 2-7 points, so it has finite index and covers above 1 occur."""
+    rank = draw(st.sampled_from([2, 3]))
+    points = draw(st.integers(2, 7))
+    perms = [draw(st.permutations(range(points))) for _ in range(rank)]
+    return stabilizer_generators(perms), draw(st.lists(letters_of(rank), max_size=10).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(free_cases(), stabilizer_cases()))
+def test_free_qn1_decide_matches_fold_reference(case):
+    gens, word = case
+    graph = build_subgroup_graph(gens)
+    assert graph.spanning_tree() == reference_spanning_tree(graph)
+    assert free_qn1_decide(graph, word) == reference_free_qn1_decide(graph, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(free_cases(), stabilizer_cases()))
+def test_conjugate_and_intersect_match_fold_reference(case):
+    gens, word = case
+    graph = build_subgroup_graph(gens)
+    other = build_subgroup_graph(gens[1:] + [word])
+    for new, old in ((conjugate_graph(graph, word), reference_conjugate_graph(graph, word)),
+                     (graph_intersect(graph, other), reference_graph_intersect(graph, other))):
+        assert graphs_equal(new, old) and new.inn == old.inn
+
+
+def test_stabilizer_cases_reach_covers_above_one():
+    # S3 acting on three points: the stabilizer of 0 has index 3, and an
+    # element moving 0 meets it in index 2
+    gens = stabilizer_generators([(1, 0, 2), (1, 2, 0)])
+    graph = build_subgroup_graph(gens)
+    assert graph_index(graph, [0, 1]) == ("finite", 3)
+    assert free_qn1_decide(graph, B) == reference_free_qn1_decide(graph, B) == ("in", 2)
