@@ -83,8 +83,7 @@ def group_algebra_inclusion(
 
     The trace is the group trace (block weights ``d_i/|G|``); the expectation
     onto the subgroup span restricts coefficients to subgroup elements, which
-    is verified on the basis.  The decomposition of ``G`` is computed once per
-    group object (``FiniteTableGroup.regular_decomposition``).
+    is verified on the basis.
     """
     tolerances = tolerances or Tolerances()
     from .subgroups import SubgroupSpec, TableSubgroup
@@ -105,7 +104,7 @@ def group_algebra_inclusion(
             if group.table[i][j] not in subset:
                 raise GroupValidationError("subgroup set is not closed under products")
 
-    dims, reps = group.regular_decomposition
+    dims, reps = decompose_regular_representation(group)
     weights = [d / group.order for d in dims]
     algebra = build_algebra(dims, weights, tolerances)
     images = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,18 +209,6 @@ class FiniteTableGroup(GroupDescriptor):
         ]
         gen_idx = [index[tuple(p)] for p in perms]
         return FiniteTableGroup(table, names, generator_indices=gen_idx)
-
-    @cached_property
-    def regular_decomposition(self) -> tuple:
-        """``group_algebra.decompose_regular_representation(self)``, computed
-        once per group; its matrices are read-only because callers share them."""
-        from .group_algebra import decompose_regular_representation
-
-        dims, reps = decompose_regular_representation(self)
-        for rep in reps:
-            for mat in rep.values():
-                mat.setflags(write=False)
-        return dims, reps
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_index)

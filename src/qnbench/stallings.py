@@ -14,12 +14,17 @@ has finite index in ``H`` (Stallings pullback, Kapovich-Myasnikov section 9).
 Two facts keep it to one walk per element.  Re-rooting ``H``'s graph at
 ``w`` reads ``w^-1`` from the basepoint as far as the graph allows and hangs
 the unread rest on a fresh hair; the first unread letter has no edge where
-the hair lands, so the result is already folded.  And the spanning tree of
-``H``'s graph, built once per graph, makes its loose edges a free basis of
-``H``: a loop at the basepoint spells its element in that basis by the loose
-edges it crosses.  A pullback loop projects to such a loop, so the pullback
-BFS writes the intersection's generators in ``H``'s basis as it discovers
-them.
+the hair lands and the hair's vertices are new, so the result is already
+folded.  And the spanning tree of ``H``'s graph, built once per graph, makes
+its loose edges a free basis of ``H``: a loop at the basepoint spells its
+element in that basis by the loose edges it crosses, in order, with exponent
+-1 where it crosses one backwards.  Give each pair the pullback BFS reaches
+the basis letters its tree path crosses, ``crossed(u)``.  A non-tree edge
+``u -> v`` closes the loop ``crossed(u) . letter . crossed(v)^-1`` (``letter``
+empty when the edge projects to a tree edge of ``H``), one free generator of
+the intersection, already in ``H``'s basis.  Its projection is a loop at
+``H``'s basepoint, so it is a member of ``H`` by construction and needs no
+membership check.
 """
 
 from __future__ import annotations
@@ -115,12 +120,8 @@ class SubgroupGraph:
 
     @cached_property
     def basis_letters(self) -> dict[tuple[int, int, int], int]:
-        """Loose edge ``(u, gen, v)`` -> its letter in the free basis.
-
-        A loop at the basepoint is the subgroup element spelled, in this
-        basis, by the loose edges it crosses in order (exponent -1 when it
-        crosses one backwards).  Built once per graph.
-        """
+        """Loose edge ``(u, gen, v)`` -> its letter in the free basis; built
+        once per graph."""
         _, loose = self.spanning_tree()
         return {edge: i for i, edge in enumerate(loose)}
 
@@ -258,74 +259,66 @@ def graph_index(graph: SubgroupGraph, alphabet: Sequence[int]):
 
 def graph_intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based pullback: graph of the intersection of the two subgroups."""
-    edges, _ = _pullback(g1, g2)
-    return _trim_and_canonicalize(edges, 0)
+    return _trim_and_canonicalize(_pullback(g1, g2), 0)
 
 
-def _pullback(g1: SubgroupGraph, g2: SubgroupGraph) -> tuple[list, list]:
+def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, letters: Optional[dict] = None) -> list:
     """One BFS over the based pullback of two folded graphs.
 
-    Returns ``(edges, loops)``.  ``edges`` lists every pullback edge once as
-    ``(u, gen, v)`` on BFS ids, the pair of basepoints being 0.  ``loops``
-    holds one free generator of the intersection per non-tree edge, written
-    in the free basis of ``g1`` (letters index ``g1.basis_letters``).
-
-    Each discovered pair carries ``crossed``: the reduced sequence of
-    ``g1``-basis letters its tree path crosses.  The tree path, then a
-    non-tree edge ``u -> v``, then the tree path back is a loop at the
-    basepoint pair; its projection to ``g1`` is a loop at ``g1``'s basepoint,
-    so the loop is the ``g1``-member ``crossed(u) . letter . crossed(v)^-1``
-    (``letter`` empty when the projected edge is a tree edge of ``g1``).
+    Without ``letters``, returns every pullback edge once as ``(u, gen, v)``
+    on BFS ids, the pair of basepoints being 0.  With ``letters =
+    g1.basis_letters``, returns instead one free generator of the
+    intersection per non-tree edge, written in ``g1``'s basis.
     """
-    letters = g1.basis_letters
+    rewrite = letters is not None
     labels = sorted(g1.labels() & g2.labels())
     start = (g1.basepoint, g2.basepoint)
     ids = {start: 0}
     pairs = [start]
-    crossed: list[Word] = [()]
+    crossed: list[Word] = [()]  # g1-basis letters along a pair's tree path
     # label of the backward tree edge a pair was reached by: that edge is the
-    # pair's own forward edge with this label, which must not count as a loop
+    # pair's own forward edge with this label, which must not count twice
     reached_backwards: list[Optional[int]] = [None]
-    edges: list[tuple[int, int, int]] = []
-    loops: list[Word] = []
+    found: list = []
     for i, (u1, u2) in enumerate(pairs):  # also visits pairs appended below
         for gen in labels:
             w1, w2 = g1.out.get((u1, gen)), g2.out.get((u2, gen))
             if w1 is not None and w2 is not None:
-                letter = letters.get((u1, gen, w1))
-                step = () if letter is None else ((letter, 1),)
                 j = ids.get((w1, w2))
                 if j is None:
                     j = ids[(w1, w2)] = len(pairs)
                     pairs.append((w1, w2))
-                    crossed.append(concat(crossed[i], step))
                     reached_backwards.append(None)
-                    edges.append((i, gen, j))
+                    if rewrite:
+                        crossed.append(concat(crossed[i], _crossing(letters, (u1, gen, w1), 1)))
+                    else:
+                        found.append((i, gen, j))
                 elif reached_backwards[i] != gen:
-                    edges.append((i, gen, j))
-                    loops.append(concat(crossed[i], step, invert_word(crossed[j])))
+                    if rewrite:
+                        step = _crossing(letters, (u1, gen, w1), 1)
+                        found.append(concat(crossed[i], step, invert_word(crossed[j])))
+                    else:
+                        found.append((i, gen, j))
             w1, w2 = g1.inn.get((u1, gen)), g2.inn.get((u2, gen))
             if w1 is not None and w2 is not None and (w1, w2) not in ids:
-                letter = letters.get((w1, gen, u1))
                 j = ids[(w1, w2)] = len(pairs)
                 pairs.append((w1, w2))
-                crossed.append(concat(crossed[i], () if letter is None else ((letter, -1),)))
                 reached_backwards.append(gen)
-                edges.append((j, gen, i))
-    return edges, loops
+                if rewrite:
+                    crossed.append(concat(crossed[i], _crossing(letters, (w1, gen, u1), -1)))
+                else:
+                    found.append((j, gen, i))
+    return found
+
+
+def _crossing(letters: dict, edge: tuple[int, int, int], exp: int) -> Word:
+    letter = letters.get(edge)
+    return () if letter is None else ((letter, exp),)
 
 
 def _reroot(graph: SubgroupGraph, word: Word) -> SubgroupGraph:
-    """Graph of ``w H w^-1`` for a reduced ``w``, based at a new vertex.
-
-    Reading ``w^-1`` from the basepoint as far as the graph allows leaves an
-    unread rest ``r``; ``w`` is then ``r^-1`` followed by the read part's
-    inverse, so a hair spelling ``r^-1`` from a fresh basepoint into the
-    vertex reached finishes the graph.  It needs no fold: the hair is reduced
-    and its vertices are new, and its last edge takes the slot of the first
-    letter of ``r``, which has no edge at that vertex.  The result is folded
-    but not trimmed, and its vertex ids are not canonical.
-    """
+    """Folded graph of ``w H w^-1`` for a reduced ``w``, based at a new
+    vertex; not trimmed, and its vertex ids are not canonical."""
     vertex, rest = graph.trace_partial(invert_word(word))
     if not rest:
         return SubgroupGraph(graph.num_vertices, graph.out, graph.inn, basepoint=vertex)
@@ -367,14 +360,10 @@ def free_qn1_decide(graph: SubgroupGraph, word: Word):
     index ``k`` in ``H`` (equivalently, the left cosets meeting ``Hw`` number
     ``k``, the minimal cover size), else ``("out", None)``.
 
-    The index is computed exactly.  One BFS walks the pullback of ``H``'s
-    graph with the re-rooted graph of ``wHw^-1`` (see ``_reroot``) and writes
-    each free generator of the intersection in ``H``'s basis as it goes: the
-    crossings of ``H``'s loose edges along a loop's projection are that
-    loop's spelling in the basis (see ``_pullback``).  The rose-cover test
-    on the graph of these words gives the index.  Every pullback loop
-    projects to a loop at ``H``'s basepoint, so every generator is a member
-    of ``H`` by construction and no membership check is needed.
+    The index is computed exactly, by the rose-cover test on the
+    intersection written in ``H``'s basis.  The module docstring says why
+    one pullback walk yields that rewriting, why re-rooting needs no fold,
+    and why no membership check is needed.
     """
     word = reduce_word(word)
     if graph.contains(word):
@@ -383,7 +372,7 @@ def free_qn1_decide(graph: SubgroupGraph, word: Word):
     if rank == 0:
         # trivial subgroup: H w is the singleton {w}, covered by w H
         return ("in", 1)
-    _, loops = _pullback(graph, _reroot(graph, word))
+    loops = _pullback(graph, _reroot(graph, word), graph.basis_letters)
     kind, count = graph_index(build_subgroup_graph(loops), range(rank))
     if kind == "finite":
         return ("in", count)

@@ -9,7 +9,6 @@ from qnbench.basic import basic_construction
 from qnbench.bimodule import module_dimension
 from qnbench.errors import GroupValidationError
 from qnbench.expectations import conditional_expectation
-from qnbench import group_algebra
 from qnbench.group_algebra import decompose_regular_representation, group_algebra_inclusion
 from qnbench.groups import FiniteTableGroup
 from qnbench.orbits import qn1_membership
@@ -168,35 +167,3 @@ def test_cover_size_times_dim_is_a_module_dimension(drawn):
         cover = qn1_membership(spec, g).certificate.cover_size
         u_g = inclusion.image(g)
         assert cover * L_H.dim == module_dimension(L_H, [u_h @ u_g for u_h in H]), g
-
-
-def test_subgroups_of_one_group_share_its_regular_decomposition(monkeypatch):
-    G = symmetric_group(5)
-    calls = []
-
-    def counted(group):
-        calls.append(group)
-        return decompose_regular_representation(group)
-
-    monkeypatch.setattr(group_algebra, "decompose_regular_representation", counted)
-    rank = {p: i for i, p in enumerate(sorted(itertools.permutations(range(5))))}
-    cycle = subgroup(G, [G.element(rank[(1, 2, 3, 4, 0)])])
-    swap = subgroup(G, [G.element(rank[(1, 0, 2, 3, 4)])])
-    inclusions = [group_algebra_inclusion(G, spec) for spec in (cycle, swap)]
-    assert calls == [G]
-    dims, reps = G.regular_decomposition
-    assert not reps[0][0].flags.writeable
-    # a new group object decomposes again, to the same matrices
-    fresh = symmetric_group(5)
-    fresh_dims, fresh_reps = decompose_regular_representation(fresh)
-    assert fresh_dims == dims
-    assert all(np.array_equal(a[g], b[g])
-               for a, b in zip(fresh_reps, reps) for g in range(G.order))
-    fresh_swap = subgroup(fresh, [fresh.element(rank[(1, 0, 2, 3, 4)])])
-    uncached = group_algebra_inclusion(fresh, fresh_swap)
-    assert calls == [G, fresh]
-    assert ([h.payload for h in inclusions[1].subgroup_elements]
-            == [h.payload for h in uncached.subgroup_elements])
-    for g in range(G.order):
-        for x, y in zip(inclusions[1].images[g].blocks, uncached.images[g].blocks):
-            assert np.array_equal(x, y)
