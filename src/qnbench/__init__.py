@@ -15,7 +15,6 @@ from .bimodule import orthonormal_basis, remove_component
 from .certificates import (
     QnCertificate,
     compose_certificates,
-    identity_certificate,
     product_compose,
     replay_certificate,
     translate_certificate,
@@ -61,7 +60,6 @@ from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
 from .orbits import (
     CosetOrbit,
     MembershipVerdict,
-    h1_membership,
     orbit_bfs,
     product_verdict,
     qn1_membership,

@@ -16,6 +16,13 @@ unchanged, since the union is closed under ``H`` and contains ``g' H``, so
 translation re-checks the one claim it changes, the coset of ``g'``.
 Compositions are replayed as a whole, so their inputs are not replayed
 again.
+
+A closed coset orbit (``orbits.orbit_bfs``) is its own certificate: the
+search applied every generator move to every representative and looked up
+the coset of each product, so its rows for the listed generators are the
+transition table, and the orbit starts at the coset of ``g`` (index 0).
+``certificate_from_cover`` derives the table from a bare cover instead; it
+serves the compositions, whose covers come from no search.
 """
 
 from __future__ import annotations
@@ -156,11 +163,6 @@ def translate_certificate(cert: QnCertificate, element: GroupElement) -> QnCerti
         if verdict is Trit.UNKNOWN:
             raise IndeterminateResultError("cover coset of the translated element is undecided")
     raise CertificateError("translated element lies in no cover coset")
-
-
-def identity_certificate(spec: SubgroupSpec, member: GroupElement) -> QnCertificate:
-    """Certificate of cover size one for an element of the subgroup itself."""
-    return certificate_from_cover(spec, member, [member])
 
 
 def compose_certificates(c1: QnCertificate, c2: QnCertificate) -> QnCertificate:

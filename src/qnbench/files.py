@@ -105,7 +105,11 @@ def _list(values, context: str, what: str) -> list:
 
 
 def _numbers(values, kind, context: str, what: str) -> list:
-    return [_number(value, kind, context, what) for value in _list(values, context, what)]
+    """``_number`` over a list; a list of plain ints (no bools) passes as it is."""
+    values = _list(values, context, what)
+    if kind is int and all(type(value) is int for value in values):
+        return values
+    return [_number(value, kind, context, what) for value in values]
 
 
 def _strings(values, context: str, what: str) -> list:

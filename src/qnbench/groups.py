@@ -135,45 +135,48 @@ class FiniteTableGroup(GroupDescriptor):
         self.table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in self.table):
             raise GroupValidationError("multiplication table must be square")
-        if any(not (0 <= x < n) for row in self.table for x in row):
+        t = np.array(self.table) if n else np.zeros((0, 0), dtype=np.intp)
+        if t.dtype.kind not in "iu" or ((t < 0) | (t >= n)).any():
             raise GroupValidationError("table entries must be element indices")
+        t = t.astype(np.intp, copy=False)
         self.names = tuple(names) if names is not None else tuple(f"x{i}" for i in range(n))
         if len(self.names) != n:
             raise GroupValidationError("need one name per element")
-        self.identity_index = self._find_identity()
-        self.inverse = self._find_inverses()
-        self._check_associativity()
+        self.identity_index = self._find_identity(t)
+        self.inverse = self._find_inverses(t)
+        self._check_associativity(t)
         if generator_indices is None:
             generator_indices = [i for i in range(n) if i != self.identity_index]
         self.generator_indices = tuple(generator_indices)
 
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(self.order)):
-                return e
-        raise GroupValidationError("table has no identity element")
+    def _find_identity(self, t: np.ndarray) -> int:
+        """The first ``e`` whose row and column are both ``0, 1, ..., n-1``."""
+        ids = np.arange(self.order)
+        found = np.flatnonzero((t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0))
+        if not found.size:
+            raise GroupValidationError("table has no identity element")
+        return int(found[0])
 
-    def _find_inverses(self) -> tuple[int, ...]:
-        inv = []
+    def _find_inverses(self, t: np.ndarray) -> tuple[int, ...]:
+        """For each ``i`` the first ``j`` with ``i j = j i = e``."""
         e = self.identity_index
-        for i in range(self.order):
-            js = [j for j in range(self.order) if self.table[i][j] == e and self.table[j][i] == e]
-            if not js:
-                raise GroupValidationError(f"element {self.names[i]} has no inverse")
-            inv.append(js[0])
-        return tuple(inv)
+        two_sided = (t == e) & (t.T == e)
+        missing = np.flatnonzero(~two_sided.any(axis=1))
+        if missing.size:
+            raise GroupValidationError(f"element {self.names[missing[0]]} has no inverse")
+        return tuple(int(j) for j in two_sided.argmax(axis=1))
 
-    def _check_associativity(self) -> None:
+    def _check_associativity(self, t: np.ndarray) -> None:
         """``(i j) k = i (j k)`` for all triples, one ``n x n`` comparison per ``j``.
 
         Reports the lexicographically first failing ``(i, j, k)``.
         """
-        t = np.asarray(self.table, dtype=np.intp)
         failures = []
         for j in range(self.order):
-            bad = np.argwhere(t[t[:, j]] != t[:, t[j]])
-            if bad.size:
-                failures.append((int(bad[0][0]), j, int(bad[0][1])))
+            differ = t[t[:, j]] != t[:, t[j]]
+            if differ.any():
+                bad = np.argwhere(differ)[0]
+                failures.append((int(bad[0]), j, int(bad[1])))
         if failures:
             raise GroupValidationError(
                 "table is not associative at ({},{},{})".format(*min(failures)))
@@ -333,12 +336,23 @@ class FpGroupDescriptor(GroupDescriptor):
         return word
 
     def multiply(self, a, b):
+        """Both payloads are normal forms of this group (``element`` checks
+        outside payloads), so the product needs no reduce or range pass.  A
+        verified system contains the free cancellation rules and is
+        convergent, so the plain juxtaposition has the normal form of the
+        reduced product.  Without rules the normal form is the freely
+        reduced word that ``W.concat`` returns."""
         self.check_same(a, b)
-        return GroupElement(self, self.normalize_payload(W.concat(a.payload, b.payload)))
+        if self.rewriting is None:
+            return GroupElement(self, W.concat(a.payload, b.payload))
+        return GroupElement(self, self.rewriting.normal_form(a.payload + b.payload))
 
     def invert(self, a):
         self.check_same(a)
-        return GroupElement(self, self.normalize_payload(W.invert_word(a.payload)))
+        inverse = W.invert_word(a.payload)  # freely reduced, letters in range
+        if self.rewriting is None:
+            return GroupElement(self, inverse)
+        return GroupElement(self, self.rewriting.normal_form(inverse))
 
     def generators(self):
         return [GroupElement(self, self.normalize_payload(W.generator(i))) for i in range(self.num_gens)]

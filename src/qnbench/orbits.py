@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certificates import CosetIndex, QnCertificate, certificate_from_cover
+from .certificates import CosetIndex, QnCertificate, replay_certificate
 from .errors import GroupValidationError
 from .groups import FiniteTableGroup, GroupElement
 from .stallings import free_qn1_decide
@@ -44,6 +44,8 @@ class CosetOrbit:
     representatives: tuple
     closed: bool
     explored: int
+    # closed orbits only: one row per listed subgroup generator, as in QnCertificate
+    transitions: Optional[tuple] = None
 
     @property
     def size(self) -> int:
@@ -82,6 +84,15 @@ def orbit_bfs(spec: SubgroupSpec, g: GroupElement, budget: int) -> CosetOrbit:
     Deterministic: representatives appear in discovery order, with generator
     moves tried in the listed order followed by their inverses.  Raises
     IndeterminateResultError when a coset comparison comes back Unknown.
+
+    Each move ``m`` keeps a row: the coset index of ``m c_i`` for every
+    representative ``c_i``.  A closed orbit has applied every move to every
+    representative, so the rows of the listed generators are the transition
+    table of its certificate, the rows ``certificate_from_cover`` would
+    compute again.  ``generator_moves`` drops repeats (an involution, a
+    generator listed twice, one listed with its inverse), so the row of the
+    ``k``-th listed generator is the row of its position in the moves, not
+    row ``k``.
     """
     if budget < 1:
         raise GroupValidationError("budget must be at least 1")
@@ -90,6 +101,7 @@ def orbit_bfs(spec: SubgroupSpec, g: GroupElement, budget: int) -> CosetOrbit:
     index = CosetIndex(spec)
     index.add(group.element(g.payload))
     moves = spec.generator_moves()
+    rows = [[] for _ in moves]
     queue = [0]
     closed = True
     explored = 1
@@ -97,31 +109,40 @@ def orbit_bfs(spec: SubgroupSpec, g: GroupElement, budget: int) -> CosetOrbit:
         at = queue.pop(0)
         rep = index.reps[at]
         stop = False
-        for m in moves:
+        for m, row in zip(moves, rows):
             candidate = group.multiply(m, rep)
-            if index.find(candidate) is None:
+            j = index.find(candidate)
+            if j is None:
                 if len(index.reps) >= budget:
                     closed = False
                     explored = len(index.reps) + 1
                     stop = True
                     break
-                queue.append(index.add(candidate))
+                j = index.add(candidate)
+                queue.append(j)
+            row.append(j)
         if stop:
             break
+    transitions = None
     if closed:
         explored = len(index.reps)
+        transitions = tuple(tuple(rows[moves.index(s)]) for s in spec.generators)
     return CosetOrbit(
         subgroup=spec,
         element=g,
         representatives=tuple(index.reps),
         closed=closed,
         explored=explored,
+        transitions=transitions,
     )
 
 
 def _certified_in(spec: SubgroupSpec, g: GroupElement, orbit: CosetOrbit,
                   budget: int) -> MembershipVerdict:
-    cert = certificate_from_cover(spec, g, list(orbit.representatives))
+    # the orbit starts at g's own coset, and replay is the validity check
+    cert = QnCertificate(subgroup=spec, element=g, cover=orbit.representatives,
+                         element_index=0, transitions=orbit.transitions)
+    replay_certificate(cert)
     return MembershipVerdict(status=CERTIFIED_IN, certificate=cert, budget=budget,
                              orbit_explored=orbit.explored)
 
@@ -238,31 +259,6 @@ def h1_status(forward: MembershipVerdict, backward: MembershipVerdict) -> str:
     if forward.certified_out or backward.certified_out:
         return CERTIFIED_OUT
     return UNKNOWN
-
-
-def h1_membership(spec: SubgroupSpec, g: GroupElement, budget: int = 1000) -> MembershipVerdict:
-    """Two-sided variant: ``h1_status`` of the verdicts for ``g`` and ``g^-1``."""
-    forward = qn1_membership(spec, g, budget)
-    backward = qn1_membership(spec, spec.group.invert(g), budget)
-    status = h1_status(forward, backward)
-    if status == CERTIFIED_IN:
-        return MembershipVerdict(
-            status=CERTIFIED_IN,
-            certificate=forward.certificate,
-            inverse_certificate=backward.certificate,
-            budget=budget,
-            orbit_explored=forward.orbit_explored,
-        )
-    if status == CERTIFIED_OUT:
-        side = forward if forward.certified_out else backward
-        return MembershipVerdict(
-            status=CERTIFIED_OUT,
-            reason=side.reason,
-            budget=budget,
-            orbit_explored=side.orbit_explored,
-        )
-    explored = max(forward.orbit_explored or 0, backward.orbit_explored or 0)
-    return MembershipVerdict(status=UNKNOWN, budget=budget, orbit_explored=explored)
 
 
 def product_verdict(v1: MembershipVerdict, v2: MembershipVerdict,

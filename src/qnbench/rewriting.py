@@ -13,7 +13,11 @@ Three tools, all sound and clearly scoped:
   table step per letter read instead of a scan over every rule.  Its output
   equals the plain first-listed-rule scan: the rewriting stack never holds
   a left-hand side, so every new match is a suffix of the stack, and each
-  automaton state names the first listed rule among those suffixes.
+  automaton state names the first listed rule among those suffixes.  A
+  product of two normal forms needs neither a free reduction nor a range
+  check: its letters are in range, and the free cancellation rules are
+  part of the system, which is convergent, so rewriting the plain
+  juxtaposition gives the normal form of the reduced product.
 
 * ``relator_insertion_search`` -- bounded BFS over relator insertions; finds
   positive proofs that a word represents the identity.

@@ -215,7 +215,9 @@ class CosetTableSubgroup(SubgroupSpec):
         return Trit.from_bool(self.table.is_member(g.payload))
 
     def coset_key(self, g: GroupElement):
-        return self.table.coset_of(g.payload)
+        # the table holds right cosets, and g H = g' H exactly when
+        # H g^-1 = H g'^-1
+        return self.table.coset_of(W.invert_word(g.payload))
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from qnbench.errors import InputFormatError
+from qnbench.errors import GroupValidationError, InputFormatError
 from qnbench.files import (
     load_group_inclusion,
     load_matrix_inclusion,
@@ -162,6 +162,50 @@ def test_group_document_bad_window(window):
         parse_group_inclusion(
             {"family": "shift_extension", "generator_window": window, "subgroup": "K0"}
         )
+
+
+@pytest.mark.parametrize(
+    "table, names, error, message",
+    [
+        ([[0, True], [1, 0]], None, InputFormatError,
+         "inclusion: table rows must be an integer, got True"),
+        ([[0, 1.5], [1, 0]], None, InputFormatError,
+         "inclusion: table rows must be an integer, got 1.5"),
+        ([[0, "1"], [1, 0]], None, InputFormatError,
+         "inclusion: table rows must be an integer, got '1'"),
+        ([[0, None], [1, 0]], None, InputFormatError,
+         "inclusion: table rows must be an integer, got None"),
+        ([[0, float("inf")], [1, 0]], None, InputFormatError,
+         "inclusion: table rows must be an integer, got inf"),
+        ([[0, 1], 1], None, InputFormatError, "inclusion: table rows must be a list, got 1"),
+        ([[0, 2], [1, 0]], None, GroupValidationError, "table entries must be element indices"),
+        ([[0, -1], [1, 0]], None, GroupValidationError, "table entries must be element indices"),
+        ([[0, 10 ** 30], [1, 0]], None, GroupValidationError,
+         "table entries must be element indices"),
+        ([[0, 1], [1]], None, GroupValidationError, "multiplication table must be square"),
+        ([[0, 0], [0, 0]], None, GroupValidationError, "table has no identity element"),
+        ([[1, 0], [0, 0]], None, GroupValidationError, "table has no identity element"),
+        ([[0, 1], [1, 1]], None, GroupValidationError, "element x1 has no inverse"),
+        ([[0, 1], [1, 1]], ["e", "s"], GroupValidationError, "element s has no inverse"),
+        ([[0, 1], [1, 0]], ["e"], GroupValidationError, "need one name per element"),
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 2]], None, GroupValidationError,
+         "element x2 has no inverse"),
+    ],
+)
+def test_table_document_messages(table, names, error, message):
+    doc = {"family": "finite_table", "table": table, "subgroup_generators": []}
+    if names is not None:
+        doc["element_names"] = names
+    with pytest.raises(error) as err:
+        parse_group_inclusion(doc)
+    assert str(err.value) == message
+
+
+def test_integral_float_table_entries_load_as_integers():
+    doc = parse_group_inclusion(
+        {"family": "finite_table", "table": [[0, 1.0], [1, 0]], "subgroup_generators": ["x1"]})
+    assert doc.group.table == ((0, 1), (1, 0))
+    assert type(doc.group.table[0][1]) is int
 
 
 def test_missing_file_gives_format_error(tmp_path):

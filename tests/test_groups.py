@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from qnbench.errors import DescriptorMismatchError, GroupValidationError, ResourceLimitError
+from qnbench.files import load_group_inclusion
 from qnbench.groups import (
     DirectProductDescriptor,
     FpGroupDescriptor,
@@ -204,6 +205,28 @@ def test_fp_arithmetic_is_the_normal_form_of_the_reduced_word(make, u, v):
     assert invert(x).payload == nf(invert_word(x.payload))
 
 
+FP_GROUPS = {
+    "infinite_dihedral": infinite_dihedral(),
+    "free_abelian_of_rank_two": free_abelian_of_rank_two(),
+    "sample_document": load_group_inclusion("sample_inputs/infinite_dihedral.json").group,
+    "no_rules": FpGroupDescriptor(2, infinite_dihedral().relators),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FP_GROUPS))
+@settings(max_examples=80)
+@given(u=FP_LETTERS, v=FP_LETTERS)
+def test_fp_products_of_normal_forms_match_the_checked_path(name, u, v):
+    # multiply and invert skip the reduce and range passes that element runs
+    G = FP_GROUPS[name]
+    x, y = G.element(u), G.element(v)
+    assert multiply(x, y).payload == G.normalize_payload(concat(x.payload, y.payload))
+    assert invert(x).payload == G.normalize_payload(invert_word(x.payload))
+    # a right factor that cancels all of the left one
+    assert multiply(x, multiply(invert(x), y)) == y
+    assert multiply(multiply(y, x), invert(x)) == y
+
+
 @pytest.mark.parametrize("with_rules", [True, False])
 def test_fp_bad_letters_raise_with_and_without_rules(with_rules):
     D = infinite_dihedral()
@@ -295,6 +318,71 @@ def test_table_validation_rejects_bad_tables():
     # a loop (Latin square with identity and inverses) that is not associative
     with pytest.raises(GroupValidationError):
         FiniteTableGroup(LOOP5)
+
+
+def reference_table_check(table):
+    """Entry-by-entry table validation (the loops the array checks replaced):
+    the first failure message, or ``(identity, inverses)``."""
+    n = len(table)
+    if any(len(row) != n for row in table):
+        return "multiplication table must be square"
+    if any(not (0 <= x < n) for row in table for x in row):
+        return "table entries must be element indices"
+    identities = [e for e in range(n)
+                  if all(table[e][j] == j and table[j][e] == j for j in range(n))]
+    if not identities:
+        return "table has no identity element"
+    e = identities[0]
+    inverse = []
+    for i in range(n):
+        js = [j for j in range(n) if table[i][j] == e and table[j][i] == e]
+        if not js:
+            return f"element x{i} has no inverse"
+        inverse.append(js[0])
+    return e, tuple(inverse)
+
+
+@st.composite
+def square_tables(draw):
+    """Small tables, half of them with an identity row and column forced in,
+    so that inverse and associativity failures are reached too."""
+    n = draw(st.integers(1, 5))
+    table = draw(st.lists(st.lists(st.integers(-1 if draw(st.booleans()) else 0, n - 1),
+                                   min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        e = draw(st.integers(0, n - 1))
+        for j in range(n):
+            table[e][j] = table[j][e] = j
+    return table
+
+
+@settings(max_examples=300)
+@given(square_tables())
+def test_table_checks_match_the_entry_by_entry_reference(table):
+    expected = reference_table_check(table)
+    try:
+        G = FiniteTableGroup(table)
+    except GroupValidationError as err:
+        if str(err).startswith("table is not associative"):
+            assert isinstance(expected, tuple)
+        else:
+            assert str(err) == expected
+    else:
+        assert (G.identity_index, G.inverse) == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relabelled_group_tables_keep_identity_and_inverses(seed):
+    import random
+
+    S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    relabel = list(range(S4.order))
+    random.Random(seed).shuffle(relabel)
+    back = {new: old for old, new in enumerate(relabel)}
+    table = [[relabel[S4.table[back[i]][back[j]]] for j in range(S4.order)]
+             for i in range(S4.order)]
+    G = FiniteTableGroup(table)
+    assert (G.identity_index, G.inverse) == reference_table_check(table)
 
 
 def _first_non_associative(table):

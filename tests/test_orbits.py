@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from qnbench import certificates
 from qnbench.certificates import (
     QnCertificate,
+    certificate_from_cover,
     compose_certificates,
-    identity_certificate,
     product_compose,
     replay_certificate,
     translate_certificate,
@@ -17,11 +19,23 @@ from qnbench.groups import (
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     enumerate_ball,
+    free_abelian_of_rank_two,
     identity,
+    infinite_dihedral,
 )
-from qnbench.orbits import h1_membership, orbit_bfs, product_verdict, qn1_membership
-from qnbench.subgroups import product_subgroup, shift_tail_subgroup, subgroup
+from qnbench.orbits import (
+    CERTIFIED_IN,
+    CERTIFIED_OUT,
+    MembershipVerdict,
+    UNKNOWN,
+    h1_status,
+    orbit_bfs,
+    product_verdict,
+    qn1_membership,
+)
+from qnbench.subgroups import ProductSubgroup, product_subgroup, shift_tail_subgroup, subgroup
 from qnbench.words import concat, generator
+from test_stallings import stabilizer_generators
 
 F2 = FreeGroupDescriptor.of_rank(2)
 A = F2.element(generator(0))
@@ -36,6 +50,36 @@ INDEX_TWO_GENS = [
 def shift_setup(window=2):
     G = ShiftExtensionDescriptor(window=window)
     return G, shift_tail_subgroup(G, 0)
+
+
+def identity_certificate(spec, member):
+    """Certificate of cover size one for an element of the subgroup itself."""
+    return certificate_from_cover(spec, member, [member])
+
+
+def h1_membership(spec, g, budget=1000):
+    """Two-sided variant: ``h1_status`` of the verdicts for ``g`` and ``g^-1``."""
+    forward = qn1_membership(spec, g, budget)
+    backward = qn1_membership(spec, spec.group.invert(g), budget)
+    status = h1_status(forward, backward)
+    if status == CERTIFIED_IN:
+        return MembershipVerdict(
+            status=CERTIFIED_IN,
+            certificate=forward.certificate,
+            inverse_certificate=backward.certificate,
+            budget=budget,
+            orbit_explored=forward.orbit_explored,
+        )
+    if status == CERTIFIED_OUT:
+        side = forward if forward.certified_out else backward
+        return MembershipVerdict(
+            status=CERTIFIED_OUT,
+            reason=side.reason,
+            budget=budget,
+            orbit_explored=side.orbit_explored,
+        )
+    explored = max(forward.orbit_explored or 0, backward.orbit_explored or 0)
+    return MembershipVerdict(status=UNKNOWN, budget=budget, orbit_explored=explored)
 
 
 # -- orbit enumeration -----------------------------------------------------------
@@ -357,3 +401,93 @@ def test_product_verdict_out_dominates():
     combined_in = product_verdict(v_in, v_in, P, spec)
     assert combined_in.certified_in
     replay_certificate(combined_in.certificate)
+
+
+# -- closed orbits hand their rows to the certificate ------------------------------
+
+S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+
+
+def s4(*perm):
+    """The S4 element of a permutation tuple (``from_permutations`` sorts them)."""
+    elements = sorted(itertools.permutations(range(4)))
+    return S4.element(elements.index(perm))
+
+
+SWAP01, SWAP23, CYCLE3, CYCLE4 = s4(1, 0, 2, 3), s4(0, 1, 3, 2), s4(1, 2, 0, 3), s4(1, 2, 3, 0)
+D_INF = infinite_dihedral()
+D_A, D_R = D_INF.generators()
+F2_STAB = [F2.element(w) for w in stabilizer_generators([(1, 2, 3, 0), (1, 0, 2, 3)])]
+Z2 = free_abelian_of_rank_two()
+Z2_A = Z2.generators()[0]
+
+
+def _cube(x):
+    return D_INF.multiply(D_INF.multiply(x, x), x)
+
+
+# name -> (group, subgroup generators, elements, largest cover); repeated
+# generators, a generator listed with its inverse and involutions make
+# generator_moves drop moves, so the k-th listed generator is not the k-th move
+ORBIT_ROW_CASES = {
+    "free_stabilizer": (F2, F2_STAB, enumerate_ball(F2, 3), 3),
+    "free_repeats": (F2, F2_STAB + [F2_STAB[0], F2.invert(F2_STAB[1])], enumerate_ball(F2, 2), 3),
+    "free_a_a": (F2, [A, A], enumerate_ball(F2, 2), 1),
+    "free_a_a_inverse": (F2, [A, F2.invert(A)], enumerate_ball(F2, 2), 1),
+    "table_cycle4_twice": (S4, [CYCLE4, CYCLE4], S4.all_elements(), 4),
+    "table_cycle4_and_inverse": (S4, [CYCLE4, S4.invert(CYCLE4)], S4.all_elements(), 4),
+    "table_cycle3_then_involution": (S4, [CYCLE3, SWAP01], S4.all_elements(), 3),
+    "table_involution_then_cycle3": (S4, [SWAP01, CYCLE3], S4.all_elements(), 3),
+    "table_two_involutions": (S4, [SWAP01, SWAP23], S4.all_elements(), 4),
+    "coset_table": (D_INF, [_cube(D_A), D_R, D_R], enumerate_ball(D_INF, 4), 2),
+    # an infinite-index subgroup of an abelian group: no coset table, and
+    # membership is decided by the abelianization
+    "fp_no_coset_table": (Z2, [Z2_A, Z2_A, Z2.invert(Z2_A)], enumerate_ball(Z2, 3), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_ROW_CASES))
+def test_orbit_certificate_equals_the_recomputed_certificate(name):
+    group, gens, elements, largest = ORBIT_ROW_CASES[name]
+    spec = subgroup(group, gens)
+    covers = []
+    for g in elements:
+        verdict = qn1_membership(spec, g, budget=50)
+        if not verdict.certified_in:
+            continue
+        cert = verdict.certificate
+        expected = certificate_from_cover(spec, g, cert.cover)
+        assert cert.subgroup is expected.subgroup
+        assert cert.element == expected.element
+        assert cert.cover == expected.cover
+        assert cert.element_index == expected.element_index == 0
+        assert cert.transitions == expected.transitions
+        covers.append(cert.cover_size)
+    assert max(covers) == largest
+
+
+def test_orbit_rows_over_shift_tails_and_products():
+    G, K0 = shift_setup(window=1)
+    H = subgroup(F2, F2_STAB)
+    P = DirectProductDescriptor(F2, G)
+    spec = product_subgroup(P, H, K0)
+    assert isinstance(spec, ProductSubgroup)
+    cases = [(K0, g) for g in enumerate_ball(G, 2)]
+    cases += [(spec, P.pair(x, y)) for x in enumerate_ball(F2, 2)
+              for y in (G.identity(), G.stable_letter(-1), G.base_generator(1))]
+    closed = 0
+    for sub, g in cases:
+        orbit = orbit_bfs(sub, g, budget=30)
+        if not orbit.closed:
+            assert orbit.transitions is None
+            continue
+        closed += 1
+        expected = certificate_from_cover(sub, g, orbit.representatives)
+        assert orbit.representatives == expected.cover
+        assert orbit.transitions == expected.transitions
+    assert closed > 10
+
+
+def test_open_orbits_keep_no_rows():
+    orbit = orbit_bfs(subgroup(F2, [A]), B, budget=5)
+    assert not orbit.closed and orbit.transitions is None

@@ -194,6 +194,23 @@ def test_coset_key_fp_table():
     assert coset_key(H, a) != coset_key(H, r)
 
 
+def test_coset_table_keys_are_left_cosets_of_a_non_normal_subgroup():
+    # <a^3, r> has index 3 and is not normal: r a H = a^-1 H differs from
+    # a H, while the right cosets H r a and H a coincide
+    from qnbench.groups import enumerate_ball
+
+    D = infinite_dihedral()
+    a, r = D.generators()
+    H = subgroup(D, [multiply(multiply(a, a), a), r])
+    assert type(H) is CosetTableSubgroup and H.table.index == 3
+    assert coset_key(H, multiply(r, a)) != coset_key(H, a)
+    ball = enumerate_ball(D, 3)
+    for g1 in ball:
+        for g2 in ball:
+            same_key = coset_key(H, g1) == coset_key(H, g2)
+            assert same_key == (coset_equal(H, g1, g2) is Trit.YES)
+
+
 def test_subgroup_ball_sorted_and_closed():
     H = cyclic_a()
     ball = subgroup_ball(H, 3)
