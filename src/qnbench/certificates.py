@@ -107,10 +107,10 @@ def replay_certificate(cert: QnCertificate) -> None:
         if sorted(row) != list(range(len(cover))):
             raise CertificateError("transition row is not a permutation of the cover")
         for i, j in enumerate(row):
-            _expect_yes(
-                coset_equal(spec, group.multiply(s, cover[i]), cover[j]),
-                f"transition {group.format_element(s)} on cover {i} does not land in cover {j}",
-            )
+            verdict = coset_equal(spec, group.multiply(s, cover[i]), cover[j])
+            if verdict is not Trit.YES:  # the message is formatted only on failure
+                _expect_yes(verdict, f"transition {group.format_element(s)} on cover {i} "
+                                     f"does not land in cover {j}")
 
 
 def _expect_yes(verdict: Trit, message: str) -> None:

@@ -90,12 +90,20 @@ def _require_fields(doc: dict, allowed: set, required: set, context: str) -> Non
 
 def _number(value, kind, context: str, what: str):
     """``kind(value)`` for a finite JSON number, integral when ``kind`` is
-    ``int``; strings, nulls, booleans and lists are input errors."""
+    ``int``; strings, nulls, booleans, lists and integers beyond the float
+    range are input errors."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (kind is int and value != int(value))):
+            or not _finite(value) or (kind is int and value != int(value))):
         expected = "an integer" if kind is int else "a finite number"
         raise InputFormatError(f"{context}: {what} must be {expected}, got {value!r}")
     return kind(value)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _list(values, context: str, what: str) -> list:

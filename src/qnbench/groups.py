@@ -30,6 +30,7 @@ from .rewriting import (
     RewritingSystem,
     abelianized,
     lattice_member,
+    lattice_pivots,
     relator_insertion_search,
 )
 
@@ -376,10 +377,21 @@ class FpGroupDescriptor(GroupDescriptor):
             return Trit.YES
         return Trit.UNKNOWN
 
+    def _subgroup_lattice(self, gen_words: Sequence[W.Word]) -> list:
+        """The abelianized relators and subgroup generators: ``H``'s image in
+        the abelianization, lifted to ``Z^num_gens``."""
+        return list(self._relator_lattice) + [abelianized(g, self.num_gens) for g in gen_words]
+
     def abelian_refutes_membership(self, gen_words: Sequence[W.Word], word: W.Word) -> bool:
         """True when the abelianization already rules out membership."""
-        lattice = list(self._relator_lattice) + [abelianized(g, self.num_gens) for g in gen_words]
-        return not lattice_member(lattice, abelianized(word, self.num_gens))
+        return not lattice_member(self._subgroup_lattice(gen_words),
+                                  abelianized(word, self.num_gens))
+
+    def abelian_index_is_infinite(self, gen_words: Sequence[W.Word]) -> bool:
+        """True when ``H``'s image in the abelianization has infinite index,
+        so that ``[G : H] >= [G^ab : image of H]`` is infinite too: the
+        lattice has rank below ``num_gens``."""
+        return len(lattice_pivots(self._subgroup_lattice(gen_words), self.num_gens)) < self.num_gens
 
     def sort_key(self, e):
         return W.word_key(e.payload)

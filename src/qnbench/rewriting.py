@@ -272,11 +272,11 @@ def abelianized(word: Word, num_gens: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def lattice_member(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Exact membership of an integer vector in the lattice the columns span."""
+def lattice_pivots(generators: Sequence[Sequence[int]], dim: int) -> list[tuple[int, list[int]]]:
+    """Echelon basis of the lattice the columns span, as ``(row, column)``
+    pairs: each column is zero above its row and positive at it, and the
+    rows increase.  Their number is the lattice's rank."""
     cols = [list(g) for g in generators]
-    t = list(target)
-    dim = len(t)
     if any(len(c) != dim for c in cols):
         raise ValueError("lattice generators and target must share a dimension")
     pivots: list[tuple[int, list[int]]] = []
@@ -301,7 +301,14 @@ def lattice_member(generators: Sequence[Sequence[int]], target: Sequence[int]) -
         active.remove(pivot)
         active = [c for c in active if any(c)]
         pivots.append((row, pivot))
-    for row, pivot in pivots:
+    return pivots
+
+
+def lattice_member(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Exact membership of an integer vector in the lattice the columns span."""
+    t = list(target)
+    dim = len(t)
+    for row, pivot in lattice_pivots(generators, dim):
         if t[row] % pivot[row] != 0:
             return False
         q = t[row] // pivot[row]

@@ -8,7 +8,8 @@ Unknown.  Each subclass answers membership exactly:
 * ``FreeSubgroup`` -- a folded subgroup graph of a free group;
 * ``TableSubgroup`` -- the closed element subset of a finite table group;
 * ``CosetTableSubgroup`` -- a completed coset table of a finitely presented
-  group, when the subgroup has finite index within the enumeration cap;
+  group, when the subgroup has finite index within the enumeration cap (no
+  enumeration runs when the abelianization already shows infinite index);
 * ``ShiftTailSubgroup`` -- the tail subgroup of a shift extension generated
   by all base generators with index at least ``n``, with a closed-form rule;
 * ``ProductSubgroup`` -- a pair of component specs in a direct product.
@@ -16,12 +17,19 @@ Unknown.  Each subclass answers membership exactly:
 Every class answers ``member``, ``coset_key``, ``double_coset_key``,
 ``normalizes`` and ``conjugacy_class``; the module functions of the first
 four names are the call path, and ``conditions.check_c1`` calls the last.
+
+``double_coset_key`` has a closed form for table, shift-tail and free
+subgroups, so elements of one ``H g H`` share one decision.  A free
+subgroup of infinite index keys no member of ``H`` and no element whose
+readings from both ends overlap (see ``FreeSubgroup``); the other families
+key no element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from functools import cached_property
+from typing import ClassVar, Optional, Sequence
 
 from . import words as W
 from .errors import DescriptorMismatchError, GroupValidationError
@@ -38,7 +46,13 @@ from .groups import (
     Trit,
     _capped_ball,
 )
-from .stallings import SubgroupGraph, build_subgroup_graph, conjugate_graph, graphs_equal
+from .stallings import (
+    SubgroupGraph,
+    build_subgroup_graph,
+    conjugate_graph,
+    graph_index,
+    graphs_equal,
+)
 
 # caps for the semi-decidable searches
 WORD_SEARCH_LENGTH = 8  # generator letters per product in the membership search
@@ -152,6 +166,41 @@ class SubgroupSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class FreeSubgroup(SubgroupSpec):
+    """A finitely generated subgroup of a free group, as its folded graph.
+
+    ``double_coset_key`` is exact and has two closed forms.  A vertex ``x``
+    of the graph is the right coset ``H y`` of any word ``y`` read from the
+    basepoint to ``x``; ``g H`` is the vertex reached by reading ``g^-1``
+    whenever that word reads.
+
+    * Finite index (the graph carries every generator of the ambient free
+      group at every vertex): every word reads, and ``H g H`` corresponds
+      to the orbit of the vertex ``H g^-1`` under ``H`` reading words from
+      it: ``h g H`` is the vertex ``H g^-1 h^-1``.  Reading is a
+      permutation of the vertices for each listed generator, so the orbit
+      is what reading the listed generators from each reached vertex
+      reaches; the key is its least vertex.
+    * Infinite index: let ``p`` be the longest prefix of the reduced ``g``
+      readable from the basepoint, ending at ``u``, and ``s`` that of
+      ``g^-1``, ending at ``v``.  When they do not overlap, ``g = p w s^-1``
+      with a non-empty middle ``w``, and the key is ``(u, w, v)``.  Every
+      ``h g h'`` is ``(h p) w (h'^-1 s)^-1``, where ``h p`` reduces to the
+      label ``P`` of a reduced path from the basepoint to ``u`` and
+      ``h'^-1 s`` to such a label ``Q`` ending at ``v``; conversely every
+      such ``P w Q^-1`` is ``(P p^-1) g (s Q^-1)`` with both brackets loops
+      at the basepoint.  Nothing cancels in ``P w Q^-1``: the first letter
+      of ``w`` does not read from ``u``, so it is not the inverse of ``P``'s
+      last letter, which reads back from ``u``, and likewise at ``v``.  So
+      ``P`` and ``Q`` are again the longest readable prefixes, and every
+      element of ``H g H`` has the key ``(u, w, v)``; two elements with
+      this key differ by the loops ``P' p^-1`` and ``s Q'^-1``.
+
+    At infinite index the key is None for members of ``H`` and wherever the
+    two readings meet or overlap; those elements run their own decision.
+    A free group of unbounded rank (``gens`` None) always takes the second
+    form.
+    """
+
     graph: SubgroupGraph
 
     def member(self, g: GroupElement) -> Trit:
@@ -160,6 +209,40 @@ class FreeSubgroup(SubgroupSpec):
     def coset_key(self, g: GroupElement):
         # reading the inverse word from the basepoint is constant on cosets
         return self.graph.trace_partial(W.invert_word(g.payload))
+
+    def double_coset_key(self, g: GroupElement):
+        least = self._least_in_orbit
+        if least is not None:
+            return least[self.graph.trace(W.invert_word(g.payload))]
+        word = g.payload
+        u, rest = self.graph.trace_partial(word)
+        v, rest_inv = self.graph.trace_partial(W.invert_word(word))
+        start, end = len(word) - len(rest), len(rest_inv)
+        if start >= end:
+            return None
+        return (u, word[start:end], v)
+
+    @cached_property
+    def _least_in_orbit(self) -> Optional[list]:
+        """Vertex -> least vertex of its ``H``-orbit when ``H`` has finite
+        index, else None; built once per subgroup."""
+        graph, gens = self.graph, self.group.gens
+        if gens is None or graph_index(graph, gens)[0] != "finite":
+            return None
+        least: list = [None] * graph.num_vertices
+        for x in range(graph.num_vertices):
+            if least[x] is not None:
+                continue
+            # no smaller vertex is in x's orbit: each lies in an orbit found earlier
+            least[x] = x
+            orbit = [x]
+            for y in orbit:  # also visits vertices appended below
+                for s in self.generators:
+                    z = graph.trace(s.payload, start=y)
+                    if least[z] is None:
+                        least[z] = x
+                        orbit.append(z)
+        return least
 
     def normalizes(self, g: GroupElement) -> Trit:
         return Trit.from_bool(graphs_equal(conjugate_graph(self.graph, g.payload), self.graph))
@@ -319,14 +402,13 @@ def subgroup(group: GroupDescriptor, generators: Sequence[GroupElement],
         return TableSubgroup(group=group, generators=gens, label=label,
                              subset=_table_closure(group, gens))
     if isinstance(group, FpGroupDescriptor):
-        table = enumerate_cosets(
-            group.num_gens,
-            group.relators,
-            [g.payload for g in gens],
-            max_cosets=COSET_ENUMERATION_MAX,
-        )
-        if table.complete:
-            return CosetTableSubgroup(group=group, generators=gens, label=label, table=table)
+        words = [g.payload for g in gens]
+        # infinite index in the abelianization: no coset table can complete
+        if not group.abelian_index_is_infinite(words):
+            table = enumerate_cosets(group.num_gens, group.relators, words,
+                                     max_cosets=COSET_ENUMERATION_MAX)
+            if table.complete:
+                return CosetTableSubgroup(group=group, generators=gens, label=label, table=table)
     return SubgroupSpec(group=group, generators=gens, label=label)
 
 

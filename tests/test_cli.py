@@ -197,6 +197,20 @@ def test_document_bad_number_exits_2(tmp_path, capsys, change):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("command, doc", [
+    ("vn", {**json.loads(Path(SAMPLES, "diag_m2.json").read_text()), "seed": 10**400}),
+    ("group", {"family": "shift_extension", "generator_window": 10**400, "subgroup": "K0"}),
+], ids=["vn_seed", "group_generator_window"])
+def test_document_integer_beyond_float_range_exits_2(tmp_path, capsys, command, doc):
+    # math.isfinite overflows on such an int; it is an input error like inf
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli([command, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer" in err
+
 S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
             [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
 S3_DOC = {"family": "finite_table", "table": S3_TABLE, "subgroup_generators": ["x1"]}

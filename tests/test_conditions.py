@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qnbench import orbits
 from qnbench.conditions import (
     DiagnosisConfig,
     _c1_search,
@@ -329,6 +330,29 @@ def test_normalizer_finite_table():
 
 
 # -- diagnosis --------------------------------------------------------------------
+
+
+# the free jobs of the benchmark's group-exact workload: (rank, words, radius)
+FREE_JOBS = [(2, ["a"], 5), (2, ["a^2", "b", "a b a^-1"], 4)] + [
+    (rank, words, radius) for (rank, words), radius in zip(FREE_TEMPLATES, (5, 4, 5, 3, 3))]
+
+
+@pytest.mark.parametrize("rank, words, radius", FREE_JOBS,
+                         ids=[" ".join(words) for _, words, _ in FREE_JOBS])
+def test_free_double_coset_keys_leave_the_report_unchanged(monkeypatch, rank, words, radius):
+    # mates of one H g H take the cached verdict; the report must equal the
+    # one where every element runs its own decision
+    group, spec = free_template(rank, words)
+    config = DiagnosisConfig(radius=radius)
+    decisions = []
+    original = orbits.free_qn1_decide
+    monkeypatch.setattr(orbits, "free_qn1_decide",
+                        lambda graph, word: decisions.append(word) or original(graph, word))
+    shared = diagnose_inclusion(group, spec, config).to_dict()
+    with_keys = len(decisions)
+    monkeypatch.setattr(FreeSubgroup, "double_coset_key", lambda self, g: None)
+    assert diagnose_inclusion(group, spec, config).to_dict() == shared
+    assert with_keys < len(decisions) - with_keys
 
 
 def test_diagnose_free_group_singular_masa_evidence():

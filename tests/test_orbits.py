@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -327,6 +329,20 @@ def test_tampered_certificate_fails_replay():
     with pytest.raises(CertificateError):
         replay_certificate(bad)
 
+
+
+def test_tampered_transition_fails_replay_with_its_message():
+    # S3 on three points: the stabilizer of 0 meets b's coset orbit in two cosets
+    F = FreeGroupDescriptor.of_rank(2)
+    H = subgroup(F, [F.element(w) for w in stabilizer_generators([(1, 0, 2), (1, 2, 0)])])
+    cert = qn1_membership(H, F.element(generator(1)), budget=10).certificate
+    assert cert.cover_size == 2
+    row = cert.transitions[0]
+    bad = replace(cert, transitions=(row[1:] + row[:1],) + cert.transitions[1:])
+    name = F.format_element(H.generators[0])
+    with pytest.raises(CertificateError,
+                       match=rf"transition {re.escape(name)} on cover 0 does not land in cover"):
+        replay_certificate(bad)
 
 def test_translated_certificate_replays_for_double_coset_mates():
     S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])

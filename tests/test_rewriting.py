@@ -1,6 +1,7 @@
 import itertools
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +11,7 @@ from qnbench.rewriting import (
     RewritingSystem,
     abelianized,
     lattice_member,
+    lattice_pivots,
     relator_insertion_search,
     shortlex_key,
 )
@@ -246,3 +248,14 @@ def test_lattice_member_matches_brute_force(gens, target):
         for coeffs in itertools.product(window, repeat=len(gens))
     )
     assert claimed == found
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)), max_size=4))
+def test_lattice_pivots_count_the_rank(gens):
+    pivots = lattice_pivots(gens, 3)
+    assert len(pivots) == (np.linalg.matrix_rank(np.array(gens).T) if gens else 0)
+    rows = [row for row, _ in pivots]
+    assert rows == sorted(set(rows))
+    for row, column in pivots:
+        assert column[row] > 0 and not any(column[:row])

@@ -1,6 +1,10 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from qnbench import subgroups
 from qnbench.errors import GroupValidationError
+from qnbench.files import load_group_inclusion
 from qnbench.groups import (
     DirectProductDescriptor,
     FiniteTableGroup,
@@ -18,6 +22,7 @@ from qnbench.subgroups import (
     SubgroupSpec,
     coset_equal,
     coset_key,
+    double_coset_key,
     is_subgroup_member,
     product_subgroup,
     shift_tail_subgroup,
@@ -25,7 +30,10 @@ from qnbench.subgroups import (
     subgroup_ball,
     trivial_subgroup,
 )
-from qnbench.words import concat, generator
+from qnbench.orbits import orbit_bfs
+from qnbench.stallings import graph_index
+from qnbench.words import concat, generator, invert_word
+from test_stallings import free_cases, letters_of, stabilizer_cases, stabilizer_generators
 
 F2 = FreeGroupDescriptor.of_rank(2)
 A_WORD = generator(0)
@@ -217,3 +225,130 @@ def test_subgroup_ball_sorted_and_closed():
     assert len(ball) == 7  # a^-3 .. a^3
     keys = [F2.sort_key(e) for e in ball]
     assert keys == sorted(keys)
+
+
+def test_fp_enumeration_skipped_at_infinite_abelian_index(monkeypatch):
+    # <a> in Z^2 has infinite index already in the abelianization, so no
+    # coset table can complete; the dihedral subgroups have finite index
+    calls = []
+    original = subgroups.enumerate_cosets
+    monkeypatch.setattr(subgroups, "enumerate_cosets",
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    doc = load_group_inclusion("sample_inputs/lattice_rank_two.json")
+    assert type(doc.subgroup) is SubgroupSpec and calls == []
+    D = infinite_dihedral()
+    a, r = D.generators()
+    for gens in ([a], [multiply(multiply(a, a), a), r]):
+        assert type(subgroup(D, gens)) is CosetTableSubgroup
+    assert len(calls) == 2
+
+
+# -- double coset keys of free subgroups ------------------------------------------
+
+
+def free_spec(rank, gens):
+    group = FreeGroupDescriptor.of_rank(rank)
+    return subgroup(group, [group.element(w) for w in gens])
+
+
+def product_of(spec, picks):
+    """The product of subgroup generators or their inverses, one per pick."""
+    moves = spec.generator_moves()
+    word = ()
+    for pick in picks:
+        word = concat(word, moves[pick % len(moves)].payload)
+    return spec.group.element(word)
+
+
+def split_readings(spec, g):
+    """``(p, s^-1)``: the longest prefixes of ``g`` and ``g^-1`` that read
+    from the basepoint, the second one inverted so that ``g = p w s^-1``."""
+    word = g.payload
+    _, rest = spec.graph.trace_partial(word)
+    _, rest_inv = spec.graph.trace_partial(invert_word(word))
+    return word[:len(word) - len(rest)], word[len(rest_inv):]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stabilizer_cases(), st.lists(letters_of(2), max_size=10).map(tuple))
+def test_finite_index_keys_are_coset_orbits(case, other):
+    # finite index: equal keys exactly when g' H lies in the orbit of g H
+    gens, word = case
+    rank = 1 + max([gen for w in gens for gen, _ in w] + [1])
+    spec = free_spec(rank, gens)
+    group = spec.group
+    g, g2 = group.element(word), group.element(other)
+    index = spec.graph.num_vertices
+    orbit = orbit_bfs(spec, g, index)
+    assert orbit.closed
+    in_orbit = coset_key(spec, g2) in {coset_key(spec, c) for c in orbit.representatives}
+    key = double_coset_key(spec, g)
+    assert isinstance(key, int)
+    assert (key == double_coset_key(spec, g2)) == in_orbit
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_cases(), st.lists(st.integers(0, 11), max_size=5),
+       st.lists(st.integers(0, 11), max_size=5), st.lists(letters_of(2), max_size=10).map(tuple))
+def test_infinite_index_keys_are_exact(case, left, right, other):
+    gens, word = case
+    rank = 1 + max([gen for w in gens for gen, _ in w] + [gen for gen, _ in word] + [1])
+    spec = free_spec(rank, gens)
+    group = spec.group
+    g = group.element(word)
+    key = double_coset_key(spec, g)
+    if graph_index(spec.graph, group.gens)[0] == "finite":
+        return  # tested above
+    if is_subgroup_member(spec, g) is Trit.YES:
+        assert key is None
+        return
+    # completeness: h g h' keeps the key
+    mate = multiply(multiply(product_of(spec, left), g), product_of(spec, right))
+    assert double_coset_key(spec, mate) == key
+    # soundness: equal keys give the proof's h, h' in H with h g h' = g'
+    for g2 in (mate, group.element(other)):
+        if key is None or double_coset_key(spec, g2) != key:
+            continue
+        (p, s_inv), (p2, s2_inv) = split_readings(spec, g), split_readings(spec, g2)
+        h = group.element(concat(p2, invert_word(p)))
+        h2 = group.element(concat(invert_word(s_inv), s2_inv))
+        assert is_subgroup_member(spec, h) is Trit.YES
+        assert is_subgroup_member(spec, h2) is Trit.YES
+        assert multiply(multiply(h, g), h2) == g2
+
+
+def test_cyclic_subgroup_keys_take_the_infinite_index_form():
+    # <a> carries an a-edge at its one vertex, every edge for its own label,
+    # but no b-edge, so it has infinite index in F2
+    H = cyclic_a()
+    assert graph_index(H.graph, [0]) == ("finite", 1)
+    b = F2.element(B_WORD)
+    assert double_coset_key(H, b) == (0, B_WORD, 0)
+    for k, m in [(1, 0), (0, -2), (3, 5)]:
+        assert double_coset_key(H, F2.word((0, k), (1, 1), (0, m))) == (0, B_WORD, 0)
+    assert double_coset_key(H, F2.word((1, 1), (0, 1), (1, -1))) == (
+        0, concat(B_WORD, A_WORD, generator(1, -1)), 0)
+    assert double_coset_key(H, F2.word((0, 3))) is None
+    assert double_coset_key(H, F2.identity()) is None
+
+
+def test_free_keys_are_none_for_overlapping_readings():
+    # <a^2, b>: a reads from the basepoint, and so does a^-1, so the two
+    # readings of a overlap though a lies outside the subgroup
+    H = subgroup(F2, [F2.word((0, 2)), F2.element(B_WORD)])
+    a = F2.element(A_WORD)
+    assert is_subgroup_member(H, a) is Trit.NO
+    assert double_coset_key(H, a) is None
+    # a b a^-1: the middle b does not read at the end of a
+    assert double_coset_key(H, F2.word((0, 1), (1, 1), (0, -1))) == (1, B_WORD, 1)
+
+
+def test_finite_index_keys_of_a_non_normal_subgroup():
+    # the stabilizer of 0 under S3 on three points: index 3, two double cosets
+    gens = stabilizer_generators([(1, 0, 2), (1, 2, 0)])
+    H = free_spec(2, gens)
+    assert H.graph.num_vertices == 3
+    a, b = F2.element(A_WORD), F2.element(B_WORD)
+    keys = {double_coset_key(H, g) for g in (F2.identity(), a, b, multiply(a, b))}
+    assert len(keys) == 2
+    assert double_coset_key(H, F2.identity()) == 0
