@@ -24,10 +24,8 @@ from .conditions import (
     InclusionReport,
     check_c1,
     check_c2,
-    check_c3,
     diagnose_inclusion,
     normality_test,
-    normalizer_test,
 )
 from .corners import cutdown, cutdown_comparison, tensor_module_check
 from .expectations import (
@@ -49,12 +47,10 @@ from .groups import (
     Trit,
     elements_equal,
     enumerate_ball,
-    free_abelian_of_rank_two,
     identity,
     infinite_dihedral,
     invert,
     multiply,
-    normalize,
 )
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
 from .orbits import (
@@ -70,7 +66,6 @@ from .stallings import (
     conjugate_graph,
     free_qn1_decide,
     graph_index,
-    graph_intersect,
 )
 from .subgroups import (
     SubgroupSpec,

@@ -32,7 +32,6 @@ from .orbits import MembershipVerdict, h1_status, qn1_membership
 from .subgroups import (
     INFINITE,
     SubgroupSpec,
-    double_coset_key,
     is_subgroup_member,
     subgroup_ball,
 )
@@ -211,22 +210,6 @@ class C3Result:
         return self.kind == "counterexample" or not self.unknowns
 
 
-def check_c3(group: GroupDescriptor, spec: SubgroupSpec, ball_radius: int = 3,
-             budget: int = 1000) -> C3Result:
-    """Scan the ambient ball for a certified one-sided quasi-normalizer
-    outside the subgroup.
-
-    Returns the first counterexample in canonical order with its
-    certificate.  The no-counterexample answer lists every element whose
-    verdict stayed Unknown and is inconclusive whenever that list is
-    nonempty.
-    """
-    ball = enumerate_ball(group, ball_radius)
-    memberships = {g: is_subgroup_member(spec, g) for g in ball}
-    verdicts = {g: _qn1_or_none(spec, g, budget) for g in ball if memberships[g] is Trit.NO}
-    return _c3_from_verdicts(ball, memberships, verdicts)
-
-
 def _qn1_or_none(spec: SubgroupSpec, g: GroupElement, budget: int) -> Optional[MembershipVerdict]:
     """The membership verdict, or None when a coset comparison is undecided."""
     try:
@@ -258,15 +241,11 @@ def _c3_from_verdicts(ball, memberships, verdicts) -> C3Result:
 # -- normalizer ---------------------------------------------------------------
 
 
-def normalizer_test(spec: SubgroupSpec, g: GroupElement) -> Trit:
-    """Whether ``g H g^-1 = H``; exact wherever a backend permits."""
-    spec.group.check_same(g)
-    return spec.normalizes(g)
-
-
 def normality_test(group: GroupDescriptor, spec: SubgroupSpec) -> Trit:
     """Whether the subgroup is normal: every ambient generator normalizes."""
-    return Trit.conjunction([normalizer_test(spec, g) for g in group.generators()])
+    gens = group.generators()
+    spec.group.check_same(*gens)
+    return Trit.conjunction([spec.normalizes(g) for g in gens])
 
 
 # -- diagnosis ------------------------------------------------------------------
@@ -444,7 +423,7 @@ def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
     shared: dict = {}
     for g in ball:
         memberships[g] = is_subgroup_member(spec, g)
-        key = double_coset_key(spec, g)
+        key = spec.double_coset_key(g)
         if key is not None and key in shared:
             verdicts[g] = _shared_verdict(spec, g, shared[key], config.budget)
             continue

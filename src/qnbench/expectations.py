@@ -80,12 +80,6 @@ class SubalgebraHandle:
         vec = self.ambient.to_vector(x)
         return float(np.linalg.norm(vec - self.project_vector(vec))) <= tol * max(1.0, x.norm2())
 
-    def closure_defect(self) -> float:
-        """Largest residual of adjoints and products of the basis falling back into the span."""
-        vecs = _adjoints_and_products(self.ambient, self.coordinates)
-        return float(np.max(np.linalg.norm(vecs - self.project_vector(vecs), axis=0)))
-
-
 def _adjoints_and_products(ambient: MultiMatrixAlgebra, coords: np.ndarray) -> np.ndarray:
     """Coordinate columns of ``x*`` and then ``x y`` for every ``y``, per basis
     element ``x`` of the coordinates: one broadcast ``matmul`` per block."""

@@ -17,9 +17,9 @@ Group inclusion documents (JSON, one object per inclusion)::
       "left": {...}, "right": {...}        # direct_product factors
     }
 
-Words are space-separated tokens ``name`` or ``name^k``; shift extensions
-use base generator names ``g<i>`` (``g0``, ``g-1``, ...) and the stable
-letter ``t``.  Unknown fields are rejected.
+Words are space-separated tokens ``name`` or ``name^k`` with ``|k|`` at most
+``MAX_POWER``; shift extensions use base generator names ``g<i>`` (``g0``,
+``g-1``, ...) and the stable letter ``t``.  Unknown fields are rejected.
 
 Matrix inclusion documents::
 
@@ -59,6 +59,7 @@ from .subgroups import SubgroupSpec, product_subgroup, shift_tail_subgroup, subg
 from .tolerances import Tolerances
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_\-]*?)(?:\^(-?\d+))?$")
+MAX_POWER = 10_000  # largest |k| of a word token name^k
 
 
 @dataclass
@@ -128,13 +129,26 @@ def _strings(values, context: str, what: str) -> list:
     return values
 
 
-def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:
-    letters: list = []
+def _tokens(text: str, context: str):
+    """``(name, power)`` for each token ``name`` or ``name^k`` of a word.
+
+    A power beyond ``MAX_POWER`` in size is an input error, raised before
+    any letters are built; its digits are counted first, so a huge power is
+    never converted.
+    """
     for token in text.split():
         match = _TOKEN.match(token)
         if not match:
             raise InputFormatError(f"{context}: bad token {token!r}")
-        name, power = match.group(1), int(match.group(2) or 1)
+        name, digits = match.group(1), match.group(2) or "1"
+        if len(digits.lstrip("-0")) > len(str(MAX_POWER)) or abs(int(digits)) > MAX_POWER:
+            raise InputFormatError(f"{context}: power of {name!r} exceeds {MAX_POWER} in size")
+        yield name, int(digits)
+
+
+def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:
+    letters: list = []
+    for name, power in _tokens(text, context):
         if name not in name_to_id:
             raise InputFormatError(f"{context}: unknown generator {name!r}")
         letters.extend(W.generator(name_to_id[name], power))
@@ -143,11 +157,7 @@ def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:
 
 def _parse_shift_word(text: str, group: ShiftExtensionDescriptor, context: str):
     element = group.identity()
-    for token in text.split():
-        match = _TOKEN.match(token)
-        if not match:
-            raise InputFormatError(f"{context}: bad token {token!r}")
-        name, power = match.group(1), int(match.group(2) or 1)
+    for name, power in _tokens(text, context):
         if name == "t":
             step = group.stable_letter(power)
         elif name.startswith("g"):

@@ -182,38 +182,6 @@ class FiniteTableGroup(GroupDescriptor):
             raise GroupValidationError(
                 "table is not associative at ({},{},{})".format(*min(failures)))
 
-    @staticmethod
-    def cyclic(n: int) -> "FiniteTableGroup":
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        names = ["e"] + [f"c{i}" for i in range(1, n)]
-        return FiniteTableGroup(table, names, generator_indices=[1] if n > 1 else [])
-
-    @staticmethod
-    def from_permutations(perms: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None
-                          ) -> "FiniteTableGroup":
-        """Closure of the given permutations (tuples acting on 0..d-1)."""
-        degree = len(perms[0])
-        ident = tuple(range(degree))
-        elements = [ident]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            current = frontier.pop(0)
-            for p in perms:
-                nxt = tuple(current[p[i]] for i in range(degree))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    elements.append(nxt)
-                    frontier.append(nxt)
-        elements.sort()
-        index = {p: i for i, p in enumerate(elements)}
-        table = [
-            [index[tuple(p[q[i]] for i in range(degree))] for q in elements]
-            for p in elements
-        ]
-        gen_idx = [index[tuple(p)] for p in perms]
-        return FiniteTableGroup(table, names, generator_indices=gen_idx)
-
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_index)
 
@@ -232,9 +200,6 @@ class FiniteTableGroup(GroupDescriptor):
 
     def generators(self):
         return [GroupElement(self, i) for i in self.generator_indices]
-
-    def all_elements(self):
-        return [GroupElement(self, i) for i in range(self.order)]
 
     def sort_key(self, e):
         return (e.payload,)
@@ -418,18 +383,6 @@ def infinite_dihedral() -> FpGroupDescriptor:
     return FpGroupDescriptor(2, relators, names=("a", "r"), rewriting_rules=rules)
 
 
-def free_abelian_of_rank_two() -> FpGroupDescriptor:
-    a, ai, b, bi = (0, 1), (0, -1), (1, 1), (1, -1)
-    relators = [(a, b, ai, bi)]
-    rules = [
-        ((b, a), (a, b)),
-        ((b, ai), (ai, b)),
-        ((bi, a), (a, bi)),
-        ((bi, ai), (ai, bi)),
-    ]
-    return FpGroupDescriptor(2, relators, names=("a", "b"), rewriting_rules=rules)
-
-
 # -- shift extensions ----------------------------------------------------------
 
 
@@ -459,9 +412,6 @@ class ShiftExtensionDescriptor(GroupDescriptor):
             raise DescriptorMismatchError("shift exponent must be an integer")
         return (W.reduce_word(word), shift)
 
-    def from_word(self, word: W.Word, shift: int = 0) -> GroupElement:
-        return self.element((word, shift))
-
     def base_generator(self, index: int, exp: int = 1) -> GroupElement:
         return self.element((W.generator(index, exp), 0))
 
@@ -478,12 +428,6 @@ class ShiftExtensionDescriptor(GroupDescriptor):
         self.check_same(a)
         wa, na = a.payload
         return GroupElement(self, (W.shift_word(W.invert_word(wa), -na), -na))
-
-    def apply_shift(self, e: GroupElement, power: int = 1) -> GroupElement:
-        """The defining automorphism (conjugation by the stable letter)."""
-        self.check_same(e)
-        word, shift = e.payload
-        return GroupElement(self, (W.shift_word(word, power), shift))
 
     def generators(self):
         gens = [self.base_generator(i) for i in range(-self.window, self.window + 1)]
@@ -564,11 +508,6 @@ class DirectProductDescriptor(GroupDescriptor):
 
 
 # -- module-level operations ----------------------------------------------------
-
-
-def normalize(e: GroupElement) -> GroupElement:
-    """Canonical form; a no-op because elements are stored normalized."""
-    return e.group.element(e.payload)
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -236,10 +236,6 @@ class AlgebraElement:
         return f"<element of M[{dims}], |.|_2 = {self.norm2():.4g}>"
 
 
-def tau(x: AlgebraElement) -> complex:
-    return x.trace()
-
-
 def spectral_calculus(x: AlgebraElement, func, cutoff: float = 0.0) -> AlgebraElement:
     """Apply a real function to a self-adjoint element blockwise.
 

@@ -56,7 +56,6 @@ class CosetOrbit:
 class MembershipVerdict:
     status: str
     certificate: Optional[QnCertificate] = None
-    inverse_certificate: Optional[QnCertificate] = None
     reason: Optional[str] = None
     budget: Optional[int] = None
     orbit_explored: Optional[int] = None

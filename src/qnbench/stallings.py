@@ -125,16 +125,6 @@ class SubgroupGraph:
         _, loose = self.spanning_tree()
         return {edge: i for i, edge in enumerate(loose)}
 
-    def to_dot(self, name=None) -> str:
-        """Graph in DOT format for external viewers."""
-        if name is None:
-            name = str
-        lines = ["digraph subgroup {", '  rankdir=LR;', f'  {self.basepoint} [shape=doublecircle];']
-        for u, gen, v in self.edges():
-            lines.append(f'  {u} -> {v} [label="{name(gen)}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 # -- construction ----------------------------------------------------------
 
@@ -257,20 +247,13 @@ def graph_index(graph: SubgroupGraph, alphabet: Sequence[int]):
     return ("finite", graph.num_vertices)
 
 
-def graph_intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
-    """Based pullback: graph of the intersection of the two subgroups."""
-    return _trim_and_canonicalize(_pullback(g1, g2), 0)
+def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, letters: dict) -> list[Word]:
+    """Free generators of the intersection of two subgroups, in ``g1``'s basis.
 
-
-def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, letters: Optional[dict] = None) -> list:
-    """One BFS over the based pullback of two folded graphs.
-
-    Without ``letters``, returns every pullback edge once as ``(u, gen, v)``
-    on BFS ids, the pair of basepoints being 0.  With ``letters =
-    g1.basis_letters``, returns instead one free generator of the
-    intersection per non-tree edge, written in ``g1``'s basis.
+    One BFS over the based pullback of the two folded graphs; ``letters`` is
+    ``g1.basis_letters``.  Each non-tree edge of the pullback yields one
+    generator (see the module docstring).
     """
-    rewrite = letters is not None
     labels = sorted(g1.labels() & g2.labels())
     start = (g1.basepoint, g2.basepoint)
     ids = {start: 0}
@@ -279,35 +262,26 @@ def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, letters: Optional[dict] = No
     # label of the backward tree edge a pair was reached by: that edge is the
     # pair's own forward edge with this label, which must not count twice
     reached_backwards: list[Optional[int]] = [None]
-    found: list = []
+    found: list[Word] = []
     for i, (u1, u2) in enumerate(pairs):  # also visits pairs appended below
         for gen in labels:
             w1, w2 = g1.out.get((u1, gen)), g2.out.get((u2, gen))
             if w1 is not None and w2 is not None:
+                step = _crossing(letters, (u1, gen, w1), 1)
                 j = ids.get((w1, w2))
                 if j is None:
-                    j = ids[(w1, w2)] = len(pairs)
+                    ids[(w1, w2)] = len(pairs)
                     pairs.append((w1, w2))
                     reached_backwards.append(None)
-                    if rewrite:
-                        crossed.append(concat(crossed[i], _crossing(letters, (u1, gen, w1), 1)))
-                    else:
-                        found.append((i, gen, j))
+                    crossed.append(concat(crossed[i], step))
                 elif reached_backwards[i] != gen:
-                    if rewrite:
-                        step = _crossing(letters, (u1, gen, w1), 1)
-                        found.append(concat(crossed[i], step, invert_word(crossed[j])))
-                    else:
-                        found.append((i, gen, j))
+                    found.append(concat(crossed[i], step, invert_word(crossed[j])))
             w1, w2 = g1.inn.get((u1, gen)), g2.inn.get((u2, gen))
             if w1 is not None and w2 is not None and (w1, w2) not in ids:
-                j = ids[(w1, w2)] = len(pairs)
+                ids[(w1, w2)] = len(pairs)
                 pairs.append((w1, w2))
                 reached_backwards.append(gen)
-                if rewrite:
-                    crossed.append(concat(crossed[i], _crossing(letters, (w1, gen, u1), -1)))
-                else:
-                    found.append((j, gen, i))
+                crossed.append(concat(crossed[i], _crossing(letters, (w1, gen, u1), -1)))
     return found
 
 

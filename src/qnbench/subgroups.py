@@ -15,8 +15,9 @@ Unknown.  Each subclass answers membership exactly:
 * ``ProductSubgroup`` -- a pair of component specs in a direct product.
 
 Every class answers ``member``, ``coset_key``, ``double_coset_key``,
-``normalizes`` and ``conjugacy_class``; the module functions of the first
-four names are the call path, and ``conditions.check_c1`` calls the last.
+``normalizes`` and ``conjugacy_class``; ``is_subgroup_member`` and
+``coset_key`` are the module call path of the first two, and ``conditions``
+calls the other three on the spec.
 
 ``double_coset_key`` has a closed form for table, shift-tail and free
 subgroups, so elements of one ``H g H`` share one decision.  A free
@@ -445,15 +446,6 @@ def product_subgroup(group: DirectProductDescriptor, left: SubgroupSpec, right: 
     )
 
 
-def trivial_subgroup(group: GroupDescriptor, label: str = "1") -> SubgroupSpec:
-    if isinstance(group, FreeGroupDescriptor):
-        return subgroup(group, [], label=label)
-    if isinstance(group, FiniteTableGroup):
-        return TableSubgroup(group=group, generators=(), label=label,
-                             subset=frozenset({group.identity_index}))
-    return SubgroupSpec(group=group, generators=(), label=label)
-
-
 def _table_closure(group: FiniteTableGroup, gens: Sequence[GroupElement]) -> frozenset:
     seen = {group.identity_index}
     frontier = [group.identity_index]
@@ -502,15 +494,6 @@ def coset_key(spec: SubgroupSpec, g: GroupElement):
     in the same left coset.
     """
     return spec.coset_key(g)
-
-
-def double_coset_key(spec: SubgroupSpec, g: GroupElement):
-    """Canonical key of ``H g H`` where a closed form exists, else None.
-
-    Elements in one double coset have the same coset orbit, so verdicts and
-    orbit sizes may be shared across them.
-    """
-    return spec.double_coset_key(g)
 
 
 def subgroup_ball(spec: SubgroupSpec, radius: int) -> list[GroupElement]:

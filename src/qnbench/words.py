@@ -56,13 +56,6 @@ def generator(gen: int, exp: int = 1) -> Word:
     return tuple((gen, sign) for _ in range(abs(exp)))
 
 
-def is_reduced(word: Word) -> bool:
-    return all(
-        not (word[i][0] == word[i + 1][0] and word[i][1] == -word[i + 1][1])
-        for i in range(len(word) - 1)
-    )
-
-
 def letter_key(letter: Letter) -> tuple[int, int]:
     # positive exponent sorts before negative for the same generator
     gen, exp = letter

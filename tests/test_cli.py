@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,23 @@ def test_document_integer_beyond_float_range_exits_2(tmp_path, capsys, command, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "free", "generators": ["a", "b"], "subgroup_generators": ["a^100000000000"]},
+    {"family": "shift_extension", "generator_window": 1, "subgroup_generators": ["g0^100000000000"]},
+    {"family": "free", "generators": ["a"], "subgroup_generators": ["a^" + "9" * 5000]},
+], ids=["free", "shift_extension", "beyond_int_conversion"])
+def test_word_power_beyond_the_cap_exits_2_at_once(tmp_path, capsys, doc):
+    # a power token used to be expanded letter by letter, so the first two
+    # never finished; 5000 digits exceed the interpreter's int conversion
+    # limit, which raised ValueError out of main
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _ = run_cli(["group", str(path)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "exceeds 10000 in size" in capsys.readouterr().err
 
 S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
             [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]

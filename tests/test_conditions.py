@@ -8,23 +8,19 @@ from qnbench.conditions import (
     _c1_search,
     check_c1,
     check_c2,
-    check_c3,
     diagnose_inclusion,
     normality_test,
-    normalizer_test,
     verify_abelian,
 )
 from qnbench.errors import GroupValidationError, IndeterminateResultError
 from qnbench.files import parse_group_inclusion
 from qnbench.groups import (
     DirectProductDescriptor,
-    FiniteTableGroup,
     FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     Trit,
     enumerate_ball,
-    free_abelian_of_rank_two,
     identity,
     infinite_dihedral,
     invert,
@@ -39,6 +35,7 @@ from qnbench.subgroups import (
     subgroup,
 )
 from qnbench.words import concat, generator
+from test_groups import all_elements, free_abelian_of_rank_two, from_permutations
 
 F2 = FreeGroupDescriptor.of_rank(2)
 A = F2.element(generator(0))
@@ -113,13 +110,13 @@ def free_template(rank, words):
 
 def symmetric_group(degree):
     cycle = tuple(range(1, degree)) + (0,)
-    return FiniteTableGroup.from_permutations([(1, 0) + tuple(range(2, degree)), cycle])
+    return from_permutations([(1, 0) + tuple(range(2, degree)), cycle])
 
 
 def small_table_subgroups(group):
     """Every subgroup generated by one or two elements, once each."""
     specs = {}
-    for x, y in itertools.combinations_with_replacement(group.all_elements(), 2):
+    for x, y in itertools.combinations_with_replacement(all_elements(group), 2):
         spec = subgroup(group, [x, y])
         specs.setdefault(spec.subset, spec)
     return list(specs.values())
@@ -149,7 +146,7 @@ def test_c1_closed_form_matches_search_on_symmetric_groups(degree):
     assert len(specs) == {3: 6, 4: 30}[degree]
     for spec in specs:
         if len(spec.subset) < group.order:
-            assert_closed_form_matches_search(group, spec, group.all_elements())
+            assert_closed_form_matches_search(group, spec, all_elements(group))
 
 
 def test_c1_closed_form_matches_search_on_products():
@@ -168,8 +165,8 @@ def test_c1_closed_form_matches_search_on_products():
 
 
 def group_pairs(group):
-    return [group.pair(x, y) for x in group.left.all_elements()
-            for y in group.right.all_elements()]
+    return [group.pair(x, y) for x in all_elements(group.left)
+            for y in all_elements(group.right)]
 
 
 def test_c1_shift_tail_product_counterexample_to_the_search():
@@ -262,7 +259,7 @@ def test_c2_rejects_member_inputs():
 
 
 def test_c3_free_group_no_counterexample():
-    result = check_c3(F2, cyclic_a(), ball_radius=3, budget=200)
+    result = diagnose_inclusion(F2, cyclic_a(), DiagnosisConfig(radius=3, budget=200)).c3
     assert result.kind == "no_counterexample"
     assert result.unknowns == ()
     assert result.exact
@@ -271,7 +268,7 @@ def test_c3_free_group_no_counterexample():
 def test_c3_shift_extension_finds_stable_letter_inverse():
     G = ShiftExtensionDescriptor(window=1)
     K0 = shift_tail_subgroup(G, 0)
-    result = check_c3(G, K0, ball_radius=1, budget=64)
+    result = diagnose_inclusion(G, K0, DiagnosisConfig(radius=1, budget=64)).c3
     assert result.kind == "counterexample"
     assert result.counterexample == G.stable_letter(-1)
     assert result.certificate.cover_size == 1
@@ -281,7 +278,7 @@ def test_c3_infinite_dihedral_counterexample():
     D = infinite_dihedral()
     a, r = D.generators()
     H = subgroup(D, [a])
-    result = check_c3(D, H, ball_radius=2, budget=50)
+    result = diagnose_inclusion(D, H, DiagnosisConfig(radius=2, budget=50)).c3
     assert result.kind == "counterexample"
     assert result.counterexample == r
     assert result.certificate.cover_size == 1
@@ -292,29 +289,29 @@ def test_c3_infinite_dihedral_counterexample():
 
 def test_normalizer_free_group():
     H = cyclic_a()
-    assert normalizer_test(H, B) is Trit.NO
-    assert normalizer_test(H, multiply(A, A)) is Trit.YES
+    assert H.normalizes(B) is Trit.NO
+    assert H.normalizes(multiply(A, A)) is Trit.YES
 
 
 def test_normalizer_infinite_dihedral_reflection():
     D = infinite_dihedral()
     a, r = D.generators()
     H = subgroup(D, [a])
-    assert normalizer_test(H, r) is Trit.YES
+    assert H.normalizes(r) is Trit.YES
     assert normality_test(D, H) is Trit.YES
 
 
 def test_normalizer_membership_trivial():
     H = cyclic_a()
-    assert normalizer_test(H, multiply(A, invert(A))) is Trit.YES
+    assert H.normalizes(multiply(A, invert(A))) is Trit.YES
 
 
 def test_normalizer_shift_tail():
     G = ShiftExtensionDescriptor(window=1)
     K0 = shift_tail_subgroup(G, 0)
-    assert normalizer_test(K0, G.base_generator(1)) is Trit.YES
-    assert normalizer_test(K0, G.stable_letter()) is Trit.NO
-    assert normalizer_test(K0, G.base_generator(-1)) is Trit.NO
+    assert K0.normalizes(G.base_generator(1)) is Trit.YES
+    assert K0.normalizes(G.stable_letter()) is Trit.NO
+    assert K0.normalizes(G.base_generator(-1)) is Trit.NO
     assert normality_test(G, K0) is Trit.NO
 
 
@@ -322,11 +319,11 @@ def test_normalizer_finite_table():
     # S3: transpositions do not normalize a 2-element subgroup they avoid
     s = (1, 0, 2)
     t = (0, 2, 1)
-    G = FiniteTableGroup.from_permutations([s, t], )
+    G = from_permutations([s, t])
     gens = G.generators()
     H = subgroup(G, [gens[0]])
-    assert normalizer_test(H, gens[0]) is Trit.YES
-    assert normalizer_test(H, gens[1]) is Trit.NO
+    assert H.normalizes(gens[0]) is Trit.YES
+    assert H.normalizes(gens[1]) is Trit.NO
 
 
 # -- diagnosis --------------------------------------------------------------------

@@ -49,6 +49,18 @@ def test_word_parsing_powers():
     assert word == ((0, 1), (0, 1), (1, -1))
 
 
+def test_word_powers_up_to_the_cap():
+    def free(token):
+        return {"family": "free", "generators": ["a"], "subgroup_generators": [token]}
+
+    for token, size in (("a^-10000", 10000), ("a^0000000000007", 7)):
+        assert len(parse_group_inclusion(free(token)).subgroup.generators[0].payload) == size
+    shift = {"family": "shift_extension", "generator_window": 1, "subgroup_generators": ["t^10001"]}
+    for doc in (free("a^10001"), shift):
+        with pytest.raises(InputFormatError, match="exceeds 10000 in size"):
+            parse_group_inclusion(doc)
+
+
 def test_direct_product_document():
     doc = parse_group_inclusion(
         {

@@ -15,16 +15,68 @@ from qnbench.groups import (
     Trit,
     elements_equal,
     enumerate_ball,
-    free_abelian_of_rank_two,
     identity,
     infinite_dihedral,
     invert,
     multiply,
-    normalize,
 )
-from qnbench.words import concat, generator, invert_word, reduce_word
+from qnbench.words import concat, generator, invert_word, reduce_word, shift_word
 
 F2 = FreeGroupDescriptor.of_rank(2)
+
+
+# -- fixtures shared with the other test modules -------------------------------
+
+
+def cyclic(n):
+    """The cyclic group of order ``n`` as a table, generated by ``c1``."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    names = ["e"] + [f"c{i}" for i in range(1, n)]
+    return FiniteTableGroup(table, names, generator_indices=[1] if n > 1 else [])
+
+
+def from_permutations(perms):
+    """Table group of the closure of the given permutations (tuples acting on
+    0..d-1), its elements sorted, generated by the given permutations."""
+    degree = len(perms[0])
+    ident = tuple(range(degree))
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        current = frontier.pop(0)
+        for p in perms:
+            nxt = tuple(current[p[i]] for i in range(degree))
+            if nxt not in seen:
+                seen.add(nxt)
+                elements.append(nxt)
+                frontier.append(nxt)
+    elements.sort()
+    index = {p: i for i, p in enumerate(elements)}
+    table = [
+        [index[tuple(p[q[i]] for i in range(degree))] for q in elements]
+        for p in elements
+    ]
+    gen_idx = [index[tuple(p)] for p in perms]
+    return FiniteTableGroup(table, generator_indices=gen_idx)
+
+
+def all_elements(group):
+    """Every element of a table group, in index order."""
+    return [group.element(i) for i in range(group.order)]
+
+
+def free_abelian_of_rank_two():
+    """``<a, b | a b a^-1 b^-1>`` with a verified normal-form system."""
+    a, ai, b, bi = (0, 1), (0, -1), (1, 1), (1, -1)
+    relators = [(a, b, ai, bi)]
+    rules = [
+        ((b, a), (a, b)),
+        ((b, ai), (ai, b)),
+        ((bi, a), (a, bi)),
+        ((bi, ai), (ai, bi)),
+    ]
+    return FpGroupDescriptor(2, relators, names=("a", "b"), rewriting_rules=rules)
 
 
 def shift_group(window=2):
@@ -42,30 +94,30 @@ def test_free_reduction_example():
 def test_shift_extension_normalize_example():
     G = shift_group()
     # (g0, t) * (g0, t^-1) = (g0 g1, 1)
-    x = G.from_word(generator(0), 1)
-    y = G.from_word(generator(0), -1)
+    x = G.element((generator(0), 1))
+    y = G.element((generator(0), -1))
     prod = multiply(x, y)
     assert prod.payload == (((0, 1), (1, 1)), 0)
 
 
 def test_finite_table_identity_law():
-    G = FiniteTableGroup.cyclic(5)
+    G = cyclic(5)
     e = identity(G)
-    for x in G.all_elements():
+    for x in all_elements(G):
         assert multiply(e, x) == x == multiply(x, e)
 
 
 def test_normalize_idempotent():
     G = shift_group()
-    x = G.from_word(generator(3) + generator(3, -1) + generator(0), 2)
-    assert normalize(normalize(x)) == normalize(x) == G.from_word(generator(0), 2)
+    x = G.element((generator(3) + generator(3, -1) + generator(0), 2))
+    assert G.element(x.payload) == x == G.element((generator(0), 2))
 
 
 def test_malformed_generator_rejected():
     with pytest.raises(DescriptorMismatchError):
         F2.element(generator(7))
     with pytest.raises(DescriptorMismatchError):
-        FiniteTableGroup.cyclic(3).element(9)
+        cyclic(3).element(9)
 
 
 # -- multiplication examples --------------------------------------------------
@@ -97,8 +149,8 @@ def test_inverse_reverses_products():
 )
 def test_shift_group_laws(w1, n1, w2, n2):
     G = shift_group()
-    x = G.from_word(tuple(w1), n1)
-    y = G.from_word(tuple(w2), n2)
+    x = G.element((tuple(w1), n1))
+    y = G.element((tuple(w2), n2))
     e = identity(G)
     assert multiply(x, invert(x)) == e
     assert multiply(multiply(x, y), invert(y)) == x
@@ -107,17 +159,24 @@ def test_shift_group_laws(w1, n1, w2, n2):
 @settings(max_examples=40)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 def test_finite_table_associativity_sample(i, j, k):
-    G = FiniteTableGroup.cyclic(6)
+    G = cyclic(6)
     x, y, z = (G.element(v) for v in (i, j, k))
     assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
 def test_shift_automorphism_is_multiplicative():
+    # the defining automorphism: conjugation by the stable letter shifts indices up
     G = shift_group()
+    t = G.stable_letter()
+
+    def shift(x):
+        return multiply(multiply(t, x), invert(t))
+
     for w1, w2 in itertools.product([generator(0), generator(-1) + generator(2), generator(1, -1)], repeat=2):
-        u, v = G.from_word(w1), G.from_word(w2)
-        assert G.apply_shift(multiply(u, v)) == multiply(G.apply_shift(u), G.apply_shift(v))
-        assert G.apply_shift(invert(u)) == invert(G.apply_shift(u))
+        u, v = G.element((w1, 0)), G.element((w2, 0))
+        assert shift(u).payload == (shift_word(w1, 1), 0)
+        assert shift(multiply(u, v)) == multiply(shift(u), shift(v))
+        assert shift(invert(u)) == invert(shift(u))
 
 
 def test_tail_conjugation_lands_one_level_up():
@@ -125,7 +184,7 @@ def test_tail_conjugation_lands_one_level_up():
     G = shift_group()
     t = G.stable_letter()
     for w in [generator(0), generator(1) + generator(3, -1), generator(2)]:
-        h = G.from_word(w)
+        h = G.element((w, 0))
         conj = multiply(multiply(t, h), invert(t))
         word, shift = conj.payload
         assert shift == 0
@@ -136,9 +195,9 @@ def test_tail_conjugation_lands_one_level_up():
 
 
 def test_direct_product_componentwise():
-    P = DirectProductDescriptor(F2, FiniteTableGroup.cyclic(3))
+    P = DirectProductDescriptor(F2, cyclic(3))
     a = F2.generators()[0]
-    c = FiniteTableGroup.cyclic(3)
+    c = cyclic(3)
     with pytest.raises(DescriptorMismatchError):
         P.pair(a, c.element(1))  # element of a different cyclic(3) instance
     x = P.pair(a, P.right.element(1))
@@ -281,7 +340,7 @@ def test_ball_radius_four_f2_matches_oracle():
 
 
 def test_ball_finite_table():
-    ball = enumerate_ball(FiniteTableGroup.cyclic(3), 2)
+    ball = enumerate_ball(cyclic(3), 2)
     assert len(ball) == 3
 
 
@@ -375,7 +434,7 @@ def test_table_checks_match_the_entry_by_entry_reference(table):
 def test_relabelled_group_tables_keep_identity_and_inverses(seed):
     import random
 
-    S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    S4 = from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
     relabel = list(range(S4.order))
     random.Random(seed).shuffle(relabel)
     back = {new: old for old, new in enumerate(relabel)}
@@ -419,5 +478,5 @@ def test_associativity_check_names_the_first_failing_triple(a, b):
 def test_from_permutations_builds_s3():
     s = (1, 0, 2)
     t = (0, 2, 1)
-    G = FiniteTableGroup.from_permutations([s, t])
+    G = from_permutations([s, t])
     assert G.order == 6

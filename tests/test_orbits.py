@@ -16,12 +16,10 @@ from qnbench.certificates import (
 from qnbench.errors import CertificateError, IndeterminateResultError
 from qnbench.groups import (
     DirectProductDescriptor,
-    FiniteTableGroup,
     FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     enumerate_ball,
-    free_abelian_of_rank_two,
     identity,
     infinite_dihedral,
 )
@@ -37,6 +35,7 @@ from qnbench.orbits import (
 )
 from qnbench.subgroups import ProductSubgroup, product_subgroup, shift_tail_subgroup, subgroup
 from qnbench.words import concat, generator
+from test_groups import all_elements, cyclic, free_abelian_of_rank_two, from_permutations
 from test_stallings import stabilizer_generators
 
 F2 = FreeGroupDescriptor.of_rank(2)
@@ -68,7 +67,6 @@ def h1_membership(spec, g, budget=1000):
         return MembershipVerdict(
             status=CERTIFIED_IN,
             certificate=forward.certificate,
-            inverse_certificate=backward.certificate,
             budget=budget,
             orbit_explored=forward.orbit_explored,
         )
@@ -178,7 +176,7 @@ def test_shift_tail_rule_matches_orbit_search(window, radius, n):
 
 
 def test_product_decision_matches_orbit_search():
-    S3 = FiniteTableGroup.from_permutations([(1, 0, 2), (0, 2, 1)])
+    S3 = from_permutations([(1, 0, 2), (0, 2, 1)])
     left, right = subgroup(F2, [A]), subgroup(S3, [S3.generators()[0]])
     P = DirectProductDescriptor(F2, S3)
     spec = product_subgroup(P, left, right)
@@ -234,9 +232,9 @@ def test_qn1_exact_backend_recovers_cover_beyond_budget():
 
 
 def test_qn1_finite_table_always_certifies():
-    G = FiniteTableGroup.cyclic(6)
+    G = cyclic(6)
     H = subgroup(G, [G.element(2)])
-    for g in G.all_elements():
+    for g in all_elements(G):
         verdict = qn1_membership(H, g, budget=1)
         assert verdict.certified_in
 
@@ -261,7 +259,7 @@ def test_h1_membership_finite_index():
     H = subgroup(F2, INDEX_TWO_GENS)
     verdict = h1_membership(H, A, budget=10)
     assert verdict.certified_in
-    replay_certificate(verdict.inverse_certificate)
+    replay_certificate(qn1_membership(H, F2.invert(A), budget=10).certificate)
 
 
 def test_h1_refutation_from_either_side():
@@ -345,7 +343,7 @@ def test_tampered_transition_fails_replay_with_its_message():
         replay_certificate(bad)
 
 def test_translated_certificate_replays_for_double_coset_mates():
-    S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    S4 = from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
     H = subgroup(S4, [S4.generators()[0]])
     g = S4.generators()[1]
     cert = qn1_membership(H, g, budget=100).certificate
@@ -356,7 +354,7 @@ def test_translated_certificate_replays_for_double_coset_mates():
         moved = translate_certificate(cert, mate)
         assert (moved.cover, moved.transitions) == (cert.cover, cert.transitions)
         replay_certificate(moved)
-    outside = [x for x in S4.all_elements()
+    outside = [x for x in all_elements(S4)
                if all(S4.multiply(S4.invert(c), x).payload not in H.subset for c in cert.cover)]
     assert outside
     for x in outside:
@@ -421,7 +419,7 @@ def test_product_verdict_out_dominates():
 
 # -- closed orbits hand their rows to the certificate ------------------------------
 
-S4 = FiniteTableGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+S4 = from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
 
 
 def s4(*perm):
@@ -450,11 +448,11 @@ ORBIT_ROW_CASES = {
     "free_repeats": (F2, F2_STAB + [F2_STAB[0], F2.invert(F2_STAB[1])], enumerate_ball(F2, 2), 3),
     "free_a_a": (F2, [A, A], enumerate_ball(F2, 2), 1),
     "free_a_a_inverse": (F2, [A, F2.invert(A)], enumerate_ball(F2, 2), 1),
-    "table_cycle4_twice": (S4, [CYCLE4, CYCLE4], S4.all_elements(), 4),
-    "table_cycle4_and_inverse": (S4, [CYCLE4, S4.invert(CYCLE4)], S4.all_elements(), 4),
-    "table_cycle3_then_involution": (S4, [CYCLE3, SWAP01], S4.all_elements(), 3),
-    "table_involution_then_cycle3": (S4, [SWAP01, CYCLE3], S4.all_elements(), 3),
-    "table_two_involutions": (S4, [SWAP01, SWAP23], S4.all_elements(), 4),
+    "table_cycle4_twice": (S4, [CYCLE4, CYCLE4], all_elements(S4), 4),
+    "table_cycle4_and_inverse": (S4, [CYCLE4, S4.invert(CYCLE4)], all_elements(S4), 4),
+    "table_cycle3_then_involution": (S4, [CYCLE3, SWAP01], all_elements(S4), 3),
+    "table_involution_then_cycle3": (S4, [SWAP01, CYCLE3], all_elements(S4), 3),
+    "table_two_involutions": (S4, [SWAP01, SWAP23], all_elements(S4), 4),
     "coset_table": (D_INF, [_cube(D_A), D_R, D_R], enumerate_ball(D_INF, 4), 2),
     # an infinite-index subgroup of an abelian group: no coset table, and
     # membership is decided by the abelianization

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from qnbench.certificates import replay_certificate
 from qnbench.groups import (
     DirectProductDescriptor,
-    FiniteTableGroup,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     Trit,
@@ -24,6 +23,7 @@ from qnbench.subgroups import (
     subgroup,
 )
 from qnbench.words import concat, generator
+from test_groups import cyclic
 
 F2 = FreeGroupDescriptor.of_rank(2)
 
@@ -62,7 +62,7 @@ def test_group_laws_presented(u, v):
 @settings(max_examples=40)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 def test_group_laws_product(i, j, k):
-    table = FiniteTableGroup.cyclic(6)
+    table = cyclic(6)
     P = DirectProductDescriptor(F2, table)
     x = P.pair(free_elem(generator(0, i - 2)), table.element(i))
     y = P.pair(free_elem(generator(1, j - 2)), table.element(j))
@@ -135,7 +135,7 @@ def test_certificate_replay_fuzz_per_family():
         replay_certificate(cert)
 
     # finite table group: everything certifies
-    table = FiniteTableGroup.cyclic(8)
+    table = cyclic(8)
     spec_t = subgroup(table, [table.element(2)])
     for _ in range(1000):
         g = table.element(int(rng.integers(0, 8)))

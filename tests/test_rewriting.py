@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from qnbench.errors import GroupValidationError
-from qnbench.groups import free_abelian_of_rank_two
 from qnbench.rewriting import (
     RewritingSystem,
     abelianized,
@@ -16,6 +15,7 @@ from qnbench.rewriting import (
     shortlex_key,
 )
 from qnbench.words import generator, reduce_word
+from test_groups import free_abelian_of_rank_two
 
 A = (0, 1)
 AI = (0, -1)

@@ -7,12 +7,10 @@ from qnbench.errors import GroupValidationError
 from qnbench.files import load_group_inclusion
 from qnbench.groups import (
     DirectProductDescriptor,
-    FiniteTableGroup,
     FpGroupDescriptor,
     FreeGroupDescriptor,
     ShiftExtensionDescriptor,
     Trit,
-    free_abelian_of_rank_two,
     infinite_dihedral,
     invert,
     multiply,
@@ -22,17 +20,16 @@ from qnbench.subgroups import (
     SubgroupSpec,
     coset_equal,
     coset_key,
-    double_coset_key,
     is_subgroup_member,
     product_subgroup,
     shift_tail_subgroup,
     subgroup,
     subgroup_ball,
-    trivial_subgroup,
 )
 from qnbench.orbits import orbit_bfs
 from qnbench.stallings import graph_index
 from qnbench.words import concat, generator, invert_word
+from test_groups import cyclic, free_abelian_of_rank_two
 from test_stallings import free_cases, letters_of, stabilizer_cases, stabilizer_generators
 
 F2 = FreeGroupDescriptor.of_rank(2)
@@ -69,7 +66,7 @@ def test_free_membership_via_graph():
 
 
 def test_finite_table_membership():
-    G = FiniteTableGroup.cyclic(6)
+    G = cyclic(6)
     H = subgroup(G, [G.element(2)])
     assert is_subgroup_member(H, G.element(4)) is Trit.YES
     assert is_subgroup_member(H, G.element(3)) is Trit.NO
@@ -136,7 +133,7 @@ def test_product_membership_componentwise():
 
 
 def test_trivial_subgroup():
-    H = trivial_subgroup(F2)
+    H = subgroup(F2, [])
     assert is_subgroup_member(H, F2.identity()) is Trit.YES
     assert is_subgroup_member(H, F2.element(A_WORD)) is Trit.NO
 
@@ -188,7 +185,7 @@ def test_coset_keys_agree_with_coset_equal():
 
 
 def test_coset_key_finite_table():
-    G = FiniteTableGroup.cyclic(6)
+    G = cyclic(6)
     H = subgroup(G, [G.element(3)])
     assert coset_key(H, G.element(1)) == coset_key(H, G.element(4))
     assert coset_key(H, G.element(1)) != coset_key(H, G.element(2))
@@ -282,9 +279,9 @@ def test_finite_index_keys_are_coset_orbits(case, other):
     orbit = orbit_bfs(spec, g, index)
     assert orbit.closed
     in_orbit = coset_key(spec, g2) in {coset_key(spec, c) for c in orbit.representatives}
-    key = double_coset_key(spec, g)
+    key = spec.double_coset_key(g)
     assert isinstance(key, int)
-    assert (key == double_coset_key(spec, g2)) == in_orbit
+    assert (key == spec.double_coset_key(g2)) == in_orbit
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,7 +293,7 @@ def test_infinite_index_keys_are_exact(case, left, right, other):
     spec = free_spec(rank, gens)
     group = spec.group
     g = group.element(word)
-    key = double_coset_key(spec, g)
+    key = spec.double_coset_key(g)
     if graph_index(spec.graph, group.gens)[0] == "finite":
         return  # tested above
     if is_subgroup_member(spec, g) is Trit.YES:
@@ -304,10 +301,10 @@ def test_infinite_index_keys_are_exact(case, left, right, other):
         return
     # completeness: h g h' keeps the key
     mate = multiply(multiply(product_of(spec, left), g), product_of(spec, right))
-    assert double_coset_key(spec, mate) == key
+    assert spec.double_coset_key(mate) == key
     # soundness: equal keys give the proof's h, h' in H with h g h' = g'
     for g2 in (mate, group.element(other)):
-        if key is None or double_coset_key(spec, g2) != key:
+        if key is None or spec.double_coset_key(g2) != key:
             continue
         (p, s_inv), (p2, s2_inv) = split_readings(spec, g), split_readings(spec, g2)
         h = group.element(concat(p2, invert_word(p)))
@@ -323,13 +320,13 @@ def test_cyclic_subgroup_keys_take_the_infinite_index_form():
     H = cyclic_a()
     assert graph_index(H.graph, [0]) == ("finite", 1)
     b = F2.element(B_WORD)
-    assert double_coset_key(H, b) == (0, B_WORD, 0)
+    assert H.double_coset_key(b) == (0, B_WORD, 0)
     for k, m in [(1, 0), (0, -2), (3, 5)]:
-        assert double_coset_key(H, F2.word((0, k), (1, 1), (0, m))) == (0, B_WORD, 0)
-    assert double_coset_key(H, F2.word((1, 1), (0, 1), (1, -1))) == (
+        assert H.double_coset_key(F2.word((0, k), (1, 1), (0, m))) == (0, B_WORD, 0)
+    assert H.double_coset_key(F2.word((1, 1), (0, 1), (1, -1))) == (
         0, concat(B_WORD, A_WORD, generator(1, -1)), 0)
-    assert double_coset_key(H, F2.word((0, 3))) is None
-    assert double_coset_key(H, F2.identity()) is None
+    assert H.double_coset_key(F2.word((0, 3))) is None
+    assert H.double_coset_key(F2.identity()) is None
 
 
 def test_free_keys_are_none_for_overlapping_readings():
@@ -338,9 +335,9 @@ def test_free_keys_are_none_for_overlapping_readings():
     H = subgroup(F2, [F2.word((0, 2)), F2.element(B_WORD)])
     a = F2.element(A_WORD)
     assert is_subgroup_member(H, a) is Trit.NO
-    assert double_coset_key(H, a) is None
+    assert H.double_coset_key(a) is None
     # a b a^-1: the middle b does not read at the end of a
-    assert double_coset_key(H, F2.word((0, 1), (1, 1), (0, -1))) == (1, B_WORD, 1)
+    assert H.double_coset_key(F2.word((0, 1), (1, 1), (0, -1))) == (1, B_WORD, 1)
 
 
 def test_finite_index_keys_of_a_non_normal_subgroup():
@@ -349,6 +346,6 @@ def test_finite_index_keys_of_a_non_normal_subgroup():
     H = free_spec(2, gens)
     assert H.graph.num_vertices == 3
     a, b = F2.element(A_WORD), F2.element(B_WORD)
-    keys = {double_coset_key(H, g) for g in (F2.identity(), a, b, multiply(a, b))}
+    keys = {H.double_coset_key(g) for g in (F2.identity(), a, b, multiply(a, b))}
     assert len(keys) == 2
-    assert double_coset_key(H, F2.identity()) == 0
+    assert H.double_coset_key(F2.identity()) == 0

@@ -1,8 +1,10 @@
 """The benchmark tracer wraps qnbench functions by name, so each name it
 lists must still exist, and its count hooks must still read what those
 functions take and return: a rename or a changed signature fails here
-instead of at ``--trace 1``."""
+instead of at ``--trace 1``.  And every src function must have a src
+caller, so code that nothing reaches is deleted or moved into the tests."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -15,6 +17,16 @@ from qnbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "benchmarks" / "tracer.py"
+SRC = ROOT / "src" / "qnbench"
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# src functions kept without a src caller
+NO_SRC_CALLER = {
+    "matrixalg.sup_norm",  # benchmarks/tracer.py TARGETS pins AlgebraElement.sup_norm
+    "matrixalg.spectral_calculus",  # benchmarks/tracer.py TARGETS pins it
+    "bimodule.length",  # benchmarks/tracer.py reads BimoduleBasis.length for bimodule.kept
+    "group_algebra.group_algebra_inclusion",  # the matrix half of the cross-engine check
+}
 
 
 def _tracer_module():
@@ -80,3 +92,43 @@ def test_bench_files_report_declared_workloads_and_metrics():
                 for run in runs:
                     missing = metrics - {k for k, v in run.items() if isinstance(v, (int, float))}
                     assert not missing, (path.name, name, side, missing)
+
+
+def _uncalled_src_functions():
+    """``module.name`` of each top-level function or method in src whose name
+    is read nowhere in src (``__init__.py`` aside) outside its own body."""
+    defs = []  # (module.name, def node)
+    reads = {}  # name -> the enclosing def nodes of each read of it
+
+    def collect_reads(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                reads.setdefault(child.id, []).append(enclosing)
+            elif isinstance(child, ast.Attribute):
+                reads.setdefault(child.attr, []).append(enclosing)
+            collect_reads(child, enclosing + (child,) if isinstance(child, FUNCTIONS) else enclosing)
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        collect_reads(tree, ())
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, FUNCTIONS):
+                    defs.append((f"{path.stem}.{fn.name}", fn))
+
+    def registered(fn):  # ``@criterion(...)`` puts it in acceptance.CRITERIA
+        return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "criterion"
+                   for d in fn.decorator_list)
+
+    return sorted(
+        name for name, fn in defs
+        if not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and not registered(fn) and name not in NO_SRC_CALLER
+        and all(fn in enclosing for enclosing in reads.get(fn.name, ())))
+
+
+def test_every_src_function_has_a_src_caller():
+    uncalled = _uncalled_src_functions()
+    assert not uncalled, f"src functions without a src caller: {uncalled}"

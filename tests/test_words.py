@@ -6,7 +6,6 @@ from qnbench.words import (
     format_word,
     generator,
     invert_word,
-    is_reduced,
     reduce_word,
     shift_word,
     word_key,
@@ -21,6 +20,14 @@ def test_reduce_basic():
     assert reduce_word([(0, 1), (1, 1), (1, -1)]) == ((0, 1),)
     assert reduce_word([]) == ()
     assert reduce_word([(0, 1), (0, -1)]) == ()
+
+
+def is_reduced(word):
+    """Oracle: no letter is followed by its inverse."""
+    return all(
+        not (word[i][0] == word[i + 1][0] and word[i][1] == -word[i + 1][1])
+        for i in range(len(word) - 1)
+    )
 
 
 @given(raw_words)
