@@ -488,7 +488,7 @@ def _dichotomy_inclusions():
 
 @criterion(8, "gap dichotomy: exact zero at the top, positive below", seconds=300.0)
 def criterion_8(config: AcceptanceConfig) -> tuple:
-    opt = OptimizerConfig(seed=config.seed, restarts=10, oracle_points=3000)
+    opt = OptimizerConfig(seed=config.seed)
     rows = []
     for name, algebra, sub, mid in _dichotomy_inclusions():
         mid_handle = mid if mid is not None else full_subalgebra(algebra)

@@ -18,8 +18,9 @@ Group inclusion documents (JSON, one object per inclusion)::
     }
 
 Words are space-separated tokens ``name`` or ``name^k`` with ``|k|`` at most
-``MAX_POWER``; shift extensions use base generator names ``g<i>`` (``g0``,
-``g-1``, ...) and the stable letter ``t``.  Unknown fields are rejected.
+``MAX_POWER``, and a word expands to at most ``MAX_WORD_LETTERS`` letters;
+shift extensions use base generator names ``g<i>`` (``g0``, ``g-1``, ...) and
+the stable letter ``t``.  Unknown fields are rejected.
 
 Matrix inclusion documents::
 
@@ -60,6 +61,7 @@ from .tolerances import Tolerances
 
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_\-]*?)(?:\^(-?\d+))?$")
 MAX_POWER = 10_000  # largest |k| of a word token name^k
+MAX_WORD_LETTERS = 2 * MAX_POWER  # most letters one word expands to
 
 
 @dataclass
@@ -129,13 +131,15 @@ def _strings(values, context: str, what: str) -> list:
     return values
 
 
-def _tokens(text: str, context: str):
+def _tokens(text: str, context: str) -> list:
     """``(name, power)`` for each token ``name`` or ``name^k`` of a word.
 
-    A power beyond ``MAX_POWER`` in size is an input error, raised before
-    any letters are built; its digits are counted first, so a huge power is
+    A power beyond ``MAX_POWER`` in size, or a word of more than
+    ``MAX_WORD_LETTERS`` letters, is an input error, raised before any
+    letters are built; a power's digits are counted first, so a huge power is
     never converted.
     """
+    tokens, letters = [], 0
     for token in text.split():
         match = _TOKEN.match(token)
         if not match:
@@ -143,7 +147,13 @@ def _tokens(text: str, context: str):
         name, digits = match.group(1), match.group(2) or "1"
         if len(digits.lstrip("-0")) > len(str(MAX_POWER)) or abs(int(digits)) > MAX_POWER:
             raise InputFormatError(f"{context}: power of {name!r} exceeds {MAX_POWER} in size")
-        yield name, int(digits)
+        power = int(digits)
+        letters += abs(power)
+        if letters > MAX_WORD_LETTERS:
+            raise InputFormatError(
+                f"{context}: word expands to more than {MAX_WORD_LETTERS} letters")
+        tokens.append((name, power))
+    return tokens
 
 
 def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:

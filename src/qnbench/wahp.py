@@ -16,14 +16,15 @@ Each map ``u -> x u y - E_N(x) u E_N(y)`` is linear on the GNS space, so the
 whole functional is a positive-semidefinite quadratic form ``v* Q v`` in the
 coordinates ``v = vec(u)``; ``Q`` is assembled once, from stacked left and
 right multiplication operators, and every evaluation is a single
-matrix-vector product.  A seeded multi-restart quasi-Newton descent is
-cross-checked against a grid or random-search oracle, and the report carries
-both values.  Every evaluation is batched: per block, one stacked ``eigh``
-gives ``exp(i h)`` for a fixed-size chunk of parameter rows, and one
-``einsum`` the quadratic form of the whole chunk; the quasi-Newton objective
-and the minimizer are one-row calls of the same code.  A vanishing family
-(``N = M`` makes every term cancel exactly) yields the exact gap ``0.0`` with
-no optimization at all.
+matrix-vector product.  Its slope along ``exp(i t h) u`` is ``-2 Im <Qv,
+vec(h u)>``, so a seeded multi-restart steepest descent on the unitaries of
+``B`` needs no numerical derivative; it is cross-checked against a grid or
+random-search oracle, and the report carries both values.  Every evaluation
+is batched: per block, one stacked ``eigh`` gives ``exp(i h)`` for a stack of
+parameter rows, and one ``einsum`` the quadratic form of the whole stack; a
+descent step scores its whole ladder of step lengths in one such call.  A
+vanishing family (``N = M`` makes every term cancel exactly) yields the exact
+gap ``0.0`` with no optimization at all.
 
 Over the full family of basis pairs the functional is constant on the
 unitaries of ``B`` (see ``wahp_witness_search``), so the witness search
@@ -45,7 +46,9 @@ from .matrixalg import AlgebraElement, MultiMatrixAlgebra
 from .tolerances import Tolerances
 
 
-MAX_ITERATIONS = 200  # L-BFGS iterations per restart
+MAX_ITERATIONS = 200  # descent steps per restart
+STEP_LADDER = 0.5 ** np.arange(32)  # the step lengths each descent step tries, as angles
+GRADIENT_FLOOR = 1e-10  # a slope below this times |Q| is rounding: the descent stops
 ORACLE_CHUNK = 512  # oracle rows per stacked eigh, which bounds the oracle's memory
 PAIR_CHUNK = 16  # witness pairs per stacked operator product, which bounds Q's memory
 CROSS_CHECK_POINTS = 8  # random unitaries behind the witness search's invariance check
@@ -124,9 +127,40 @@ def _values(ambient: MultiMatrixAlgebra, herm: Sequence[AlgebraElement], q: np.n
     out = np.empty(len(thetas))
     for start in range(0, len(thetas), ORACLE_CHUNK):
         chunk = thetas[start:start + ORACLE_CHUNK]
-        v = ambient.vectors_of(_unitaries(stacks, chunk)).T
-        out[start:start + len(chunk)] = np.einsum("pi,ij,pj->p", v.conj(), q, v).real
+        out[start:start + len(chunk)] = _form(ambient, q, _unitaries(stacks, chunk))
     return out
+
+
+def _form(ambient: MultiMatrixAlgebra, q: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """``v* Q v`` for each element of per-block stacks."""
+    v = ambient.vectors_of(stacks).T
+    return np.einsum("pi,ij,pj->p", v.conj(), q, v).real
+
+
+def _descend(ambient, stacks, q, u) -> tuple:
+    """Steepest descent of ``v* Q v`` from the unitary ``u`` (per-block stacks of one).
+
+    The slope along ``exp(i t h_d) u`` is ``g_d = -2 Im <Qv, vec(h_d u)>``; a
+    step is ``u <- exp(-i s G) u`` with ``G = sum_d g_d h_d``, where ``s|g|``
+    runs over ``STEP_LADDER`` and the lowest value wins.  It stops when
+    ``|g| <= GRADIENT_FLOOR * |Q|``, when no step length lowers the value, or
+    after ``MAX_ITERATIONS`` steps.  Returns the value, ``u`` and the step count.
+    """
+    floor = GRADIENT_FLOOR * np.linalg.norm(q)
+    value = float(_form(ambient, q, u)[0])
+    for steps in range(MAX_ITERATIONS):
+        qv = q @ ambient.vectors_of(u)[:, 0]
+        g = -2 * (qv.conj() @ ambient.vectors_of([h @ b for h, b in zip(stacks, u)])).imag
+        norm = np.linalg.norm(g)
+        if norm <= floor:
+            return value, u, steps
+        trials = [r @ b for r, b in zip(_unitaries(stacks, np.outer(-STEP_LADDER / norm, g)), u)]
+        values = _form(ambient, q, trials)
+        best = int(np.argmin(values))
+        if values[best] >= value:
+            return value, u, steps
+        value, u = float(values[best]), [t[best:best + 1] for t in trials]
+    return value, u, MAX_ITERATIONS
 
 
 def _objective_matrix(ambient, sub, pairs, expect_mid) -> np.ndarray:
@@ -174,26 +208,20 @@ def wahp_gap(
     tolerances: Optional[Tolerances] = None,
 ) -> WahpGapReport:
     """Minimize the gap functional; report optimizer and oracle values."""
-    from scipy.optimize import minimize  # only the gap optimizer needs scipy
-
     config = config or OptimizerConfig()
     tolerances = tolerances or Tolerances()
     expect_mid = conditional_expectation(ambient, mid)
     pairs = [(x, y) for x, y in witness_pairs]
     q = _objective_matrix(ambient, sub, pairs, expect_mid)
-
-    herm = hermitian_basis(ambient, sub)
-    rng = np.random.default_rng(config.seed)
-
-    def fun(theta: np.ndarray) -> float:
-        return float(_values(ambient, herm, q, theta[None])[0])
-
     if not q.any():
         return _exact_zero_report(ambient, pairs, config)
 
+    herm = hermitian_basis(ambient, sub)
+    stacks = ambient.stack(herm)
+    rng = np.random.default_rng(config.seed)
     dim_h = len(herm)
-    best_theta = np.zeros(dim_h)
-    best_value = fun(best_theta)
+    best_u = _unitaries(stacks, np.zeros((1, dim_h)))
+    best_value = float(_form(ambient, q, best_u)[0])
     iterations = 0
     for restart in range(config.restarts):
         if restart == 0:
@@ -201,19 +229,17 @@ def wahp_gap(
         else:
             scale = 0.5 + (restart % 3)
             theta0 = rng.normal(scale=scale, size=dim_h)
-        result = minimize(fun, theta0, method="L-BFGS-B",
-                          options={"maxiter": MAX_ITERATIONS})
-        iterations += int(result.nit)
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_theta = result.x
+        value, u, steps = _descend(ambient, stacks, q, _unitaries(stacks, theta0[None]))
+        iterations += steps
+        if value < best_value:
+            best_value, best_u = value, u
 
     oracle_value, oracle_theta = _oracle_search(ambient, herm, q, config, rng)
     converged = best_value <= oracle_value + tolerances.oracle_slack
     if not converged:
-        best_value, best_theta = oracle_value, oracle_theta
+        best_value, best_u = oracle_value, _unitaries(stacks, oracle_theta[None])
 
-    u = ambient.elements(_unitaries(ambient.stack(herm), best_theta[None]))[0]
+    u = ambient.elements(best_u)[0]
     defect = (u.adjoint() @ u - ambient.one()).norm2()
     if defect > tolerances.unitary:
         raise GroupValidationError(f"minimizer drifted off the unitary group ({defect:.2e})")

@@ -291,11 +291,13 @@ def test_group_documents_of_every_family_run(tmp_path, family):
         {**S3_DOC, "table": [0, 1]},
         {"family": "direct_product", "left": FREE_DOC,
          "right": {**S3_DOC, "table": [[None] * 6] + S3_TABLE[1:]}},
+        {**FREE_DOC, "subgroup_generators": [" ".join(["a^10000 b"] * 5)]},
     ],
     ids=["generators_entry", "generators_string", "subgroup_generators_free",
          "subgroup_generators_shift", "subgroup_generators_table", "relators",
          "rewriting_rule_entry", "rewriting_rule_length", "rewriting_rules_string",
-         "element_names", "table_entry", "table_row", "product_table_entry"],
+         "element_names", "table_entry", "table_row", "product_table_entry",
+         "word_letters"],
 )
 def test_group_document_bad_value_exits_2(tmp_path, capsys, doc):
     # values of the wrong type are input errors, not tracebacks
@@ -326,8 +328,13 @@ def test_help_returns_0():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the gap optimizer needs scipy, so the CLI must start without it
-    script = "import sys, qnbench.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    # the package depends on numpy alone: neither the import nor a gap run
+    # (diag_m2 has witness pairs) loads scipy
+    script = ("import contextlib, io, sys\n"
+              "from qnbench.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert main(['vn', '{SAMPLES}/diag_m2.json']) == 0\n"
+              "print([m for m in sys.modules if m.startswith('scipy')])")
     src = str(Path(qnbench.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

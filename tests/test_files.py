@@ -61,6 +61,20 @@ def test_word_powers_up_to_the_cap():
             parse_group_inclusion(doc)
 
 
+
+def test_word_letters_up_to_the_bound():
+    # each token is within MAX_POWER, yet the word would expand to 50 005 letters
+    def free(word):
+        return {"family": "free", "generators": ["a", "b"], "subgroup_generators": [word]}
+
+    assert len(parse_group_inclusion(free("a^9999 b a^10000")).subgroup.generators[0].payload) \
+        == 20000
+    shift = {"family": "shift_extension", "generator_window": 1,
+             "subgroup_generators": ["t^10000 t^10000 g0"]}
+    for doc in (free(" ".join(["a^10000 b"] * 5)), free("a^10000 b a^10000"), shift):
+        with pytest.raises(InputFormatError, match="more than 20000 letters"):
+            parse_group_inclusion(doc)
+
 def test_direct_product_document():
     doc = parse_group_inclusion(
         {

@@ -2,7 +2,8 @@
 lists must still exist, and its count hooks must still read what those
 functions take and return: a rename or a changed signature fails here
 instead of at ``--trace 1``.  And every src function must have a src
-caller, so code that nothing reaches is deleted or moved into the tests."""
+caller, so code that nothing reaches is deleted or moved into the tests.
+The package depends on numpy alone."""
 
 import ast
 import contextlib
@@ -10,6 +11,7 @@ import importlib
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 from qnbench import acceptance
@@ -132,3 +134,18 @@ def _uncalled_src_functions():
 def test_every_src_function_has_a_src_caller():
     uncalled = _uncalled_src_functions()
     assert not uncalled, f"src functions without a src caller: {uncalled}"
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {m}" for m in modules
+                        if m.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert not foreign, f"src imports beyond the standard library and numpy: {foreign}"

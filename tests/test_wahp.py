@@ -270,6 +270,27 @@ def reference_objective_matrix(ambient, sub, pairs, expect_mid):
     return q
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mid_of", [None, diagonal_subalgebra], ids=["mid_b", "mid_diag"])
+def test_descent_reaches_the_two_projection_closed_form(mid_of, seed):
+    # B = span{p, 1 - p} in M_3 with p = E_00: its unitaries are
+    # e^{ia} p + e^{ib} (1 - p), so F = alpha + 2 Re(beta e^{i(b - a)}) and the
+    # exact minimum is alpha - 2|beta|.  The 3 x 3 grid oracle misses it, so
+    # only the descent can reach it.
+    M = build_algebra([3], [1 / 3])
+    p = M.matrix_unit(0, 0, 0)
+    B = subalgebra_closure(M, [p])
+    N = B if mid_of is None else mid_of(M)
+    rng = np.random.default_rng(seed)
+    pairs = [(M.random_element(rng), M.random_element(rng)) for _ in range(3)]
+    q = reference_objective_matrix(M, B, pairs, conditional_expectation(M, N))
+    p_hat, q_hat = M.to_vector(p), M.to_vector(M.one() - p)
+    alpha = (p_hat.conj() @ q @ p_hat + q_hat.conj() @ q @ q_hat).real
+    beta = p_hat.conj() @ q @ q_hat
+    report = wahp_gap(M, B, N, pairs, OptimizerConfig(seed=seed, oracle_points=9))
+    assert abs(report.objective_value - (alpha - 2 * abs(beta))) <= 1e-9
+    assert report.iterations > 0
+
 @pytest.mark.parametrize("chunk", [5, 10**6])
 def test_objective_matrix_matches_pair_by_pair_reference(chunk, monkeypatch):
     # chunk 5 splits every pair list into several stacks with a ragged tail;
