@@ -11,8 +11,10 @@ When only the module itself is needed, the basis is not: ``B`` is unital
 and closed under products, so the linear span of the ``g b`` (``g`` a
 generator, ``b`` in ``B``) is already a right-``B``-module.  Its projection
 is the orthogonal projector onto a column span, read off one SVD
-(``module_frame``); its dimension needs the singular values alone
-(``module_dimension``).
+(``module_frame``).  Its dimension needs no span over all of ``B``: the
+module splits over the summands, ``X = sum_j (X E^j_11) (x) C^(n_j)``, so
+``dim X = sum_j n_j rank[g E^j_a1 : g, a]``, each rank counted with the
+relative singular-value cutoff of its own summand (``module_dimension``).
 
 Both work on per-block stacks: all ``g b`` are one broadcast ``matmul`` of
 the generator stack against the handle's basis stacks per block
@@ -96,10 +98,13 @@ def orthonormal_basis(
               for part, n in zip(ambient.block_slices, ambient.block_dims)]
     total = np.zeros((ambient.dim, 0), dtype=complex)
     supports: list[AlgebraElement] = []
-    for p in (grid[0][0] for grid in matrix_units(sub)):
-        products = np.concatenate(
-            [(c @ b).reshape(len(c), b.size) for c, b in zip(chunks, p.blocks)], axis=1)
-        frame = _span_frame(products.T, tolerances)
+    minimal = [grid[0][0] for grid in matrix_units(sub)]
+    # every X p has the same shape, so all their SVDs are one batched call
+    frames, svals, _ = np.linalg.svd(np.stack([np.concatenate(
+        [(c @ b).reshape(len(c), b.size) for c, b in zip(chunks, p.blocks)], axis=1).T
+        for p in minimal]), full_matrices=False)
+    for p, frame, kept in zip(minimal, frames, _kept(svals, tolerances)):
+        frame = frame[:, kept]
         # fix the phase: the largest entry of each column is real positive
         peaks = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]
         frame = frame * (np.sqrt(p.trace().real) * peaks.conj() / np.abs(peaks))
@@ -145,8 +150,9 @@ def _products(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.nda
 
 
 def _kept(svals: np.ndarray, tolerances: Tolerances) -> np.ndarray:
-    """The singular values above the relative cutoff ``subalgebra_closure * max(1, s_max)``."""
-    return svals > tolerances.subalgebra_closure * np.max(svals, initial=1.0)
+    """The singular values above ``subalgebra_closure * max(1, s_max)``, per row of a batch."""
+    return svals > tolerances.subalgebra_closure * np.max(svals, axis=-1, initial=1.0,
+                                                          keepdims=True)
 
 
 def _span_frame(columns: np.ndarray, tolerances: Tolerances) -> np.ndarray:
@@ -157,6 +163,21 @@ def _span_frame(columns: np.ndarray, tolerances: Tolerances) -> np.ndarray:
 
 def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
                      tolerances: Optional[Tolerances] = None) -> int:
-    """Linear dimension of the right module the generators span, from its singular values."""
-    svals = np.linalg.svd(_products(sub, sub.ambient.stack(generators)), compute_uv=False)
-    return int(np.count_nonzero(_kept(svals, tolerances or Tolerances())))
+    """Linear dimension of the right module ``X`` the generators span:
+    ``sum_j n_j rank[g E^j_a1 : g, a]`` over the summands ``j`` of ``B``
+    (``E_1a`` maps ``X E_11`` onto ``X E_aa``), each rank under its own
+    summand's relative cutoff; summands of one size share a batched SVD."""
+    ambient, gens = sub.ambient, sub.ambient.stack(generators)
+    columns: dict = {}  # summand size n -> the E_a1 of every summand of that size
+    for grid in matrix_units(sub):
+        columns.setdefault(len(grid), []).extend(row[0] for row in grid)
+    total = 0
+    for n, units in columns.items():
+        # columns vec(g E_a1) in (g, summand, a) order, regrouped per summand
+        products = ambient.vectors_of([(g[:, None] @ u).reshape(-1, k, k) for g, u, k
+                                       in zip(gens, ambient.stack(units), ambient.block_dims)])
+        count = len(units) // n
+        spans = products.reshape(ambient.dim, len(generators), count, n).transpose(2, 0, 1, 3)
+        svals = np.linalg.svd(spans.reshape(count, ambient.dim, -1), compute_uv=False)
+        total += n * int(np.count_nonzero(_kept(svals, tolerances or Tolerances())))
+    return total

@@ -19,7 +19,7 @@ import numpy as np
 from .basic import BasicConstruction, basic_construction, qn1_module_test
 from .bimodule import module_dimension, module_frame
 from .errors import GroupValidationError
-from .expectations import SubalgebraHandle, subalgebra_closure
+from .expectations import SubalgebraHandle, cache_units, matrix_units, subalgebra_closure
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, kron_stacks
 from .tolerances import Tolerances
 
@@ -148,7 +148,24 @@ def tensor_subalgebra(sub1: SubalgebraHandle, sub2: SubalgebraHandle) -> Subalge
     tau-orthonormal bases are a tau-orthonormal basis, and the first one is
     the identity.  The products are the ``kron_stacks`` of the two handles'
     stacks, in ``(b1, b2)`` order.
+
+    Its summands are the pairs of factor summands, with units
+    ``E_(a1 a2)(b1 b2) = E_a1b1 (x) E_a2b2`` (one ``kron_stacks`` of all
+    factor units), so the product is never decomposed spectrally.
     """
     product = sub1.ambient.tensor(sub2.ambient)
-    return SubalgebraHandle(ambient=product,
-                            coordinates=product.vectors_of(kron_stacks(sub1.stacks, sub2.stacks)))
+    sub = SubalgebraHandle(ambient=product,
+                           coordinates=product.vectors_of(kron_stacks(sub1.stacks, sub2.stacks)))
+    units1, units2 = matrix_units(sub1), matrix_units(sub2)
+    flat1, flat2 = ([u for g in units for row in g for u in row] for units in (units1, units2))
+    kron = product.elements(kron_stacks(sub1.ambient.stack(flat1), sub2.ambient.stack(flat2)))
+    # kron[index[i, j]] is the product of flat1[i] and flat2[j]; cut per pair of summands
+    index = np.arange(len(kron)).reshape(len(flat1), len(flat2))
+    ends1, ends2 = (np.cumsum([len(g) ** 2 for g in units])[:-1] for units in (units1, units2))
+    units = []
+    for rows, n1 in zip(np.split(index, ends1), map(len, units1)):
+        for block, n2 in zip(np.split(rows, ends2, axis=1), map(len, units2)):
+            grid = block.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n1 * n2, -1)
+            units.append([[kron[i] for i in row] for row in grid])
+    cache_units(sub, units)
+    return sub

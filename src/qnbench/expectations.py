@@ -21,7 +21,10 @@ block of its stacks.
 
 The Wedderburn structure of a subalgebra has one source,
 ``matrix_units``: the minimal projections of one seeded generic element
-and the links between them.  Minimal central projections, the module
+and the links between them.  A tensor product handle
+(``corners.tensor_subalgebra``) instead takes the Kronecker products of its
+factors' units, which are the units of ``B1 (x) B2``; both pass the same
+check (``cache_units``).  Minimal central projections, the module
 basis supports (``bimodule``), the self-adjoint basis of the gap optimizer
 (``wahp``) and the irreducible blocks of a group algebra (``group_algebra``)
 are all read from it.  The units are decomposed once per handle object and
@@ -185,11 +188,11 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     |p_1 x p_a|_2`` and ``E_ab = E_1a* E_1b``, computed in the eigenvector
     frames; ``E_ba`` is stored as the adjoint of ``E_ab``.
 
-    A degenerate draw raises ``ConstructionError``: the summands must fill
-    ``B`` and ``E_1a E_1b* = delta_ab E_11`` must hold within
-    ``construction_identity``.  That makes each ``E_1a*`` a partial isometry
-    with initial projection ``E_11``, so ``E_ab E_cd = E_1a* (E_1b E_1c*)
-    E_1d = delta_bc E_ad`` follows.
+    A degenerate draw raises ``ConstructionError`` (``cache_units``): the
+    summands must fill ``B`` and ``E_1a E_1b* = delta_ab E_11`` must hold
+    within ``construction_identity``.  That makes each ``E_1a*`` a partial
+    isometry with initial projection ``E_11``, so ``E_ab E_cd = E_1a* (E_1b
+    E_1c*) E_1d = delta_bc E_ad`` follows.
 
     The units are decomposed once per handle object and cached on it
     (``SubalgebraHandle.units``); a second handle with equal contents
@@ -213,9 +216,6 @@ def matrix_units(sub: SubalgebraHandle) -> list:
                 break
         else:
             summands.append([(j, [np.eye(f.shape[1]) for f in frame])])
-    filled = sum(len(s) ** 2 for s in summands)
-    if filled != sub.dim:
-        raise ConstructionError(f"matrix units fill dimension {filled}, not {sub.dim}")
     units = []
     for summand in summands:
         grid = [[None] * len(summand) for _ in summand]
@@ -225,9 +225,27 @@ def matrix_units(sub: SubalgebraHandle) -> list:
                 for fa, ma, mb, fb in zip(frames[i], la, lb, frames[j])))
             grid[b][a] = grid[a][b].adjoint() if a < b else grid[a][b]
         units.append(grid)
-    zero, bound = ambient.zero(), Tolerances().construction_identity
-    defect = max((g[0][a] @ g[b][0] - (g[0][0] if a == b else zero)).norm2()
-                 for g in units for a in range(len(g)) for b in range(len(g)))
+    return cache_units(sub, units)
+
+
+def cache_units(sub: SubalgebraHandle, units: list) -> list:
+    """Cache matrix units on ``sub`` once they fill ``B`` and satisfy
+    ``E_1a E_1b* = delta_ab E_11`` within ``construction_identity``."""
+    filled = sum(len(g) ** 2 for g in units)
+    if filled != sub.dim:
+        raise ConstructionError(f"matrix units fill dimension {filled}, not {sub.dim}")
+    ambient, bound, defect = sub.ambient, Tolerances().construction_identity, 0.0
+    for n in {len(g) for g in units}:
+        grids = [g for g in units if len(g) == n]
+        # per block, the E_1a and the E_a1 of those summands as (summand, a) stacks
+        first, column = ([s.reshape(-1, n, *s.shape[1:]) for s in ambient.stack(us)] for us in
+                         ([u for g in grids for u in g[0]], [r[0] for g in grids for r in g]))
+        # every E_1a E_b1 - delta_ab E_11 as one broadcast matmul per block
+        delta = np.eye(n)[:, :, None, None]
+        squares = sum(w * np.sum(np.abs(f[:, :, None] @ c[:, None] - delta * f[:, :1, None]) ** 2,
+                                 axis=(3, 4))
+                      for w, f, c in zip(ambient.block_weights, first, column))
+        defect = max(defect, float(np.sqrt(np.max(squares))))
     if defect > bound:
         raise ConstructionError(f"matrix unit residual {defect:.2e} exceeds {bound:.2e}")
     sub.units = units

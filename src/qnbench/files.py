@@ -18,9 +18,10 @@ Group inclusion documents (JSON, one object per inclusion)::
     }
 
 Words are space-separated tokens ``name`` or ``name^k`` with ``|k|`` at most
-``MAX_POWER``, and a word expands to at most ``MAX_WORD_LETTERS`` letters;
-shift extensions use base generator names ``g<i>`` (``g0``, ``g-1``, ...) and
-the stable letter ``t``.  Unknown fields are rejected.
+``MAX_POWER``, a word expands to at most ``MAX_WORD_LETTERS`` letters and
+the words of a document to at most ``MAX_DOCUMENT_LETTERS`` together; shift
+extensions use base generator names ``g<i>`` (``g0``, ``g-1``, ...) and the
+stable letter ``t``.  Unknown fields are rejected.
 
 Matrix inclusion documents::
 
@@ -62,6 +63,7 @@ from .tolerances import Tolerances
 _TOKEN = re.compile(r"^([A-Za-z][A-Za-z0-9_\-]*?)(?:\^(-?\d+))?$")
 MAX_POWER = 10_000  # largest |k| of a word token name^k
 MAX_WORD_LETTERS = 2 * MAX_POWER  # most letters one word expands to
+MAX_DOCUMENT_LETTERS = 2 * MAX_WORD_LETTERS  # most letters all words of a document expand to
 
 
 @dataclass
@@ -131,13 +133,14 @@ def _strings(values, context: str, what: str) -> list:
     return values
 
 
-def _tokens(text: str, context: str) -> list:
+def _tokens(text: str, context: str, read: list) -> list:
     """``(name, power)`` for each token ``name`` or ``name^k`` of a word.
 
-    A power beyond ``MAX_POWER`` in size, or a word of more than
-    ``MAX_WORD_LETTERS`` letters, is an input error, raised before any
-    letters are built; a power's digits are counted first, so a huge power is
-    never converted.
+    A power beyond ``MAX_POWER`` in size, a word of more than
+    ``MAX_WORD_LETTERS`` letters, or more than ``MAX_DOCUMENT_LETTERS`` in
+    the document (``read[0]`` counts them across words and factors) is an
+    input error, raised before any letters are built; a power's digits are
+    counted first, so a huge power is never converted.
     """
     tokens, letters = [], 0
     for token in text.split():
@@ -152,22 +155,26 @@ def _tokens(text: str, context: str) -> list:
         if letters > MAX_WORD_LETTERS:
             raise InputFormatError(
                 f"{context}: word expands to more than {MAX_WORD_LETTERS} letters")
+        read[0] += abs(power)
+        if read[0] > MAX_DOCUMENT_LETTERS:
+            raise InputFormatError(
+                f"{context}: words expand to more than {MAX_DOCUMENT_LETTERS} letters")
         tokens.append((name, power))
     return tokens
 
 
-def _parse_word(text: str, name_to_id: dict, context: str) -> W.Word:
+def _parse_word(text: str, name_to_id: dict, context: str, read: list) -> W.Word:
     letters: list = []
-    for name, power in _tokens(text, context):
+    for name, power in _tokens(text, context, read):
         if name not in name_to_id:
             raise InputFormatError(f"{context}: unknown generator {name!r}")
         letters.extend(W.generator(name_to_id[name], power))
     return W.reduce_word(letters)
 
 
-def _parse_shift_word(text: str, group: ShiftExtensionDescriptor, context: str):
+def _parse_shift_word(text: str, group: ShiftExtensionDescriptor, context: str, read: list):
     element = group.identity()
-    for name, power in _tokens(text, context):
+    for name, power in _tokens(text, context, read):
         if name == "t":
             step = group.stable_letter(power)
         elif name.startswith("g"):
@@ -182,7 +189,9 @@ def _parse_shift_word(text: str, group: ShiftExtensionDescriptor, context: str):
     return element
 
 
-def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusionDoc:
+def parse_group_inclusion(doc: dict, context: str = "inclusion",
+                          read: Optional[list] = None) -> GroupInclusionDoc:
+    read = [0] if read is None else read  # the document's letters so far (see _tokens)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{context}: expected an object")
     family = doc.get("family")
@@ -192,7 +201,7 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
         names = _strings(doc["generators"], context, "generators")
         group = FreeGroupDescriptor(range(len(names)), dict(enumerate(names)))
         ids = {n: i for i, n in enumerate(names)}
-        gens = [group.element(_parse_word(w, ids, context))
+        gens = [group.element(_parse_word(w, ids, context, read))
                 for w in _strings(doc["subgroup_generators"], context, "subgroup_generators")]
         spec = subgroup(group, gens)
     elif family == "fp":
@@ -205,7 +214,7 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
         )
         names = _strings(doc["generators"], context, "generators")
         ids = {n: i for i, n in enumerate(names)}
-        relators = [_parse_word(w, ids, context)
+        relators = [_parse_word(w, ids, context, read)
                     for w in _strings(doc["relators"], context, "relators")]
         rules = None
         if "rewriting_rules" in doc:
@@ -213,9 +222,9 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
             for rule in _list(doc["rewriting_rules"], context, "rewriting_rules"):
                 if len(_strings(rule, context, "a rewriting rule")) != 2:
                     raise InputFormatError(f"{context}: rewriting rules are two-word lists")
-                rules.append(tuple(_parse_word(w, ids, context) for w in rule))
+                rules.append(tuple(_parse_word(w, ids, context, read) for w in rule))
         group = FpGroupDescriptor(len(names), relators, names=names, rewriting_rules=rules)
-        gens = [group.element(_parse_word(w, ids, context))
+        gens = [group.element(_parse_word(w, ids, context, read))
                 for w in _strings(doc["subgroup_generators"], context, "subgroup_generators")]
         spec = subgroup(group, gens)
     elif family == "finite_table":
@@ -258,7 +267,7 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
                 raise InputFormatError(f"{context}: bad tail subgroup {label!r}") from None
             spec = shift_tail_subgroup(group, threshold)
         elif "subgroup_generators" in doc:
-            gens = [_parse_shift_word(w, group, context)
+            gens = [_parse_shift_word(w, group, context, read)
                     for w in _strings(doc["subgroup_generators"], context, "subgroup_generators")]
             spec = subgroup(group, gens)
         else:
@@ -266,8 +275,8 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion") -> GroupInclusi
     elif family == "direct_product":
         _require_fields(doc, {"family", "left", "right", "subgroup_abelian"},
                         {"family", "left", "right"}, context)
-        left = parse_group_inclusion(doc["left"], context + ".left")
-        right = parse_group_inclusion(doc["right"], context + ".right")
+        left = parse_group_inclusion(doc["left"], context + ".left", read)
+        right = parse_group_inclusion(doc["right"], context + ".right", read)
         group = DirectProductDescriptor(left.group, right.group)
         spec = product_subgroup(group, left.subgroup, right.subgroup)
     else:

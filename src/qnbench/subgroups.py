@@ -20,9 +20,10 @@ Every class answers ``member``, ``coset_key``, ``double_coset_key``,
 calls the other three on the spec.
 
 ``double_coset_key`` has a closed form for table, shift-tail and free
-subgroups, so elements of one ``H g H`` share one decision.  A free
-subgroup of infinite index keys no member of ``H`` and no element whose
-readings from both ends overlap (see ``FreeSubgroup``); the other families
+subgroups, and for products of those, so elements of one ``H g H`` share one
+decision.  A free subgroup of infinite index keys no member of ``H`` and no
+element whose readings from both ends overlap (see ``FreeSubgroup``); a
+product keys the pairs whose components both have a key; the other families
 key no element.
 """
 
@@ -205,7 +206,8 @@ class FreeSubgroup(SubgroupSpec):
     graph: SubgroupGraph
 
     def member(self, g: GroupElement) -> Trit:
-        return Trit.from_bool(self.graph.contains(g.payload))
+        # payloads are freely reduced, so the trace needs no second reduce
+        return Trit.from_bool(self.graph.trace(g.payload) == self.graph.basepoint)
 
     def coset_key(self, g: GroupElement):
         # reading the inverse word from the basepoint is constant on cosets
@@ -372,6 +374,11 @@ class ProductSubgroup(SubgroupSpec):
         if kl is None or kr is None:
             return None
         return (kl, kr)
+
+    def double_coset_key(self, g: GroupElement):
+        # H1 x H2 (g1, g2) H1 x H2 is the product of the component double cosets
+        keys = (self.left.double_coset_key(g.payload[0]), self.right.double_coset_key(g.payload[1]))
+        return None if None in keys else keys
 
     def normalizes(self, g: GroupElement) -> Trit:
         return Trit.conjunction([self.left.normalizes(g.payload[0]),

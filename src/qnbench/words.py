@@ -29,15 +29,19 @@ def reduce_word(letters: Iterable[Letter]) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    """Product of already-reduced words (reduces across the seams)."""
-    out: list[Letter] = []
+    """Product of freely reduced words.  Every factor must be reduced: only
+    the letters meeting at a seam are compared, so each seam costs the ``k``
+    letters it cancels plus two tuple slices."""
+    out: Word = EMPTY
     for w in words:
-        for gen, exp in w:
-            if out and out[-1][0] == gen and out[-1][1] == -exp:
-                out.pop()
-            else:
-                out.append((gen, exp))
-    return tuple(out)
+        if not (out and w and out[-1][0] == w[0][0] and out[-1][1] == -w[0][1]):
+            out += w  # nothing cancels at this seam
+            continue
+        k, top = 1, min(len(out), len(w))
+        while k < top and out[-1 - k][0] == w[k][0] and out[-1 - k][1] == -w[k][1]:
+            k += 1
+        out = out[:len(out) - k] + w[k:]
+    return out
 
 
 def invert_word(word: Word) -> Word:
@@ -45,7 +49,9 @@ def invert_word(word: Word) -> Word:
 
 
 def shift_word(word: Word, delta: int) -> Word:
-    """Shift every generator index by ``delta``."""
+    """Shift every generator index by ``delta``; ``delta`` 0 returns ``word`` itself."""
+    if delta == 0:
+        return word
     return tuple((gen + delta, exp) for gen, exp in word)
 
 

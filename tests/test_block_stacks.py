@@ -3,7 +3,8 @@
 The references below form every product, Kronecker operator, tensor element
 and closure round one at a time; they live here only, as oracles for the
 batched module frames, left and right operators, product bases and
-subalgebra closures.
+subalgebra closures.  ``reference_module_dimension`` is the single SVD over
+every ``g b`` that the per-summand module dimension replaced.
 """
 
 import hypothesis.strategies as st
@@ -20,7 +21,7 @@ from qnbench.basic import (
     right_operator,
     right_operators,
 )
-from qnbench.bimodule import module_dimension, module_frame, orthonormal_basis
+from qnbench.bimodule import _products, module_dimension, module_frame, orthonormal_basis
 from qnbench.corners import cutdown, tensor_subalgebra
 from qnbench.expectations import (
     SubalgebraHandle,
@@ -43,6 +44,14 @@ def reference_frame(sub, generators):
     frame, svals, _ = np.linalg.svd(columns, full_matrices=False)
     cutoff = Tolerances().subalgebra_closure * np.max(svals, initial=1.0)
     return frame[:, svals > cutoff]
+
+
+def reference_module_dimension(sub, generators):
+    """Rank of the stacked ``vec(g b)`` for every generator and every basis
+    element of ``B``, one SVD over the whole span."""
+    svals = np.linalg.svd(_products(sub, sub.ambient.stack(generators)), compute_uv=False)
+    return int(np.count_nonzero(svals > Tolerances().subalgebra_closure
+                                * np.max(svals, initial=1.0)))
 
 
 def reference_closure(ambient, generators):
@@ -124,8 +133,30 @@ def test_module_frame_matches_element_products(case, count):
         gens.append(gens[0] @ B.basis[-1])  # a dependent generator
     frame, reference = module_frame(B, gens), reference_frame(B, gens)
     assert frame.shape == reference.shape
-    assert module_dimension(B, gens) == frame.shape[1]
+    assert module_dimension(B, gens) == frame.shape[1] == reference_module_dimension(B, gens)
     assert np.linalg.norm(frame @ frame.conj().T - reference @ reference.conj().T, 2) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions(kinds=("projections",)), st.lists(st.sampled_from(
+    ["generic", "corner", "inside", "rank_one"]), max_size=4))
+def test_module_dimension_matches_one_svd_over_non_abelian_subalgebras(case, draws):
+    # generators of every rank: generic ones span all of M, x E_11 a corner,
+    # elements of B the module B, matrix units of M thin modules
+    rng, M, B = case
+    units = [u for grid in matrix_units(B) for row in grid for u in row]
+    gens = []
+    for draw in draws:
+        x = M.random_element(rng)
+        if draw == "corner":
+            x = x @ units[rng.integers(len(units))]
+        elif draw == "inside":
+            x = B.project(x)
+        elif draw == "rank_one":
+            k = rng.integers(len(M.block_dims))
+            x = M.matrix_unit(k, *rng.integers(M.block_dims[k], size=2))
+        gens.append(x)
+    assert module_dimension(B, gens) == reference_module_dimension(B, gens)
 
 
 def test_module_frame_of_no_generators_is_empty():
@@ -197,6 +228,22 @@ def test_tensor_stacks_match_tensor_elements(first, second):
             np.testing.assert_allclose(stack[index], want, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(sub.coordinates[:, index], product.to_vector(expected),
                                    rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(inclusions(), inclusions())
+def test_tensor_units_are_kronecker_products_of_the_factor_units(first, second):
+    # the product handle takes its factors' units; a handle with the same
+    # coordinates decomposes itself spectrally and finds the same summands
+    _, M1, B1 = first
+    _, M2, B2 = second
+    sub = tensor_subalgebra(B1, B2)
+    units = matrix_units(sub)
+    fresh = SubalgebraHandle(ambient=sub.ambient, coordinates=sub.coordinates)
+    assert sorted(map(len, units)) == sorted(map(len, matrix_units(fresh)))
+    assert sorted(map(len, units)) == sorted(
+        len(g1) * len(g2) for g1 in matrix_units(B1) for g2 in matrix_units(B2))
+    assert all(sub.contains(u) for grid in units for row in grid for u in row)
 
 
 @settings(max_examples=25, deadline=None)

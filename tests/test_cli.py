@@ -292,12 +292,13 @@ def test_group_documents_of_every_family_run(tmp_path, family):
         {"family": "direct_product", "left": FREE_DOC,
          "right": {**S3_DOC, "table": [[None] * 6] + S3_TABLE[1:]}},
         {**FREE_DOC, "subgroup_generators": [" ".join(["a^10000 b"] * 5)]},
+        {**FREE_DOC, "subgroup_generators": ["a^10000 b"] * 100},
     ],
     ids=["generators_entry", "generators_string", "subgroup_generators_free",
          "subgroup_generators_shift", "subgroup_generators_table", "relators",
          "rewriting_rule_entry", "rewriting_rule_length", "rewriting_rules_string",
          "element_names", "table_entry", "table_row", "product_table_entry",
-         "word_letters"],
+         "word_letters", "document_letters"],
 )
 def test_group_document_bad_value_exits_2(tmp_path, capsys, doc):
     # values of the wrong type are input errors, not tracebacks

@@ -30,6 +30,7 @@ from qnbench.orbits import qn1_membership
 from qnbench.subgroups import (
     INFINITE,
     FreeSubgroup,
+    ProductSubgroup,
     product_subgroup,
     shift_tail_subgroup,
     subgroup,
@@ -350,6 +351,32 @@ def test_free_double_coset_keys_leave_the_report_unchanged(monkeypatch, rank, wo
     monkeypatch.setattr(FreeSubgroup, "double_coset_key", lambda self, g: None)
     assert diagnose_inclusion(group, spec, config).to_dict() == shared
     assert with_keys < len(decisions) - with_keys
+
+
+@pytest.mark.parametrize("words", [["a"], ["a^2", "b", "a b a^-1"]], ids=["cyclic", "index_two"])
+def test_product_double_coset_keys_leave_every_row_unchanged(monkeypatch, words):
+    # F2 x S3 over H1 x <(01)> at radius 2; with H1 = <a> it is the
+    # benchmark's f2_x_s3 shape, and at index two every element is keyed and
+    # certified.  H1 x H2 (g1, g2) H1 x H2 is the product of the component
+    # double cosets, so mates share a verdict; each row must match its own
+    # decision
+    S3 = from_permutations([(1, 0, 2), (0, 2, 1)])
+    left = parse_group_inclusion({"family": "free", "generators": ["a", "b"],
+                                  "subgroup_generators": words})
+    spec = product_subgroup(DirectProductDescriptor(left.group, S3), left.subgroup,
+                            subgroup(S3, [S3.generators()[0]]))
+    group = spec.group
+    config = DiagnosisConfig(radius=2)
+    ball = enumerate_ball(group, 2)
+    keys = [spec.double_coset_key(g) for g in ball]
+    assert len({k for k in keys if k is not None}) < sum(k is not None for k in keys)
+    shared = diagnose_inclusion(group, spec, config).to_dict()
+    for g, row in zip(ball, shared["gamma_ball"]):
+        own = qn1_membership(spec, g, config.budget)
+        assert row["qn1_status"] == own.status, row
+        assert row["cover_size"] == (own.certificate.cover_size if own.certificate else None), row
+    monkeypatch.setattr(ProductSubgroup, "double_coset_key", lambda self, g: None)
+    assert diagnose_inclusion(group, spec, config).to_dict() == shared
 
 
 def test_diagnose_free_group_singular_masa_evidence():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnbench import expectations, matrixalg
 from qnbench.basic import basic_construction, qn1_module_test
 from qnbench.corners import cutdown, cutdown_comparison, tensor_module_check
 from qnbench.errors import GroupValidationError
@@ -9,7 +10,9 @@ from qnbench.expectations import (
     central_projections,
     diagonal_subalgebra,
     full_subalgebra,
+    matrix_units,
     scalar_subalgebra,
+    subalgebra_closure,
 )
 from qnbench.matrixalg import build_algebra
 
@@ -142,3 +145,30 @@ def test_tensor_module_structured_example():
     c1 = basic_construction(M1, B1)
     check = tensor_module_check(c1, M1.matrix_unit(0, 0, 1), c1, M1.matrix_unit(0, 1, 0))
     assert check.left_dim == 1 and check.right_dim == 1 and check.product_dim == 1
+
+
+def test_tensor_module_check_never_decomposes_the_product(monkeypatch):
+    # the product handle takes its factors' Kronecker units, so no spectral
+    # decomposition may run on an element of M1 (x) M2
+    M1, B1 = m2_m3_diag()
+    M2 = build_algebra([2, 1], [1 / 3, 1 / 3])
+    B2 = subalgebra_closure(M2, [M2.random_selfadjoint(np.random.default_rng(2))])
+    c1, c2 = basic_construction(M1, B1), basic_construction(M2, B2)
+    product = M1.tensor(M2)
+    algebras = []
+    real = matrixalg.spectral_frames
+
+    def counted(x):
+        algebras.append(x.algebra)
+        return real(x)
+
+    monkeypatch.setattr(matrixalg, "spectral_frames", counted)
+    monkeypatch.setattr(expectations, "spectral_frames", counted)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        check = tensor_module_check(c1, M1.random_element(rng), c2, M2.random_element(rng))
+        assert check.multiplicative
+    assert product not in algebras
+    # the wrapper sees a decomposition where one runs
+    matrix_units(SubalgebraHandle(ambient=M2, coordinates=B2.coordinates))
+    assert algebras.count(M2) == 1

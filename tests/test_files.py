@@ -2,6 +2,7 @@ import pytest
 
 from qnbench.errors import GroupValidationError, InputFormatError
 from qnbench.files import (
+    MAX_DOCUMENT_LETTERS,
     load_group_inclusion,
     load_matrix_inclusion,
     parse_group_inclusion,
@@ -74,6 +75,22 @@ def test_word_letters_up_to_the_bound():
     for doc in (free(" ".join(["a^10000 b"] * 5)), free("a^10000 b a^10000"), shift):
         with pytest.raises(InputFormatError, match="more than 20000 letters"):
             parse_group_inclusion(doc)
+
+def test_document_letters_up_to_the_bound():
+    # each word is within MAX_WORD_LETTERS, and 100 of them took over a
+    # minute of graph folding; the document bound counts across words and
+    # across the factors of a direct product
+    def free(*words):
+        return {"family": "free", "generators": ["a", "b"], "subgroup_generators": list(words)}
+
+    full = "a^10000 b^10000"
+    assert MAX_DOCUMENT_LETTERS == 2 * 20000
+    assert len(parse_group_inclusion(free(full, full)).subgroup.generators) == 2
+    product = {"family": "direct_product", "left": free(full), "right": free(full, "a")}
+    for doc in (free(full, full, "a"), free(*["a^10000 b"] * 100), product):
+        with pytest.raises(InputFormatError, match="words expand to more than 40000 letters"):
+            parse_group_inclusion(doc)
+
 
 def test_direct_product_document():
     doc = parse_group_inclusion(

@@ -13,6 +13,7 @@ from qnbench.group_algebra import decompose_regular_representation, group_algebr
 from qnbench.orbits import qn1_membership
 from qnbench.subgroups import subgroup
 from qnbench.wahp import OptimizerConfig, wahp_witness_search
+from test_block_stacks import reference_module_dimension
 from test_expectations import closure_defect
 from test_groups import all_elements, cyclic, from_permutations
 
@@ -167,4 +168,6 @@ def test_cover_size_times_dim_is_a_module_dimension(drawn):
     for g in all_elements(G):
         cover = qn1_membership(spec, g).certificate.cover_size
         u_g = inclusion.image(g)
-        assert cover * L_H.dim == module_dimension(L_H, [u_h @ u_g for u_h in H]), g
+        module = [u_h @ u_g for u_h in H]
+        assert cover * L_H.dim == module_dimension(L_H, module) \
+            == reference_module_dimension(L_H, module), g

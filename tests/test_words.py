@@ -13,6 +13,22 @@ from qnbench.words import (
 
 letters = st.tuples(st.integers(-3, 3), st.sampled_from([1, -1]))
 raw_words = st.lists(letters, max_size=12).map(tuple)
+# two generators, so that factors often cancel deep into each other
+seam_words = st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])),
+                      max_size=12).map(reduce_word)
+
+
+def reference_concat(*words):
+    """The letter-at-a-time product that ``concat`` replaced: every letter of
+    every factor is pushed onto a stack or cancels its top."""
+    out = []
+    for w in words:
+        for gen, exp in w:
+            if out and out[-1][0] == gen and out[-1][1] == -exp:
+                out.pop()
+            else:
+                out.append((gen, exp))
+    return tuple(out)
 
 
 def test_reduce_basic():
@@ -48,6 +64,18 @@ def test_inverse_cancels(w):
 def test_concat_matches_reduce(u, v):
     ru, rv = reduce_word(u), reduce_word(v)
     assert concat(ru, rv) == reduce_word(tuple(u) + tuple(v))
+
+
+@given(seam_words, seam_words, seam_words)
+def test_concat_of_reduced_words_matches_reduce_and_the_letter_loop(a, b, c):
+    assert concat(a, b, c) == reduce_word(a + b + c) == reference_concat(a, b, c)
+    assert concat(a, invert_word(a), b) == b
+
+
+@given(raw_words)
+def test_shift_by_zero_shares_the_word(w):
+    r = reduce_word(w)
+    assert shift_word(r, 0) is r
 
 
 @given(raw_words, st.integers(-4, 4))
