@@ -11,7 +11,7 @@ homomorphism-gap optimizer over the unitary group of a subalgebra.
 """
 
 from .basic import basic_construction, module_projection, qn1_module_test
-from .bimodule import orthonormal_basis, remove_component
+from .bimodule import orthonormal_basis
 from .certificates import (
     QnCertificate,
     compose_certificates,

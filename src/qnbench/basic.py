@@ -13,9 +13,10 @@ units), ``module_projection`` (all ``eta_i``) and the pull-down's span check
 
 The rest is closed form in a module basis ``eta_i`` of the ambient algebra
 over the subalgebra ``B``: the trace vector, then the closed-form basis of
-the complement ``M - B`` (``bimodule.orthonormal_basis``), whose
-reconstruction ``v = sum_i eta_i E_B(eta_i* v)`` is, as operators, the
-Pimsner-Popa identity ``sum_i lambda(eta_i) e lambda(eta_i)* = 1``.
+the complement ``M - B`` read from its projector ``1 - e``
+(``bimodule.orthonormal_basis``), whose reconstruction ``v = sum_i eta_i
+E_B(eta_i* v)`` is, as operators, the Pimsner-Popa identity ``sum_i
+lambda(eta_i) e lambda(eta_i)* = 1``.
 
 * Canonical trace ``Tr(T) = sum_i <eta_i, T eta_i>``: on ``x e y`` it is
   ``tau(y sum_i eta_i E_B(eta_i* x)) = tau(x y)``.
@@ -29,17 +30,19 @@ Pimsner-Popa identity ``sum_i lambda(eta_i) e lambda(eta_i)* = 1``.
   ``x sum_i E_B(y eta_i) eta_i* = x y`` by reconstruction of ``y*``.
 
 The build checks ``Tr(x e y) = tau(x y)`` on all pairs of matrix units and
-the Pimsner-Popa identity in operator norm.
+the Pimsner-Popa identity in operator norm, and keeps the trace residual and
+the Pimsner-Popa operator for reports to read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bimodule import BimoduleBasis, orthonormal_basis, product_frame, remove_component
+from .bimodule import BimoduleBasis, orthonormal_basis, product_frame
 from .errors import ConstructionError, RepresentationError
 from .expectations import SubalgebraHandle, conditional_expectation
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
@@ -93,6 +96,10 @@ class BasicConstruction:
     e_sub: np.ndarray
     trace_vectors: BimoduleBasis
     trace_form: np.ndarray  # sum of |eta_i><eta_i|
+    # kept by the build's check: trace_identity_residual() and the operator
+    # sum_i lambda(eta_i) e lambda(eta_i)* of pimsner_popa_residual()
+    trace_residual: float = field(default=math.nan, init=False)
+    pimsner_popa: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     # -- operators -----------------------------------------------------------
 
@@ -102,12 +109,11 @@ class BasicConstruction:
 
     # -- canonical trace --------------------------------------------------------
 
-    def extension_trace(self, op: np.ndarray) -> complex:
-        """Canonical trace of the extension algebra."""
-        return complex(np.sum(op * self.trace_form.T))
-
-    def extension_norm(self, op: np.ndarray) -> float:
-        return float(np.sqrt(max(self.extension_trace(op.conj().T @ op).real, 0.0)))
+    def extension_trace(self, op: np.ndarray):
+        """Canonical trace of the extension algebra, of one operator or of
+        each operator of a stack: ``Tr(T) = sum_ab T_ab F_ba`` with ``F`` the
+        trace form."""
+        return np.einsum("...ab,ba->...", op, self.trace_form)
 
     # -- pull-down ---------------------------------------------------------------
 
@@ -146,17 +152,20 @@ class BasicConstruction:
         products = (one.conj() @ lefts) @ (lefts @ one).T  # tau(x y) = <1, x y 1>
         return float(np.max(np.abs(traces - products)))
 
-    def compression_residual(self, x: AlgebraElement) -> float:
-        """Operator norm of ``e lambda(x) e - lambda(E_B(x)) e``."""
-        expect = conditional_expectation(self.algebra, self.subalgebra)
-        lhs = self.e_sub @ left_operator(x) @ self.e_sub
-        rhs = left_operator(expect(x)) @ self.e_sub
-        return float(np.linalg.norm(lhs - rhs, 2))
+    def compression_residuals(self, xs: Sequence[AlgebraElement]) -> np.ndarray:
+        """Operator norms of ``e lambda(x) e - lambda(E_B(x)) e``, one per element."""
+        algebra, expect = self.algebra, conditional_expectation(self.algebra, self.subalgebra)
+        lhs = self.e_sub @ left_operators(algebra, algebra.stack(xs)) @ self.e_sub
+        rhs = left_operators(algebra, algebra.stack([expect(x) for x in xs])) @ self.e_sub
+        return np.linalg.norm(lhs - rhs, 2, axis=(1, 2))
 
-    def vector_norm_residual(self, w: np.ndarray) -> float:
-        """``| |w e|_Tr - |w (trace vector)|_tau |`` for an operator ``w``."""
-        eta = self.algebra.from_vector(w @ self.algebra.to_vector(self.algebra.one()))
-        return abs(self.extension_norm(w @ self.e_sub) - eta.norm2())
+    def vector_norm_residuals(self, ws: np.ndarray) -> np.ndarray:
+        """``| |w e|_Tr - |w (trace vector)|_tau |`` for each operator of a
+        stack ``(count, dim, dim)``."""
+        we = ws @ self.e_sub
+        traces = self.extension_trace(we.conj().swapaxes(1, 2) @ we).real
+        vectors = ws @ self.algebra.to_vector(self.algebra.one())
+        return np.abs(np.sqrt(np.maximum(traces, 0.0)) - np.linalg.norm(vectors, axis=1))
 
     def pimsner_popa_residual(self) -> float:
         """Operator norm of ``sum_i lambda(eta_i) e lambda(eta_i)* - 1``.
@@ -179,8 +188,7 @@ def basic_construction(
     e_sub = coords @ coords.conj().T
 
     expect = conditional_expectation(algebra, subalgebra)
-    rest = orthonormal_basis(subalgebra, expect, remove_component(algebra.basis(), expect),
-                             tolerances)
+    rest = orthonormal_basis(subalgebra, expect, np.eye(algebra.dim) - e_sub)
     trace_vectors = BimoduleBasis(subalgebra=subalgebra, expectation=expect,
                                   vectors=[algebra.one()] + rest.vectors,
                                   supports=[algebra.one()] + rest.supports)
@@ -205,10 +213,12 @@ def _verify_construction(c: BasicConstruction) -> None:
     for eta in c.trace_vectors.vectors[1:]:
         if float(np.linalg.norm(c.e_sub @ c.algebra.to_vector(eta))) > tol:
             raise ConstructionError("module basis vector has a nonzero subalgebra component")
-    worst = c.trace_identity_residual()
+    c.trace_residual = worst = c.trace_identity_residual()
     if worst > tol:
         raise ConstructionError(f"trace identity residual {worst:.2e} exceeds {tol:.2e}")
-    defect, bound = c.pimsner_popa_residual(), c.tolerances.reconstruction
+    c.pimsner_popa = module_projection(c, c.trace_vectors)
+    defect = float(np.linalg.norm(c.pimsner_popa - np.eye(c.algebra.dim), 2))
+    bound = c.tolerances.reconstruction
     if defect > bound:
         raise ConstructionError(f"Pimsner-Popa residual {defect:.2e} exceeds {bound:.2e}")
 

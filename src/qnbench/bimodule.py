@@ -4,8 +4,11 @@ Over a subalgebra ``B`` of a multi-matrix algebra, every right-``B``-module
 of vectors admits a basis ``eta_i`` with ``E_B(eta_i* eta_j) = delta_ij p_i``
 for support projections ``p_i`` in ``B``, and every module vector
 reconstructs as ``sum_i eta_i E_B(eta_i* v)`` (Pimsner-Popa).  The basis is
-in closed form, from the minimal projection ``E_11`` of each simple summand
-of ``B`` (``expectations.matrix_units``, used by ``orthonormal_basis``).
+in closed form, from the module's orthogonal projector ``P`` and the minimal
+projection ``p = E_11`` of each simple summand of ``B``
+(``expectations.matrix_units``, used by ``orthonormal_basis``): right
+multiplication ``R_p`` commutes with ``P``, so ``X p`` is the range of the
+Hermitian ``P R_p P``, whose spectrum is 0 and 1.
 
 When only the module itself is needed, the basis is not: ``B`` is unital
 and closed under products, so the linear span of the ``g b`` (``g`` a
@@ -18,8 +21,8 @@ relative singular-value cutoff of its own summand (``module_dimension``).
 
 Both work on per-block stacks: all ``g b`` are one broadcast ``matmul`` of
 the generator stack against the handle's basis stacks per block
-(``product_frame``), and all ``x p`` over a module frame are one ``matmul``
-per block on the frame's coordinates.
+(``product_frame``), and all ``x p`` over the columns of a projector are one
+``matmul`` per block on its coordinates.
 """
 
 from __future__ import annotations
@@ -76,34 +79,36 @@ class BimoduleBasis:
 def orthonormal_basis(
     sub: SubalgebraHandle,
     expectation: Expectation,
-    module_generators: Sequence[AlgebraElement],
-    tolerances: Optional[Tolerances] = None,
+    projector: np.ndarray,
 ) -> BimoduleBasis:
-    """Module basis of the right-``B`` span ``X`` of the generators.
+    """Module basis of the right-``B`` module ``X`` with orthogonal projector
+    ``projector`` on the GNS coordinates.
 
-    Take ``p = E_11`` of each simple summand of ``B``.  A minimal
-    projection has ``p B p = C p``, so any
-    trace-orthonormal frame ``xi_j`` of ``X p`` has
+    Take ``p = E_11`` of each simple summand of ``B``.  ``X`` and its
+    complement are right-``B``-modules, so ``R_p`` commutes with ``P`` and
+    ``X p`` is the range of ``P R_p P = (R_p P)* (R_p P)``: its eigenvectors
+    above 1/2, from one batched ``eigh`` over the summands (the spectrum is 0
+    and 1, so no relative cutoff is needed).  A minimal projection has
+    ``p B p = C p``, so any trace-orthonormal frame ``xi_j`` of ``X p`` has
     ``E_B(xi_i* xi_j) = delta_ij p / tau(p)``; scaled by ``tau(p)^(1/2)`` the
     frame has support ``p`` and generates ``X z`` for the central support
     ``z`` of ``p``.  Vectors from different summands have orthogonal
     supports, so they are summed index by index.
     """
-    tolerances = tolerances or Tolerances()
     ambient = sub.ambient
-    module = module_frame(sub, module_generators, tolerances)
-    # the frame's coordinate blocks: vec(x p) = vec(x) p per block, as the
-    # block scaling commutes with right multiplication
-    chunks = [module[part].T.reshape(-1, n, n)
+    # the projector's columns as per-block stacks: vec(x p) = vec(x) p per
+    # block, as the block scaling commutes with right multiplication
+    chunks = [projector[part].T.reshape(-1, n, n)
               for part, n in zip(ambient.block_slices, ambient.block_dims)]
+    minimal = [grid[0][0] for grid in matrix_units(sub)]
+    # (R_p P)^T for every p: row i is vec(x_i p) for the i-th column x_i of P
+    images = np.stack([np.concatenate([(c @ b).reshape(len(c), b.size)
+                                       for c, b in zip(chunks, p.blocks)], axis=1)
+                       for p in minimal])
+    values, vectors = np.linalg.eigh(images.conj() @ images.transpose(0, 2, 1))
     total = np.zeros((ambient.dim, 0), dtype=complex)
     supports: list[AlgebraElement] = []
-    minimal = [grid[0][0] for grid in matrix_units(sub)]
-    # every X p has the same shape, so all their SVDs are one batched call
-    frames, svals, _ = np.linalg.svd(np.stack([np.concatenate(
-        [(c @ b).reshape(len(c), b.size) for c, b in zip(chunks, p.blocks)], axis=1).T
-        for p in minimal]), full_matrices=False)
-    for p, frame, kept in zip(minimal, frames, _kept(svals, tolerances)):
+    for p, frame, kept in zip(minimal, vectors, values > 0.5):
         frame = frame[:, kept]
         # fix the phase: the largest entry of each column is real positive
         peaks = frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])]
@@ -117,11 +122,6 @@ def orthonormal_basis(
     return BimoduleBasis(subalgebra=sub, expectation=expectation,
                          vectors=ambient.elements(ambient.stacks_of(total)),
                          supports=supports)
-
-
-def remove_component(ys: Sequence[AlgebraElement], expectation: Expectation) -> list:
-    """Subtract the conditional expectation: results are expectation-null."""
-    return [y - expectation(y) for y in ys]
 
 
 def module_frame(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .acceptance import AcceptanceConfig, verify_paper
-from .basic import basic_construction
+from .basic import basic_construction, left_operators
 from .conditions import DiagnosisConfig, diagnose_inclusion
 from .errors import (
     ConstructionError,
@@ -127,20 +127,19 @@ def run_vn_analysis(args) -> int:
 
 
 def _identity_summary(construction, rng, tolerances: Tolerances) -> dict:
-    algebra = construction.algebra
-    worst_trace = construction.trace_identity_residual()
-    worst_compression = 0.0
-    worst_norm = 0.0
-    for _ in range(5):
-        x = algebra.random_element(rng)
-        worst_compression = max(worst_compression, construction.compression_residual(x))
-        w = construction.basic_operator(x, algebra.random_element(rng))
-        worst_norm = max(worst_norm, construction.vector_norm_residual(w))
-    recon = construction.trace_vectors
-    worst_recon = max(
-        recon.reconstruction_residual(algebra.random_element(rng)) for _ in range(5)
-    )
-    rows = (("trace_identity", worst_trace, tolerances.trace_identity),
+    """The build's trace residual, then the compression and vector-norm
+    identities at five random pairs and module reconstruction at five random
+    samples, each as one stacked call: reconstruction is the Pimsner-Popa
+    operator ``P`` the build kept, so its residual is ``|(1 - P) v|``."""
+    algebra, e = construction.algebra, construction.e_sub
+    xs, ys = zip(*[(algebra.random_element(rng), algebra.random_element(rng)) for _ in range(5)])
+    worst_compression = float(np.max(construction.compression_residuals(xs)))
+    lefts = [left_operators(algebra, algebra.stack(side)) for side in (xs, ys)]
+    worst_norm = float(np.max(construction.vector_norm_residuals(lefts[0] @ e @ lefts[1])))  # x e y
+    samples = algebra.vectors_of(algebra.stack([algebra.random_element(rng) for _ in range(5)]))
+    misses = samples - construction.pimsner_popa @ samples
+    worst_recon = float(np.max(np.linalg.norm(misses, axis=0)))
+    rows = (("trace_identity", construction.trace_residual, tolerances.trace_identity),
             ("compression_identity", worst_compression, tolerances.compression_identity),
             ("vector_norm_match", worst_norm, tolerances.vector_norm_match),
             ("module_reconstruction", worst_recon, tolerances.reconstruction))

@@ -6,7 +6,10 @@ corner inclusion ``eBe <= eMe`` with the renormalized trace
 element, that the compressed generators of its module span the module of the
 compressed element, in both directions.  Central projections make that
 module-level statement exact, so samples are drawn from sums of minimal
-central projections of the subalgebra.
+central projections of the subalgebra.  For a projection ``e`` in ``B``,
+``eBe`` is already a unital *-subalgebra of ``eMe``, so the corner
+subalgebra is the span of the corner's identity and the compressed basis,
+with no closure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .basic import BasicConstruction, basic_construction, qn1_module_test
 from .bimodule import module_dimension, module_frame
 from .errors import GroupValidationError
-from .expectations import SubalgebraHandle, cache_units, matrix_units, subalgebra_closure
+from .expectations import SubalgebraHandle, cache_units, matrix_units, span_subalgebra
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, kron_stacks
 from .tolerances import Tolerances
 
@@ -65,10 +68,11 @@ def cutdown(
         dims.append(frame.shape[1])
         weights.append(ambient.block_weights[k] / trace)
     corner = build_algebra(dims, weights, tolerances)
-    cut = Cutdown(corner=corner, kept_blocks=kept, isometries=isometries,
-                  sub_corner=None, projection=e)
-    cut.sub_corner = subalgebra_closure(corner, [cut.compress(b) for b in sub.basis], tolerances)
-    return cut
+    # eBe, one compression per kept block of the basis stacks
+    compressed = corner.vectors_of([v.conj().T @ sub.stacks[k] @ v
+                                    for k, v in zip(kept, isometries)])
+    return Cutdown(corner=corner, kept_blocks=kept, isometries=isometries,
+                   sub_corner=span_subalgebra(corner, compressed, tolerances), projection=e)
 
 
 @dataclass

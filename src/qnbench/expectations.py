@@ -15,13 +15,16 @@ of those stacks.
 
 Closures start from the spectral projections of the generators' real and
 imaginary parts, which span the same algebra with a well conditioned basis
-where powers of a generator would not.  Each round forms the adjoints and
-all pairwise products of the current basis as one broadcast ``matmul`` per
-block of its stacks.
+where powers of a generator would not.  When at most one of those parts is
+not scalar, that span is already ``C*(h)`` of the one part ``h`` (spectral
+theorem) and the closure stops there.  Otherwise each round forms the
+adjoints and all pairwise products of the current basis as one broadcast
+``matmul`` per block of its stacks.
 
 The Wedderburn structure of a subalgebra has one source,
 ``matrix_units``: the minimal projections of one seeded generic element
-and the links between them.  A tensor product handle
+and the links between them; when there are ``dim B`` of them, ``B`` is
+abelian and no link is searched.  A tensor product handle
 (``corners.tensor_subalgebra``) instead takes the Kronecker products of its
 factors' units, which are the units of ``B1 (x) B2``; both pass the same
 check (``cache_units``).  Minimal central projections, the module
@@ -117,16 +120,20 @@ def subalgebra_closure(
     """Smallest unital *-subalgebra containing the generators.
 
     Starts from the spectral projections of each generator's real and
-    imaginary parts, then alternates span-with-products-and-adjoints and
-    re-orthonormalization until the dimension stabilizes, which takes at
-    most ``ambient.dim`` rounds.
+    imaginary parts.  When at most one part has more than one, their span
+    with 1 is ``C*(h)`` of that part and is returned as it is.  Otherwise it
+    alternates span-with-products-and-adjoints and re-orthonormalization
+    until the dimension stabilizes, which takes at most ``ambient.dim``
+    rounds.
     """
     tol = (tolerances or Tolerances()).subalgebra_closure
-    columns = [ambient.to_vector(ambient.one())]
-    for g in generators:
-        for part in (0.5 * (g + g.adjoint()), complex(0, -0.5) * (g - g.adjoint())):
-            columns += [ambient.to_vector(p) for p in spectral_projections(part)]
+    spectra = [spectral_projections(part) for g in generators
+               for part in (0.5 * (g + g.adjoint()), complex(0, -0.5) * (g - g.adjoint()))]
+    columns = [ambient.to_vector(ambient.one())] + [ambient.to_vector(p) for ps in spectra
+                                                      for p in ps]
     coords = _orthonormalize(ambient, np.stack(columns, axis=1), tol)
+    if sum(len(ps) > 1 for ps in spectra) <= 1:
+        return SubalgebraHandle(ambient=ambient, coordinates=coords)
     while True:
         refreshed = _orthonormalize(
             ambient, np.concatenate([coords, _adjoints_and_products(ambient, coords)], axis=1), tol)
@@ -135,13 +142,20 @@ def subalgebra_closure(
         coords = refreshed
 
 
+def span_subalgebra(ambient: MultiMatrixAlgebra, columns: np.ndarray,
+                    tolerances: Optional[Tolerances] = None) -> SubalgebraHandle:
+    """Handle of the span of 1 and the coordinate columns, for a span already
+    known to be a unital *-subalgebra: orthonormalized after the identity."""
+    one = ambient.to_vector(ambient.one())
+    return SubalgebraHandle(ambient=ambient, coordinates=_orthonormalize(
+        ambient, np.concatenate([one[:, None], columns], axis=1),
+        (tolerances or Tolerances()).subalgebra_closure))
+
+
 def full_subalgebra(ambient: MultiMatrixAlgebra, tolerances: Optional[Tolerances] = None
                     ) -> SubalgebraHandle:
     """Handle for the whole algebra: the coordinate axes orthonormalized after the identity."""
-    one = ambient.to_vector(ambient.one())
-    coords = _orthonormalize(ambient, np.concatenate([one[:, None], np.eye(ambient.dim)], axis=1),
-                             (tolerances or Tolerances()).subalgebra_closure)
-    return SubalgebraHandle(ambient=ambient, coordinates=coords)
+    return span_subalgebra(ambient, np.eye(ambient.dim), tolerances)
 
 
 def scalar_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
@@ -186,7 +200,10 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     exactly when ``p_i`` and ``p_j`` lie in one summand.  There
     ``p_1 x p_a = c e_1a``, so ``E_1a = (p_1 x p_a) tau(p_a)^(1/2) /
     |p_1 x p_a|_2`` and ``E_ab = E_1a* E_1b``, computed in the eigenvector
-    frames; ``E_ba`` is stored as the adjoint of ``E_ab``.
+    frames; ``E_ba`` is stored as the adjoint of ``E_ab``.  A generic
+    element has ``sum_j n_j`` clusters, so ``dim B = sum_j n_j^2`` of them
+    means every ``n_j = 1``: each ``p_i`` is a summand of its own, and no link
+    is searched once the ``p_i`` are checked to lie in the span.
 
     A degenerate draw raises ``ConstructionError`` (``cache_units``): the
     summands must fill ``B`` and ``E_1a E_1b* = delta_ab E_11`` must hold
@@ -204,6 +221,14 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     weights = ambient.block_weights
     x = sub.project(ambient.random_element(np.random.default_rng(0)))
     frames = spectral_frames(0.5 * (x + x.adjoint()))
+    if len(frames) == sub.dim:
+        units = [[[AlgebraElement(ambient, tuple(f @ f.conj().T for f in frame))]]
+                 for frame in frames]
+        columns = ambient.vectors_of(ambient.stack([grid[0][0] for grid in units]))
+        outside = float(np.max(np.linalg.norm(columns - sub.project_vector(columns), axis=0)))
+        if outside > Tolerances().construction_identity:
+            raise ConstructionError(f"spectral projection {outside:.2e} outside the span")
+        return cache_units(sub, units)
     cutoff = SPECTRAL_GAP * max(1.0, x.norm2())
     summands: list = []  # per summand: (cluster, normalized link from its first cluster)
     for j, frame in enumerate(frames):

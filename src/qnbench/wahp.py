@@ -15,13 +15,18 @@ taken in the real-orthonormal basis that the matrix units of ``B`` give
 Each map ``u -> x u y - E_N(x) u E_N(y)`` is linear on the GNS space, so the
 whole functional is a positive-semidefinite quadratic form ``v* Q v`` in the
 coordinates ``v = vec(u)``; ``Q`` is assembled once, from stacked left and
-right multiplication operators, and every evaluation is a single
-matrix-vector product.  Its slope along ``exp(i t h) u`` is ``-2 Im <Qv,
+right multiplication operators.  The optimizer then works in ``B``'s own
+coordinates: with the matrix units ``E^j_ab``, a unitary of ``B`` is ``u =
+sum_j sum_ab U^j_ab E^j_ab`` with ``U^j`` unitary of size ``n_j``, so ``vec(u)
+= E w`` for the units' coordinate columns ``E`` and the entries ``w`` of the
+``U^j``, the form is ``w* (E* Q E) w``, and ``exp(i h)`` is ``exp(i H^j)``
+summand by summand.  Its slope along ``exp(i t h) u`` is ``-2 Im <Qv,
 vec(h u)>``, so a seeded multi-restart steepest descent on the unitaries of
 ``B`` needs no numerical derivative; it is cross-checked against a grid or
 random-search oracle, and the report carries both values.  Every evaluation
-is batched: per block, one stacked ``eigh`` gives ``exp(i h)`` for a stack of
-parameter rows, and one ``einsum`` the quadratic form of the whole stack; a
+is batched and costs ``O(dim B^2)`` per row: per summand size, one stacked
+``eigh`` (a plain ``exp`` for ``1 x 1`` summands) gives ``exp(i h)`` for a
+stack of parameter rows, and one ``einsum`` the form of the whole stack; a
 descent step scores its whole ladder of step lengths in one such call.  A
 vanishing family (``N = M`` makes every term cancel exactly) yields the exact
 gap ``0.0`` with no optimization at all.
@@ -106,61 +111,102 @@ def hermitian_basis(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle) -> list:
     return out
 
 
-def _unitaries(stacks: Sequence[np.ndarray], thetas: np.ndarray) -> list:
-    """Per-block stacks of ``u = exp(i sum_d theta_d h_d)``, one per row of ``thetas``,
-    from the per-block stacks of the ``h_d``."""
-    out = []
-    for stack in stacks:
-        vals, vecs = np.linalg.eigh(np.einsum("pd,dij->pij", thetas, stack))
-        out.append((vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
+@dataclass
+class _UnitForm:
+    """The gap's form in the coordinates ``w`` of the matrix units of ``B``
+    (the entries of the ``U^j``, summand by summand and row by row), where
+    ``vec(u) = E w`` and ``v* Q v = w* (E* Q E) w``."""
+
+    units: np.ndarray  # (dim, dim B): vec(E^j_ab)
+    herm: np.ndarray  # (directions, dim B): the h_d in the coordinates of the units
+    slots: list  # per summand size n: (n, index array (summands, n * n) of their coordinates)
+    q: np.ndarray  # E* Q E
+
+
+def _unit_form(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle,
+               herm: Sequence[AlgebraElement], q: np.ndarray) -> _UnitForm:
+    """``Q`` and the directions ``herm`` (self-adjoint elements of ``B``) in
+    the coordinates of the units; the columns of ``E`` are orthogonal with
+    squared norm ``tau(E^j_11)``."""
+    grids = matrix_units(sub)
+    units = ambient.vectors_of(ambient.stack([u for g in grids for row in g for u in row]))
+    sizes = [len(g) for g in grids]
+    starts = np.cumsum([0] + [n * n for n in sizes])
+    norms = np.repeat([g[0][0].trace().real for g in grids], [n * n for n in sizes])
+    slots = [(n, np.array([np.arange(start, start + n * n)
+                           for start, m in zip(starts, sizes) if m == n]))
+             for n in sorted(set(sizes))]
+    herm_vectors = ambient.vectors_of(ambient.stack(herm))
+    return _UnitForm(units=units, herm=(units.conj().T @ herm_vectors).T / norms, slots=slots,
+                     q=units.conj().T @ q @ units)
+
+
+def _unitaries(form: _UnitForm, thetas: np.ndarray) -> np.ndarray:
+    """Coordinates ``(rows, dim B)`` of ``u = exp(i sum_d theta_d h_d)`` per row
+    of ``thetas``: per summand size, a plain ``exp`` of the ``1 x 1``
+    summands or one stacked ``eigh`` of the larger ones."""
+    h = thetas @ form.herm
+    out = np.empty_like(h)
+    for n, slots in form.slots:
+        if n == 1:
+            out[:, slots[:, 0]] = np.exp(1j * h[:, slots[:, 0]].real)
+            continue
+        vals, vecs = np.linalg.eigh(h[:, slots].reshape(len(h), -1, n, n))
+        exp = (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        out[:, slots] = exp.reshape(len(h), -1, n * n)
     return out
 
 
-def _values(ambient: MultiMatrixAlgebra, herm: Sequence[AlgebraElement], q: np.ndarray,
-            thetas: np.ndarray) -> np.ndarray:
+def _multiply(form: _UnitForm, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coordinates of the products ``a b`` of two coordinate stacks (rows
+    broadcast), one stacked ``matmul`` per summand size."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for n, slots in form.slots:
+        product = a[:, slots].reshape(len(a), -1, n, n) @ b[:, slots].reshape(len(b), -1, n, n)
+        out[:, slots] = product.reshape(len(out), -1, n * n)
+    return out
+
+
+def _values(form: _UnitForm, thetas: np.ndarray) -> np.ndarray:
     """``v* Q v`` at ``u = exp(i sum_d theta_d h_d)`` for every row of ``thetas``.
 
     ``ORACLE_CHUNK`` rows at a time, so peak memory stays
-    ``O(ORACLE_CHUNK * n^2)`` however many rows are asked for.
+    ``O(ORACLE_CHUNK * dim B)`` however many rows are asked for.
     """
-    stacks = ambient.stack(herm)
     out = np.empty(len(thetas))
     for start in range(0, len(thetas), ORACLE_CHUNK):
         chunk = thetas[start:start + ORACLE_CHUNK]
-        out[start:start + len(chunk)] = _form(ambient, q, _unitaries(stacks, chunk))
+        out[start:start + len(chunk)] = _evaluate(form, _unitaries(form, chunk))
     return out
 
 
-def _form(ambient: MultiMatrixAlgebra, q: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """``v* Q v`` for each element of per-block stacks."""
-    v = ambient.vectors_of(stacks).T
-    return np.einsum("pi,ij,pj->p", v.conj(), q, v).real
+def _evaluate(form: _UnitForm, w: np.ndarray) -> np.ndarray:
+    """``w* (E* Q E) w`` for each row of a coordinate stack."""
+    return np.sum((w.conj() @ form.q) * w, axis=1).real
 
 
-def _descend(ambient, stacks, q, u) -> tuple:
-    """Steepest descent of ``v* Q v`` from the unitary ``u`` (per-block stacks of one).
+def _descend(form: _UnitForm, floor: float, w: np.ndarray) -> tuple:
+    """Steepest descent of the form from the unitary with coordinates ``w`` (one row).
 
     The slope along ``exp(i t h_d) u`` is ``g_d = -2 Im <Qv, vec(h_d u)>``; a
     step is ``u <- exp(-i s G) u`` with ``G = sum_d g_d h_d``, where ``s|g|``
     runs over ``STEP_LADDER`` and the lowest value wins.  It stops when
-    ``|g| <= GRADIENT_FLOOR * |Q|``, when no step length lowers the value, or
-    after ``MAX_ITERATIONS`` steps.  Returns the value, ``u`` and the step count.
+    ``|g| <= floor``, when no step length lowers the value, or after
+    ``MAX_ITERATIONS`` steps.  Returns the value, ``w`` and the step count.
     """
-    floor = GRADIENT_FLOOR * np.linalg.norm(q)
-    value = float(_form(ambient, q, u)[0])
+    value = float(_evaluate(form, w)[0])
     for steps in range(MAX_ITERATIONS):
-        qv = q @ ambient.vectors_of(u)[:, 0]
-        g = -2 * (qv.conj() @ ambient.vectors_of([h @ b for h, b in zip(stacks, u)])).imag
+        g = -2 * ((form.q @ w[0]).conj() @ _multiply(form, form.herm, w).T).imag
         norm = np.linalg.norm(g)
         if norm <= floor:
-            return value, u, steps
-        trials = [r @ b for r, b in zip(_unitaries(stacks, np.outer(-STEP_LADDER / norm, g)), u)]
-        values = _form(ambient, q, trials)
+            return value, w, steps
+        trials = _multiply(form, _unitaries(form, np.outer(-STEP_LADDER / norm, g)), w)
+        values = _evaluate(form, trials)
         best = int(np.argmin(values))
         if values[best] >= value:
-            return value, u, steps
-        value, u = float(values[best]), [t[best:best + 1] for t in trials]
-    return value, u, MAX_ITERATIONS
+            return value, w, steps
+        value, w = float(values[best]), trials[best:best + 1]
+    return value, w, MAX_ITERATIONS
 
 
 def _objective_matrix(ambient, sub, pairs, expect_mid) -> np.ndarray:
@@ -216,12 +262,12 @@ def wahp_gap(
     if not q.any():
         return _exact_zero_report(ambient, pairs, config)
 
-    herm = hermitian_basis(ambient, sub)
-    stacks = ambient.stack(herm)
+    form = _unit_form(ambient, sub, hermitian_basis(ambient, sub), q)
+    floor = GRADIENT_FLOOR * np.linalg.norm(q)
     rng = np.random.default_rng(config.seed)
-    dim_h = len(herm)
-    best_u = _unitaries(stacks, np.zeros((1, dim_h)))
-    best_value = float(_form(ambient, q, best_u)[0])
+    dim_h = len(form.herm)
+    best_w = _unitaries(form, np.zeros((1, dim_h)))
+    best_value = float(_evaluate(form, best_w)[0])
     iterations = 0
     for restart in range(config.restarts):
         if restart == 0:
@@ -229,17 +275,17 @@ def wahp_gap(
         else:
             scale = 0.5 + (restart % 3)
             theta0 = rng.normal(scale=scale, size=dim_h)
-        value, u, steps = _descend(ambient, stacks, q, _unitaries(stacks, theta0[None]))
+        value, w, steps = _descend(form, floor, _unitaries(form, theta0[None]))
         iterations += steps
         if value < best_value:
-            best_value, best_u = value, u
+            best_value, best_w = value, w
 
-    oracle_value, oracle_theta = _oracle_search(ambient, herm, q, config, rng)
+    oracle_value, oracle_theta = _oracle_search(form, config, rng)
     converged = best_value <= oracle_value + tolerances.oracle_slack
     if not converged:
-        best_value, best_u = oracle_value, _unitaries(stacks, oracle_theta[None])
+        best_value, best_w = oracle_value, _unitaries(form, oracle_theta[None])
 
-    u = ambient.elements(best_u)[0]
+    u = ambient.elements(ambient.stacks_of(form.units @ best_w.T))[0]
     defect = (u.adjoint() @ u - ambient.one()).norm2()
     if defect > tolerances.unitary:
         raise GroupValidationError(f"minimizer drifted off the unitary group ({defect:.2e})")
@@ -256,13 +302,13 @@ def wahp_gap(
     )
 
 
-def _oracle_search(ambient, herm, q, config: OptimizerConfig, rng) -> tuple:
+def _oracle_search(form: _UnitForm, config: OptimizerConfig, rng) -> tuple:
     """Independent search: a torus grid in low dimension, else seeded sampling.
 
     Row 0 is ``theta = 0``; a later row wins only with a strictly smaller
     value, and ``argmin`` keeps the first of equal minima.
     """
-    dim_h = len(herm)
+    dim_h = len(form.herm)
     if dim_h == 0:
         thetas = np.zeros((0, 0))
     elif dim_h <= 2:
@@ -274,7 +320,7 @@ def _oracle_search(ambient, herm, q, config: OptimizerConfig, rng) -> tuple:
         scales = np.array([0.3, 1.0, 3.0])[rng.integers(0, 3, size=config.oracle_points)]
         thetas = rng.normal(size=(config.oracle_points, dim_h)) * scales[:, None]
     thetas = np.concatenate([np.zeros((1, dim_h)), thetas])
-    values = _values(ambient, herm, q, thetas)
+    values = _values(form, thetas)
     best = int(np.argmin(values))
     return float(values[best]), thetas[best]
 
@@ -316,10 +362,11 @@ def wahp_witness_search(
     if not q.any():
         return _exact_zero_report(ambient, pairs, config)
 
-    herm = hermitian_basis(ambient, sub)
+    form = _unit_form(ambient, sub, hermitian_basis(ambient, sub), q)
+    dim_h = len(form.herm)
     rng = np.random.default_rng(config.seed)
-    thetas = rng.normal(scale=np.pi, size=(CROSS_CHECK_POINTS, len(herm)))
-    values = _values(ambient, herm, q, np.concatenate([np.zeros((1, len(herm))), thetas]))
+    thetas = rng.normal(scale=np.pi, size=(CROSS_CHECK_POINTS, dim_h))
+    values = _values(form, np.concatenate([np.zeros((1, dim_h)), thetas]))
     value, samples = float(values[0]), values[1:]  # row 0 is u = 1
     spread = float(np.max(np.abs(samples - value)))
     return WahpGapReport(

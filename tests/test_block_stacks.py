@@ -4,13 +4,18 @@ The references below form every product, Kronecker operator, tensor element
 and closure round one at a time; they live here only, as oracles for the
 batched module frames, left and right operators, product bases and
 subalgebra closures.  ``reference_module_dimension`` is the single SVD over
-every ``g b`` that the per-summand module dimension replaced.
+every ``g b`` that the per-summand module dimension replaced, and
+``reference_orthonormal_basis`` the span-built module basis that the
+projector-built one replaced.
 """
+
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import find, given, settings
 
+from qnbench import expectations
 from qnbench.acceptance import _DIM_POOL
 from qnbench.basic import (
     basic_construction,
@@ -21,7 +26,13 @@ from qnbench.basic import (
     right_operator,
     right_operators,
 )
-from qnbench.bimodule import _products, module_dimension, module_frame, orthonormal_basis
+from qnbench.bimodule import (
+    BimoduleBasis,
+    _products,
+    module_dimension,
+    module_frame,
+    orthonormal_basis,
+)
 from qnbench.corners import cutdown, tensor_subalgebra
 from qnbench.expectations import (
     SubalgebraHandle,
@@ -52,6 +63,43 @@ def reference_module_dimension(sub, generators):
     svals = np.linalg.svd(_products(sub, sub.ambient.stack(generators)), compute_uv=False)
     return int(np.count_nonzero(svals > Tolerances().subalgebra_closure
                                 * np.max(svals, initial=1.0)))
+
+
+def remove_component(ys, expectation):
+    """Subtract the conditional expectation: results are expectation-null."""
+    return [y - expectation(y) for y in ys]
+
+
+def span_projector(sub, generators):
+    """Projector ``F F*`` onto the right module the generators span."""
+    frame = module_frame(sub, generators)
+    return frame @ frame.conj().T
+
+
+def reference_orthonormal_basis(sub, expectation, generators):
+    """Module basis of the generators' right module from its span: per
+    ``p = E_11``, the left singular vectors of the ``x p`` over a frame ``x``
+    of the module above the relative cutoff, phase-fixed, scaled by
+    ``tau(p)^(1/2)`` and summed index by index."""
+    ambient, frame = sub.ambient, module_frame(sub, generators)
+    total = np.zeros((ambient.dim, 0), dtype=complex)
+    supports = []
+    for grid in expectations.matrix_units(sub):
+        p = grid[0][0]
+        columns = np.stack([ambient.to_vector(x @ p)
+                            for x in ambient.elements(ambient.stacks_of(frame))] or
+                           [np.zeros(ambient.dim)], axis=1)
+        u, svals, _ = np.linalg.svd(columns, full_matrices=False)
+        u = u[:, svals > Tolerances().subalgebra_closure * np.max(svals, initial=1.0)]
+        peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        u = u * (np.sqrt(p.trace().real) * peaks.conj() / np.abs(peaks))
+        width = u.shape[1]
+        total = np.pad(total, ((0, 0), (0, max(0, width - total.shape[1]))))
+        total[:, :width] += u
+        supports = [q + p for q in supports[:width]] + supports[width:] \
+            + [p] * (width - len(supports))
+    return BimoduleBasis(subalgebra=sub, expectation=expectation,
+                         vectors=ambient.elements(ambient.stacks_of(total)), supports=supports)
 
 
 def reference_closure(ambient, generators):
@@ -213,6 +261,42 @@ def test_closure_matches_element_products(case, first, second):
     assert np.linalg.norm(coords @ coords.conj().T - reference @ reference.conj().T, 2) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(inclusions(), st.sampled_from(["ambient", "inside", "skew", "shifted"]))
+def test_closure_shortcut_matches_product_rounds(case, kind):
+    # one part with more than one spectral projection: the span of 1 and its
+    # projections is C*(h), the same algebra the product rounds reach, and no
+    # product round runs
+    rng, M, B = case
+    h = M.random_selfadjoint(rng)
+    gens = {"ambient": [h], "inside": [B.project(h)], "skew": [1j * h],
+            "shifted": [h + 2j * M.one(), M.one()]}[kind]
+    with mock.patch.object(expectations, "_adjoints_and_products",
+                           side_effect=AssertionError("a product round ran")):
+        coords = subalgebra_closure(M, gens).coordinates
+    reference = reference_closure(M, gens)
+    assert coords.shape == reference.shape
+    assert np.linalg.norm(coords @ coords.conj().T - reference @ reference.conj().T, 2) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions(), st.integers(0, 2))
+def test_projector_basis_spans_the_span_built_module(case, count):
+    # the basis read from the module's projector against the span-built one:
+    # the complement of B, as basic_construction takes it, and the right
+    # module of a few random elements
+    rng, M, B = case
+    c = basic_construction(M, B)
+    E = conditional_expectation(M, B)
+    for gens in (remove_component(M.basis(), E), [M.random_element(rng) for _ in range(count)]):
+        basis = orthonormal_basis(B, E, span_projector(B, gens))
+        reference = reference_orthonormal_basis(B, E, gens)
+        assert basis.length == reference.length
+        assert np.linalg.norm(module_projection(c, basis) - module_projection(c, reference),
+                              2) <= 1e-10
+        assert basis.gram_defect() <= 1e-9
+
+
 @settings(max_examples=25, deadline=None)
 @given(inclusions(), inclusions())
 def test_tensor_stacks_match_tensor_elements(first, second):
@@ -254,7 +338,7 @@ def test_empty_modules_over_the_whole_algebra(case):
     _, M, B = case
     c = basic_construction(M, B)
     E = conditional_expectation(M, B)
-    basis = orthonormal_basis(B, E, [x - E(x) for x in M.basis()])
+    basis = orthonormal_basis(B, E, span_projector(B, remove_component(M.basis(), E)))
     assert basis.length == 0
     assert np.linalg.norm(module_projection(c, basis)) == 0.0
 

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from qnbench.basic import basic_construction
 from qnbench.bimodule import module_dimension
 from qnbench.errors import GroupValidationError
-from qnbench.expectations import conditional_expectation
+from qnbench.expectations import conditional_expectation, subalgebra_closure
 from qnbench.group_algebra import decompose_regular_representation, group_algebra_inclusion
 from qnbench.orbits import qn1_membership
 from qnbench.subgroups import subgroup
-from qnbench.wahp import OptimizerConfig, wahp_witness_search
+from qnbench.wahp import OptimizerConfig, wahp_gap, wahp_witness_search
 from test_block_stacks import reference_module_dimension
 from test_expectations import closure_defect
 from test_groups import all_elements, cyclic, from_permutations
@@ -171,3 +171,40 @@ def test_cover_size_times_dim_is_a_module_dimension(drawn):
         module = [u_h @ u_g for u_h in H]
         assert cover * L_H.dim == module_dimension(L_H, module) \
             == reference_module_dimension(L_H, module), g
+
+
+@st.composite
+def gap_triples(draw):
+    """``H <= K <= S_d`` (d = 3, 4) and one to three pairs of group elements."""
+    degree = draw(st.sampled_from([3, 4]))
+    G = symmetric_group(degree)
+    K = subgroup(G, [G.element(i) for i in draw(st.lists(st.integers(0, G.order - 1),
+                                                          min_size=1, max_size=2))])
+    inside = sorted(K.subset)
+    H = subgroup(G, [G.element(i) for i in draw(st.lists(st.sampled_from(inside),
+                                                          min_size=1, max_size=2))])
+    pairs = draw(st.lists(st.tuples(st.integers(0, G.order - 1), st.integers(0, G.order - 1)),
+                          min_size=1, max_size=3))
+    return G, H, K, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(gap_triples(), st.integers(0, 2**16))
+def test_gap_on_a_group_algebra_is_a_count(triple, seed):
+    # B = L(H) <= N = L(K) <= M = L(G) with witness pairs (g_j, g'_j): a pair
+    # with both in K cancels, otherwise E_N kills the second term and
+    # |E_H(g u g')|_2^2 = sum_{h : g h g' in H} |a_h|^2 for u = sum_h a_h h.
+    # So Q is diagonal in the group basis with entries c_h, the number of
+    # such pairs with g h g' in H, and as sum_h |a_h|^2 = 1 the minimum over
+    # the unitaries of L(H) is min_h c_h, reached at u = h.
+    G, H, K, pairs = triple
+    inclusion = group_algebra_inclusion(G, H)
+    M, images = inclusion.algebra, inclusion.images
+    N = subalgebra_closure(M, [images[k] for k in sorted(K.subset)])
+    assert N.dim == len(K.subset)
+    counts = [sum(1 for g, g2 in pairs if not (g in K.subset and g2 in K.subset)
+                  and G.table[G.table[g][h]][g2] in H.subset) for h in sorted(H.subset)]
+    report = wahp_gap(M, inclusion.sub, N, [(images[g], images[g2]) for g, g2 in pairs],
+                      OptimizerConfig(seed=seed))
+    assert abs(report.objective_value - min(counts)) <= 1e-8
+    assert report.converged

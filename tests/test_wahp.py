@@ -19,6 +19,7 @@ from qnbench.wahp import (
     OptimizerConfig,
     _objective_matrix,
     _oracle_search,
+    _unit_form,
     _values,
     hermitian_basis,
     wahp_gap,
@@ -194,13 +195,14 @@ def test_batched_values_match_scalar_path(seed, monkeypatch):
     monkeypatch.setattr(wahp, "ORACLE_CHUNK", 7)
     rng = np.random.default_rng(seed)
     M = build_algebra([2, 2, 1], [0.1, 0.2, 0.2])
-    herm = hermitian_basis(M, full_subalgebra(M))
+    B = full_subalgebra(M)
+    herm = hermitian_basis(M, B)
     assert len(herm) == 9
     q = random_form(M.dim, rng)
     for dim_h in range(10):
         subset = herm[:dim_h]
         thetas = rng.normal(size=(25, dim_h)) * rng.choice([0.3, 1.0, 3.0], size=(25, 1))
-        batched = _values(M, subset, q, thetas)
+        batched = _values(_unit_form(M, B, subset, q), thetas)
         for theta, value in zip(thetas, batched):
             expected = scalar_value(M, subset, q, theta)
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -236,10 +238,11 @@ def loop_oracle(fun, dim_h, config, rng):
 def test_batched_oracle_matches_loop(dims, weights, sub_of):
     rng = np.random.default_rng(11)
     M = build_algebra(dims, weights)
-    herm = hermitian_basis(M, sub_of(M))
+    B = sub_of(M)
+    herm = hermitian_basis(M, B)
     q = random_form(M.dim, rng)
     config = OptimizerConfig(seed=5, oracle_points=400)
-    value, theta = _oracle_search(M, herm, q, config, np.random.default_rng(5))
+    value, theta = _oracle_search(_unit_form(M, B, herm, q), config, np.random.default_rng(5))
     expected, _ = loop_oracle(lambda t: scalar_value(M, herm, q, t), len(herm), config,
                               np.random.default_rng(5))
     assert abs(value - expected) <= 1e-12 * max(1.0, expected)
@@ -316,7 +319,7 @@ def test_witness_functional_is_constant_on_unitaries(name, algebra, sub, mid):
     herm = hermitian_basis(algebra, sub)
     thetas = np.random.default_rng(0).normal(scale=np.pi, size=(50, len(herm)))
     at_one = _value_at(algebra, q, algebra.one())
-    assert np.max(np.abs(_values(algebra, herm, q, thetas) - at_one)) <= 1e-12
+    assert np.max(np.abs(_values(_unit_form(algebra, sub, herm, q), thetas) - at_one)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, algebra, sub, mid", PROPER_MID, ids=[r[0] for r in PROPER_MID])
@@ -334,13 +337,14 @@ def test_chunked_oracle_memory_is_bounded():
     # chunked (the sampled thetas are 2.9 MB of it) against 38.5 MB when the
     # whole (10 000, 6, 6) stack goes through one eigh.
     M = build_algebra([6], [1 / 6])
-    herm = hermitian_basis(M, full_subalgebra(M))
+    B = full_subalgebra(M)
+    herm = hermitian_basis(M, B)
     assert len(herm) == 36
-    q = random_form(M.dim, np.random.default_rng(0))
+    form = _unit_form(M, B, herm, random_form(M.dim, np.random.default_rng(0)))
     config = OptimizerConfig(seed=1, oracle_points=10000)
     tracemalloc.start()
     try:
-        _oracle_search(M, herm, q, config, np.random.default_rng(1))
+        _oracle_search(form, config, np.random.default_rng(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
