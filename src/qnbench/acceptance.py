@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basic import basic_construction, left_operator, module_projection, right_operator
+from .basic import (basic_construction, left_operator, left_operators, module_projection,
+                    right_operator)
 from .bimodule import module_frame, orthonormal_basis
 from .certificates import compose_certificates, product_compose
 from .conditions import (
@@ -384,10 +385,11 @@ def criterion_6(config: AcceptanceConfig) -> tuple:
         algebra, sub, _ = _random_inclusion(rng, with_mid=False)
         c = basic_construction(algebra, sub, tolerances=tol)
         expect = conditional_expectation(algebra, sub)
-        note("trace_identity", c.trace_identity_residual())
-        note("compression", *c.compression_residuals(
-            [algebra.random_element(rng) for _ in range(5)]).tolist())
-        note("pull_down_welldefined", c.pimsner_popa_residual())
+        note("trace_identity", c.trace_residual)
+        note("compression", *c.compression_residuals(left_operators(
+            algebra, algebra.stack([algebra.random_element(rng) for _ in range(5)]))).tolist())
+        note("pull_down_welldefined",
+             float(np.linalg.norm(c.pimsner_popa - np.eye(algebra.dim), 2)))
         ws = [c.basic_operator(algebra.random_element(rng), algebra.random_element(rng))
               + left_operator(algebra.random_element(rng)) for _ in range(5)]
         note("vector_norm", *c.vector_norm_residuals(np.stack(ws)).tolist())

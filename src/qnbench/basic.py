@@ -152,12 +152,15 @@ class BasicConstruction:
         products = (one.conj() @ lefts) @ (lefts @ one).T  # tau(x y) = <1, x y 1>
         return float(np.max(np.abs(traces - products)))
 
-    def compression_residuals(self, xs: Sequence[AlgebraElement]) -> np.ndarray:
-        """Operator norms of ``e lambda(x) e - lambda(E_B(x)) e``, one per element."""
-        algebra, expect = self.algebra, conditional_expectation(self.algebra, self.subalgebra)
-        lhs = self.e_sub @ left_operators(algebra, algebra.stack(xs)) @ self.e_sub
-        rhs = left_operators(algebra, algebra.stack([expect(x) for x in xs])) @ self.e_sub
-        return np.linalg.norm(lhs - rhs, 2, axis=(1, 2))
+    def compression_residuals(self, lefts: np.ndarray) -> np.ndarray:
+        """Operator norms of ``e lambda(x) e - lambda(E_B(x)) e`` for each
+        ``lambda(x)`` of a stack ``(count, dim, dim)``; ``x`` is read back as
+        ``lambda(x)`` applied to the trace vector."""
+        algebra = self.algebra
+        xs = lefts @ algebra.to_vector(algebra.one())
+        expected = algebra.stacks_of(self.subalgebra.project_vector(xs.T))
+        rhs = left_operators(algebra, expected) @ self.e_sub
+        return np.linalg.norm(self.e_sub @ lefts @ self.e_sub - rhs, 2, axis=(1, 2))
 
     def vector_norm_residuals(self, ws: np.ndarray) -> np.ndarray:
         """``| |w e|_Tr - |w (trace vector)|_tau |`` for each operator of a
@@ -171,10 +174,11 @@ class BasicConstruction:
         """Operator norm of ``sum_i lambda(eta_i) e lambda(eta_i)* - 1``.
 
         Pull-down of ``x e y`` is ``x`` times the adjoint of the
-        reconstruction of ``y*``, so this bounds the pull-down defect.
+        reconstruction of ``y*``, so this bounds the pull-down defect.  The
+        operator is kept as ``pimsner_popa``.
         """
-        projection = module_projection(self, self.trace_vectors)
-        return float(np.linalg.norm(projection - np.eye(self.algebra.dim), 2))
+        self.pimsner_popa = module_projection(self, self.trace_vectors)
+        return float(np.linalg.norm(self.pimsner_popa - np.eye(self.algebra.dim), 2))
 
 
 def basic_construction(
@@ -216,8 +220,7 @@ def _verify_construction(c: BasicConstruction) -> None:
     c.trace_residual = worst = c.trace_identity_residual()
     if worst > tol:
         raise ConstructionError(f"trace identity residual {worst:.2e} exceeds {tol:.2e}")
-    c.pimsner_popa = module_projection(c, c.trace_vectors)
-    defect = float(np.linalg.norm(c.pimsner_popa - np.eye(c.algebra.dim), 2))
+    defect = c.pimsner_popa_residual()
     bound = c.tolerances.reconstruction
     if defect > bound:
         raise ConstructionError(f"Pimsner-Popa residual {defect:.2e} exceeds {bound:.2e}")

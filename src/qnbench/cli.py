@@ -133,8 +133,8 @@ def _identity_summary(construction, rng, tolerances: Tolerances) -> dict:
     operator ``P`` the build kept, so its residual is ``|(1 - P) v|``."""
     algebra, e = construction.algebra, construction.e_sub
     xs, ys = zip(*[(algebra.random_element(rng), algebra.random_element(rng)) for _ in range(5)])
-    worst_compression = float(np.max(construction.compression_residuals(xs)))
     lefts = [left_operators(algebra, algebra.stack(side)) for side in (xs, ys)]
+    worst_compression = float(np.max(construction.compression_residuals(lefts[0])))
     worst_norm = float(np.max(construction.vector_norm_residuals(lefts[0] @ e @ lefts[1])))  # x e y
     samples = algebra.vectors_of(algebra.stack([algebra.random_element(rng) for _ in range(5)]))
     misses = samples - construction.pimsner_popa @ samples

@@ -23,8 +23,7 @@ adjoints and all pairwise products of the current basis as one broadcast
 
 The Wedderburn structure of a subalgebra has one source,
 ``matrix_units``: the minimal projections of one seeded generic element
-and the links between them; when there are ``dim B`` of them, ``B`` is
-abelian and no link is searched.  A tensor product handle
+and the links between them.  A tensor product handle
 (``corners.tensor_subalgebra``) instead takes the Kronecker products of its
 factors' units, which are the units of ``B1 (x) B2``; both pass the same
 check (``cache_units``).  Minimal central projections, the module
@@ -200,10 +199,7 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     exactly when ``p_i`` and ``p_j`` lie in one summand.  There
     ``p_1 x p_a = c e_1a``, so ``E_1a = (p_1 x p_a) tau(p_a)^(1/2) /
     |p_1 x p_a|_2`` and ``E_ab = E_1a* E_1b``, computed in the eigenvector
-    frames; ``E_ba`` is stored as the adjoint of ``E_ab``.  A generic
-    element has ``sum_j n_j`` clusters, so ``dim B = sum_j n_j^2`` of them
-    means every ``n_j = 1``: each ``p_i`` is a summand of its own, and no link
-    is searched once the ``p_i`` are checked to lie in the span.
+    frames; ``E_ba`` is stored as the adjoint of ``E_ab``.
 
     A degenerate draw raises ``ConstructionError`` (``cache_units``): the
     summands must fill ``B`` and ``E_1a E_1b* = delta_ab E_11`` must hold
@@ -221,14 +217,6 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     weights = ambient.block_weights
     x = sub.project(ambient.random_element(np.random.default_rng(0)))
     frames = spectral_frames(0.5 * (x + x.adjoint()))
-    if len(frames) == sub.dim:
-        units = [[[AlgebraElement(ambient, tuple(f @ f.conj().T for f in frame))]]
-                 for frame in frames]
-        columns = ambient.vectors_of(ambient.stack([grid[0][0] for grid in units]))
-        outside = float(np.max(np.linalg.norm(columns - sub.project_vector(columns), axis=0)))
-        if outside > Tolerances().construction_identity:
-            raise ConstructionError(f"spectral projection {outside:.2e} outside the span")
-        return cache_units(sub, units)
     cutoff = SPECTRAL_GAP * max(1.0, x.norm2())
     summands: list = []  # per summand: (cluster, normalized link from its first cluster)
     for j, frame in enumerate(frames):
