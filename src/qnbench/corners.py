@@ -171,5 +171,4 @@ def tensor_subalgebra(sub1: SubalgebraHandle, sub2: SubalgebraHandle) -> Subalge
         for block, n2 in zip(np.split(rows, ends2, axis=1), map(len, units2)):
             grid = block.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n1 * n2, -1)
             units.append([[kron[i] for i in row] for row in grid])
-    cache_units(sub, units)
-    return sub
+    return cache_units(sub, units)

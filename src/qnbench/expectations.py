@@ -19,19 +19,23 @@ where powers of a generator would not.  When at most one of those parts is
 not scalar, that span is already ``C*(h)`` of the one part ``h`` (spectral
 theorem) and the closure stops there.  Otherwise each round forms the
 adjoints and all pairwise products of the current basis as one broadcast
-``matmul`` per block of its stacks.
+``matmul`` per block of its stacks, until a round adds nothing or the span
+is all of ``M``; a round that spans ``M`` ends the closure at once.
 
-The Wedderburn structure of a subalgebra has one source,
-``matrix_units``: the minimal projections of one seeded generic element
-and the links between them.  A tensor product handle
-(``corners.tensor_subalgebra``) instead takes the Kronecker products of its
-factors' units, which are the units of ``B1 (x) B2``; both pass the same
-check (``cache_units``).  Minimal central projections, the module
-basis supports (``bimodule``), the self-adjoint basis of the gap optimizer
-(``wahp``) and the irreducible blocks of a group algebra (``group_algebra``)
-are all read from it.  The units are decomposed once per handle object and
-cached beside the stacks (``SubalgebraHandle.units``); handles, like the
-other matrix-engine records, compare by identity.
+The Wedderburn structure of a subalgebra, its matrix units, has five
+sources, all checked by ``cache_units``: a closure (the spectral
+projections of ``h`` at a ``C*(h)`` stop, the ``E^k_ab`` once the span is
+``M``), the whole algebra (the ``E^k_ab``; the scalars take ``[[1]]``), the
+diagonal subalgebra (the ``E^k_ii``), a tensor product handle
+(``corners.tensor_subalgebra``, the Kronecker products of its factors'
+units), and for every other handle the link search of ``matrix_units``: the
+minimal projections of one seeded generic element and the links between
+them.  Minimal central projections, the module basis supports
+(``bimodule``), the self-adjoint basis of the gap optimizer (``wahp``) and
+the irreducible blocks of a group algebra (``group_algebra``) are all read
+from them.  The units are found once per handle object and cached beside
+the stacks (``SubalgebraHandle.units``); handles, like the other
+matrix-engine records, compare by identity.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .tolerances import Tolerances
 class SubalgebraHandle:
     ambient: MultiMatrixAlgebra
     coordinates: np.ndarray  # dim x dim B, orthonormal columns, column 0 = vec(1)
-    # matrix_units of this handle object, filled on first use
+    # matrix units of this handle object, set by its constructor or on first use
     units: Optional[list] = field(default=None, init=False, repr=False)
 
     @property
@@ -120,10 +124,12 @@ def subalgebra_closure(
 
     Starts from the spectral projections of each generator's real and
     imaginary parts.  When at most one part has more than one, their span
-    with 1 is ``C*(h)`` of that part and is returned as it is.  Otherwise it
-    alternates span-with-products-and-adjoints and re-orthonormalization
-    until the dimension stabilizes, which takes at most ``ambient.dim``
-    rounds.
+    with 1 is ``C*(h)`` of that part and is returned as it is, with those
+    projections as its ``1 x 1`` units (``[[1]]`` when every part is
+    scalar).  Otherwise it alternates span-with-products-and-adjoints and
+    re-orthonormalization until the dimension stabilizes, which takes at most
+    ``ambient.dim`` rounds, or until the span is all of ``M``, whose units
+    are the ``E^k_ab`` (``_block_units``).
     """
     tol = (tolerances or Tolerances()).subalgebra_closure
     spectra = [spectral_projections(part) for g in generators
@@ -131,14 +137,18 @@ def subalgebra_closure(
     columns = [ambient.to_vector(ambient.one())] + [ambient.to_vector(p) for ps in spectra
                                                       for p in ps]
     coords = _orthonormalize(ambient, np.stack(columns, axis=1), tol)
-    if sum(len(ps) > 1 for ps in spectra) <= 1:
-        return SubalgebraHandle(ambient=ambient, coordinates=coords)
-    while True:
+    parts = [ps for ps in spectra if len(ps) > 1]
+    if len(parts) <= 1:
+        return cache_units(SubalgebraHandle(ambient=ambient, coordinates=coords),
+                           [[[p]] for p in (parts[0] if parts else [ambient.one()])])
+    while coords.shape[1] < ambient.dim:
         refreshed = _orthonormalize(
             ambient, np.concatenate([coords, _adjoints_and_products(ambient, coords)], axis=1), tol)
         if refreshed.shape[1] == coords.shape[1]:
             return SubalgebraHandle(ambient=ambient, coordinates=refreshed)
         coords = refreshed
+    return cache_units(SubalgebraHandle(ambient=ambient, coordinates=coords),
+                       _block_units(ambient))
 
 
 def span_subalgebra(ambient: MultiMatrixAlgebra, columns: np.ndarray,
@@ -151,25 +161,35 @@ def span_subalgebra(ambient: MultiMatrixAlgebra, columns: np.ndarray,
         (tolerances or Tolerances()).subalgebra_closure))
 
 
+def _block_units(ambient: MultiMatrixAlgebra) -> list:
+    """The matrix units ``E^k_ab`` of the whole algebra, one grid per block."""
+    return [[[ambient.matrix_unit(k, a, b) for b in range(n)] for a in range(n)]
+            for k, n in enumerate(ambient.block_dims)]
+
+
 def full_subalgebra(ambient: MultiMatrixAlgebra, tolerances: Optional[Tolerances] = None
                     ) -> SubalgebraHandle:
-    """Handle for the whole algebra: the coordinate axes orthonormalized after the identity."""
-    return span_subalgebra(ambient, np.eye(ambient.dim), tolerances)
+    """Handle for the whole algebra: the coordinate axes orthonormalized after
+    the identity, with the units ``E^k_ab``."""
+    return cache_units(span_subalgebra(ambient, np.eye(ambient.dim), tolerances),
+                       _block_units(ambient))
 
 
 def scalar_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
-    return SubalgebraHandle(ambient=ambient,
-                            coordinates=ambient.to_vector(ambient.one()).reshape(-1, 1))
+    return cache_units(SubalgebraHandle(
+        ambient=ambient, coordinates=ambient.to_vector(ambient.one()).reshape(-1, 1)),
+        [[[ambient.one()]]])
 
 
 def diagonal_subalgebra(ambient: MultiMatrixAlgebra,
                         tolerances: Optional[Tolerances] = None) -> SubalgebraHandle:
-    gens = [
-        ambient.matrix_unit(k, i, i)
-        for k, n in enumerate(ambient.block_dims)
-        for i in range(n)
-    ]
-    return subalgebra_closure(ambient, gens, tolerances)
+    """The span of the diagonal units ``E^k_ii``, which is already a
+    *-subalgebra and has them as its ``1 x 1`` units."""
+    diagonal = [ambient.matrix_unit(k, i, i)
+                for k, n in enumerate(ambient.block_dims) for i in range(n)]
+    return cache_units(
+        span_subalgebra(ambient, ambient.vectors_of(ambient.stack(diagonal)), tolerances),
+        [[[e]] for e in diagonal])
 
 
 def conditional_expectation(
@@ -208,8 +228,10 @@ def matrix_units(sub: SubalgebraHandle) -> list:
     E_1c*) E_1d = delta_bc E_ad`` follows.
 
     The units are decomposed once per handle object and cached on it
-    (``SubalgebraHandle.units``); a second handle with equal contents
-    decomposes again.  Callers must not mutate the grids.
+    (``SubalgebraHandle.units``); handles whose constructor already knows
+    their structure arrive with them set, and the link search runs only for
+    the others.  A second handle with equal contents decomposes again.
+    Callers must not mutate the grids.
     """
     if sub.units is not None:
         return sub.units
@@ -238,12 +260,13 @@ def matrix_units(sub: SubalgebraHandle) -> list:
                 for fa, ma, mb, fb in zip(frames[i], la, lb, frames[j])))
             grid[b][a] = grid[a][b].adjoint() if a < b else grid[a][b]
         units.append(grid)
-    return cache_units(sub, units)
+    return cache_units(sub, units).units
 
 
-def cache_units(sub: SubalgebraHandle, units: list) -> list:
+def cache_units(sub: SubalgebraHandle, units: list) -> SubalgebraHandle:
     """Cache matrix units on ``sub`` once they fill ``B`` and satisfy
-    ``E_1a E_1b* = delta_ab E_11`` within ``construction_identity``."""
+    ``E_1a E_1b* = delta_ab E_11`` within ``construction_identity``;
+    returns ``sub``."""
     filled = sum(len(g) ** 2 for g in units)
     if filled != sub.dim:
         raise ConstructionError(f"matrix units fill dimension {filled}, not {sub.dim}")
@@ -262,7 +285,7 @@ def cache_units(sub: SubalgebraHandle, units: list) -> list:
     if defect > bound:
         raise ConstructionError(f"matrix unit residual {defect:.2e} exceeds {bound:.2e}")
     sub.units = units
-    return units
+    return sub
 
 
 def central_projections(sub: SubalgebraHandle) -> list:

@@ -54,6 +54,7 @@ from .tolerances import Tolerances
 MAX_ITERATIONS = 200  # descent steps per restart
 STEP_LADDER = 0.5 ** np.arange(32)  # the step lengths each descent step tries, as angles
 GRADIENT_FLOOR = 1e-10  # a slope below this times |Q| is rounding: the descent stops
+VALUE_FLOOR = 1e-12  # a restart lower by at most this times |Q| ties: the earlier unitary stays
 ORACLE_CHUNK = 512  # oracle rows per stacked eigh, which bounds the oracle's memory
 PAIR_CHUNK = 16  # witness pairs per stacked operator product, which bounds Q's memory
 CROSS_CHECK_POINTS = 8  # random unitaries behind the witness search's invariance check
@@ -253,7 +254,13 @@ def wahp_gap(
     config: Optional[OptimizerConfig] = None,
     tolerances: Optional[Tolerances] = None,
 ) -> WahpGapReport:
-    """Minimize the gap functional; report optimizer and oracle values."""
+    """Minimize the gap functional; report optimizer and oracle values.
+
+    A restart replaces the best unitary only when its value is lower by more
+    than ``VALUE_FLOOR * |Q|``, so on a functional that is constant on
+    ``U(B)`` the minimizer is the restart-0 unitary ``1``, not whichever
+    restart rounding favoured.
+    """
     config = config or OptimizerConfig()
     tolerances = tolerances or Tolerances()
     expect_mid = conditional_expectation(ambient, mid)
@@ -263,7 +270,8 @@ def wahp_gap(
         return _exact_zero_report(ambient, pairs, config)
 
     form = _unit_form(ambient, sub, hermitian_basis(ambient, sub), q)
-    floor = GRADIENT_FLOOR * np.linalg.norm(q)
+    q_norm = np.linalg.norm(q)
+    floor = GRADIENT_FLOOR * q_norm
     rng = np.random.default_rng(config.seed)
     dim_h = len(form.herm)
     best_w = _unitaries(form, np.zeros((1, dim_h)))
@@ -277,7 +285,7 @@ def wahp_gap(
             theta0 = rng.normal(scale=scale, size=dim_h)
         value, w, steps = _descend(form, floor, _unitaries(form, theta0[None]))
         iterations += steps
-        if value < best_value:
+        if value < best_value - VALUE_FLOOR * q_norm:
             best_value, best_w = value, w
 
     oracle_value, oracle_theta = _oracle_search(form, config, rng)

@@ -358,14 +358,52 @@ def test_engine_records_compare_by_identity():
         assert len({record, copy}) == 2
 
 
-def test_matrix_units_are_cached_per_handle_object():
-    M = build_algebra([2, 1], [1 / 3, 1 / 3])
-    sub = subalgebra_closure(M, [M.random_selfadjoint(np.random.default_rng(3))])
-    assert matrix_units(sub) is matrix_units(sub)
+def central(grid):
+    return sum((grid[a][a] for a in range(1, len(grid))), grid[0][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions(kinds=("scalar", "diagonal", "generic", "full")))
+def test_matrix_units_are_cached_per_handle_object(case):
+    # each of these handles arrives with its units; a twin handle with the
+    # same coordinates finds the same summands by the link search, in its
+    # own order: matched by size and central projection, which for the
+    # 1 x 1 summands of an abelian B is the unit itself
+    _, M, sub = case
+    assert sub.units is not None
+    assert matrix_units(sub) is matrix_units(sub) is sub.units
     twin = SubalgebraHandle(ambient=M, coordinates=sub.coordinates.copy())
     units, twin_units = matrix_units(sub), matrix_units(twin)
     assert twin_units is not units
-    assert [len(g) for g in twin_units] == [len(g) for g in units]
-    for grid, twin_grid in zip(units, twin_units):
-        for row, twin_row in zip(grid, twin_grid):
-            assert all((a - b).norm2() < 1e-12 for a, b in zip(row, twin_row))
+    assert sorted(map(len, twin_units)) == sorted(map(len, units))
+    unmatched = list(twin_units)
+    for grid in units:
+        match = [g for g in unmatched
+                 if len(g) == len(grid) and (central(g) - central(grid)).norm2() < 1e-12]
+        assert len(match) == 1
+        unmatched.remove(match[0])
+
+
+def test_a_closure_that_spans_the_algebra_stops_after_one_round(monkeypatch):
+    # the spectral projections of the real and imaginary parts of a generic
+    # non-normal element of M_3 + M_2 span 8 dimensions (each part's span
+    # holds 1 and the central projections); one round of products spans all
+    # 13, and no second round confirms it
+    M = build_algebra([3, 2], [1 / 5, 1 / 5])
+    rounds = []
+
+    def counted(ambient, coords):
+        rounds.append(coords.shape[1])
+        return products(ambient, coords)
+
+    products = expectations._adjoints_and_products
+    monkeypatch.setattr(expectations, "_adjoints_and_products", counted)
+    sub = subalgebra_closure(M, [M.random_element(np.random.default_rng(5))])
+    assert rounds == [8]
+    assert sub.dim == M.dim and sub.units is not None
+    assert [len(g) for g in sub.units] == [3, 2]
+    for k, grid in enumerate(sub.units):
+        for a, row in enumerate(grid):
+            for b, unit in enumerate(row):
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(unit.blocks, M.matrix_unit(k, a, b).blocks))

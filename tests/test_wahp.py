@@ -162,6 +162,18 @@ def test_optimizer_beats_oracle():
     assert report.unitary_defect < 1e-10
 
 
+def test_tie_rule_keeps_the_value_of_a_non_constant_gap():
+    # restarts replace the best unitary only when lower by more than
+    # VALUE_FLOOR |Q|; on a functional with a strict minimum the reported
+    # value is the one the descent reached before that rule
+    M = build_algebra([3], [1 / 3])
+    B = diagonal_subalgebra(M)
+    rng = np.random.default_rng(3)
+    pairs = [(M.random_element(rng), M.random_element(rng)) for _ in range(3)]
+    report = wahp_gap(M, B, B, pairs, OptimizerConfig(seed=1, restarts=8, oracle_points=4000))
+    assert abs(report.objective_value - 23.274812634668045) <= 1e-9
+
+
 def random_form(dim, rng):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a.conj().T @ a / dim
