@@ -37,6 +37,7 @@ from qnbench.corners import cutdown, tensor_subalgebra
 from qnbench.expectations import (
     SubalgebraHandle,
     _orthonormalize,
+    central_projections,
     conditional_expectation,
     diagonal_subalgebra,
     full_subalgebra,
@@ -358,10 +359,6 @@ def test_engine_records_compare_by_identity():
         assert len({record, copy}) == 2
 
 
-def central(grid):
-    return sum((grid[a][a] for a in range(1, len(grid))), grid[0][0])
-
-
 @settings(max_examples=40, deadline=None)
 @given(inclusions(kinds=("scalar", "diagonal", "generic", "full")))
 def test_matrix_units_are_cached_per_handle_object(case):
@@ -375,13 +372,12 @@ def test_matrix_units_are_cached_per_handle_object(case):
     twin = SubalgebraHandle(ambient=M, coordinates=sub.coordinates.copy())
     units, twin_units = matrix_units(sub), matrix_units(twin)
     assert twin_units is not units
-    assert sorted(map(len, twin_units)) == sorted(map(len, units))
-    unmatched = list(twin_units)
-    for grid in units:
-        match = [g for g in unmatched
-                 if len(g) == len(grid) and (central(g) - central(grid)).norm2() < 1e-12]
+    unmatched = list(zip(map(len, twin_units), central_projections(twin)))
+    for size, z in zip(map(len, units), central_projections(sub)):
+        match = [m for m in unmatched if m[0] == size and (m[1] - z).norm2() < 1e-12]
         assert len(match) == 1
         unmatched.remove(match[0])
+    assert not unmatched
 
 
 def test_a_closure_that_spans_the_algebra_stops_after_one_round(monkeypatch):
@@ -390,13 +386,12 @@ def test_a_closure_that_spans_the_algebra_stops_after_one_round(monkeypatch):
     # holds 1 and the central projections); one round of products spans all
     # 13, and no second round confirms it
     M = build_algebra([3, 2], [1 / 5, 1 / 5])
-    rounds = []
+    products, rounds = expectations._adjoints_and_products, []
 
     def counted(ambient, coords):
         rounds.append(coords.shape[1])
         return products(ambient, coords)
 
-    products = expectations._adjoints_and_products
     monkeypatch.setattr(expectations, "_adjoints_and_products", counted)
     sub = subalgebra_closure(M, [M.random_element(np.random.default_rng(5))])
     assert rounds == [8]
