@@ -54,7 +54,7 @@ from .stallings import free_qn1_decide
 from .subgroups import shift_tail_subgroup, subgroup
 from .tolerances import Tolerances
 from .wahp import OptimizerConfig, wahp_gap, wahp_witness_search
-from .words import Word, concat, generator, invert_word, reduce_word
+from .words import Word, concat, exp_of, gen_of, generator, invert_word, letter, reduce_word
 
 
 @dataclass
@@ -151,7 +151,7 @@ def criterion_1(config: AcceptanceConfig) -> tuple:
 
 def _all_letter_words(radius: int) -> list:
     """Every generator word of bounded length, reducible ones included."""
-    letters = [(0, 1), (0, -1), (1, 1), (1, -1)]
+    letters = [letter(gen, exp) for gen in (0, 1) for exp in (1, -1)]
     words: list[tuple] = [()]
     frontier: list[tuple] = [()]
     for _ in range(radius):
@@ -184,7 +184,7 @@ def criterion_2(config: AcceptanceConfig) -> tuple:
     gamma_mismatch = 0
     for g in ball:
         verdict = qn1_membership(spec, g, config.budget)
-        expected_in = all(gen == 0 for gen, _ in g.payload)
+        expected_in = all(gen_of(x) == 0 for x in g.payload)
         if verdict.certified_in != expected_in or verdict.unknown:
             gamma_mismatch += 1
 
@@ -219,17 +219,17 @@ _INDEX_TWO_WORDS = (concat(generator(0), generator(0)), generator(1),
 def _even_a_exponent(word: Word) -> bool:
     """Independent membership oracle for the index-two subgroup: the kernel
     of the mod-two exponent count of the first generator."""
-    return sum(exp for gen, exp in word if gen == 0) % 2 == 0
+    return sum(exp_of(x) for x in word if gen_of(x) == 0) % 2 == 0
 
 
 def _oracle_orbit_size(word: Word, cap: int = 8) -> tuple:
-    letters = [w for g in _INDEX_TWO_WORDS for w in (g, invert_word(g))]
+    moves = [w for g in _INDEX_TWO_WORDS for w in (g, invert_word(g))]
     reps = [reduce_word(word)]
     frontier = [reduce_word(word)]
     while frontier and len(reps) <= cap:
         rep = frontier.pop(0)
-        for letter in letters:
-            cand = concat(letter, rep)
+        for move in moves:
+            cand = concat(move, rep)
             if not any(_even_a_exponent(concat(invert_word(r), cand)) for r in reps):
                 reps.append(cand)
                 frontier.append(cand)

@@ -22,21 +22,13 @@ class _Overflow(Exception):
     pass
 
 
-def _letter(gen: int, exp: int) -> int:
-    return 2 * gen + (0 if exp > 0 else 1)
-
-
-def _inv(letter: int) -> int:
-    return letter ^ 1
-
-
 @dataclass
 class CosetTable:
     """Right-coset table of a subgroup of a finitely presented group."""
 
     num_gens: int
     complete: bool
-    table: Optional[list]  # dense rows over live cosets when complete
+    table: Optional[list]  # dense rows over live cosets, a column per letter, when complete
     created: int
 
     @property
@@ -48,8 +40,8 @@ class CosetTable:
         if not self.complete:
             raise ValueError("coset_of requires a complete table")
         c = 0
-        for gen, exp in word:
-            c = self.table[c][_letter(gen, exp)]
+        for x in word:
+            c = self.table[c][x]
         return c
 
     def is_member(self, word: Word) -> bool:
@@ -62,7 +54,7 @@ def enumerate_cosets(
     subgroup_words: Sequence[Word],
     max_cosets: int = 20000,
 ) -> CosetTable:
-    width = 2 * num_gens
+    width = 2 * num_gens  # the letters of generators 0 .. num_gens - 1
     labels: list[int] = []
     rows: list[list[int]] = []
 
@@ -105,12 +97,12 @@ def enumerate_cosets(
         if n == SENTINEL:
             n = new_coset()
             rows[c][d] = n
-            rows[n][_inv(d)] = c
+            rows[n][d ^ 1] = c
         return find(n)
 
     def follow_word(c: int, word: Word) -> int:
-        for gen, exp in word:
-            c = follow(c, _letter(gen, exp))
+        for x in word:
+            c = follow(c, x)
         return c
 
     try:

@@ -237,9 +237,10 @@ class FreeGroupDescriptor(GroupDescriptor):
         word = W.reduce_word(payload)
         if self.gens is not None:
             allowed = set(self.gens)
-            for gen, _ in word:
-                if gen not in allowed:
-                    raise DescriptorMismatchError(f"generator id {gen} not in this free group")
+            for x in word:
+                if W.gen_of(x) not in allowed:
+                    raise DescriptorMismatchError(
+                        f"generator id {W.gen_of(x)} not in this free group")
         return word
 
     def multiply(self, a, b):
@@ -294,9 +295,9 @@ class FpGroupDescriptor(GroupDescriptor):
 
     def normalize_payload(self, payload):
         word = W.reduce_word(payload)
-        for gen, _ in word:
-            if not (0 <= gen < self.num_gens):
-                raise DescriptorMismatchError(f"generator id {gen} out of range")
+        for x in word:
+            if not (0 <= x < 2 * self.num_gens):
+                raise DescriptorMismatchError(f"generator id {W.gen_of(x)} out of range")
         if self.rewriting is not None:
             word = self.rewriting.normal_form(word)
         return word
@@ -372,7 +373,7 @@ def infinite_dihedral() -> FpGroupDescriptor:
     to its inverse, so the cyclic subgroup generated by ``a`` is normal of
     index two.
     """
-    a, ai, r, ri = (0, 1), (0, -1), (1, 1), (1, -1)
+    a, ai, r, ri = W.letter(0), W.letter(0, -1), W.letter(1), W.letter(1, -1)
     relators = [(r, r), (r, a, r, a)]
     rules = [
         ((ri,), (r,)),

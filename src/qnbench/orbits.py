@@ -191,7 +191,7 @@ def _decide_shift_tail(spec: ShiftTailSubgroup, g: GroupElement, budget: int) ->
     """
     n = spec.n
     word, shift = g.payload
-    if shift <= 0 and all(idx >= n + shift for idx, _ in word):
+    if shift <= 0 and all(x >= 2 * (n + shift) for x in word):
         orbit = orbit_bfs(spec, g, 1)
         if not orbit.closed:
             raise GroupValidationError("shift-tail rule says cover size 1 but the orbit grows")

@@ -33,19 +33,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GroupValidationError
-from .words import Word, concat, invert_word, letter_key, reduce_word
-
-
-def shortlex_key(word: Word) -> tuple:
-    return (len(word), tuple(letter_key(l) for l in word))
+from .words import Word, concat, exp_of, gen_of, invert_word, reduce_word, word_key
 
 
 def _free_rules(num_gens: int) -> list[tuple[Word, Word]]:
-    rules = []
-    for g in range(num_gens):
-        rules.append((((g, 1), (g, -1)), ()))
-        rules.append((((g, -1), (g, 1)), ()))
-    return rules
+    return [((x, x ^ 1), ()) for x in range(2 * num_gens)]
 
 
 def _index_automaton(rules: Sequence[tuple[Word, Word]]) -> tuple[list, list]:
@@ -167,7 +159,7 @@ class RewritingSystem:
         for lhs, rhs in self.rules:
             if tuple(lhs) != reduce_word(lhs) or tuple(rhs) != reduce_word(rhs):
                 raise GroupValidationError(f"rule sides must be freely reduced: {lhs} -> {rhs}")
-            if not shortlex_key(rhs) < shortlex_key(lhs):
+            if not word_key(rhs) < word_key(lhs):
                 raise GroupValidationError(f"rule does not decrease shortlex order: {lhs} -> {rhs}")
         self._check_local_confluence()
         for lhs, rhs in self.rules:
@@ -215,7 +207,7 @@ def _relator_variants(relators: Sequence[Word]) -> list[Word]:
             for i in range(len(base)):
                 variants.add(reduce_word(base[i:] + base[:i]))
     variants.discard(())
-    return sorted(variants, key=shortlex_key)
+    return sorted(variants, key=word_key)
 
 
 def relator_insertion_search(
@@ -267,8 +259,8 @@ def relator_insertion_search(
 
 def abelianized(word: Word, num_gens: int) -> tuple[int, ...]:
     vec = [0] * num_gens
-    for gen, exp in word:
-        vec[gen] += exp
+    for x in word:
+        vec[gen_of(x)] += exp_of(x)
     return tuple(vec)
 
 

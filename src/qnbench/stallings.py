@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import GroupValidationError
-from .words import Word, concat, invert_word, reduce_word
+from .words import Word, concat, exp_of, gen_of, invert_word, letter, reduce_word
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,21 @@ class SubgroupGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def step(self, vertex: int, gen: int, exp: int) -> Optional[int]:
-        if exp > 0:
-            return self.out.get((vertex, gen))
-        return self.inn.get((vertex, gen))
+    @cached_property
+    def moves(self) -> dict:
+        """``(vertex, letter) -> vertex``: an edge read forwards by its
+        generator's letter and backwards by the inverse letter; built once
+        per graph."""
+        moves = {(u, letter(gen)): v for (u, gen), v in self.out.items()}
+        moves.update({(v, letter(gen, -1)): u for (v, gen), u in self.inn.items()})
+        return moves
 
     def trace(self, word: Word, start: Optional[int] = None) -> Optional[int]:
         """Endpoint of the path reading ``word``, or None if it leaves the graph."""
+        moves = self.moves
         v = self.basepoint if start is None else start
-        for gen, exp in word:
-            v = self.step(v, gen, exp)
+        for x in word:
+            v = moves.get((v, x))
             if v is None:
                 return None
         return v
@@ -68,9 +73,10 @@ class SubgroupGraph:
         Returns ``(vertex, remainder)`` where ``remainder`` is the unread
         suffix; it is empty exactly when the whole word traces.
         """
+        moves = self.moves
         v = self.basepoint
-        for i, (gen, exp) in enumerate(word):
-            nxt = self.step(v, gen, exp)
+        for i, x in enumerate(word):
+            nxt = moves.get((v, x))
             if nxt is None:
                 return v, word[i:]
             v = nxt
@@ -142,14 +148,14 @@ def build_subgroup_graph(generators: Sequence[Word]) -> SubgroupGraph:
         if not word:
             continue
         v = 0
-        for i, (gen, exp) in enumerate(word):
+        for i, x in enumerate(word):
             target = 0 if i == len(word) - 1 else fresh
             if i != len(word) - 1:
                 fresh += 1
-            if exp > 0:
-                edges.append([v, gen, target])
+            if exp_of(x) > 0:
+                edges.append([v, gen_of(x), target])
             else:
-                edges.append([target, gen, v])
+                edges.append([target, gen_of(x), v])
             v = target
     return _finish(fresh, edges, 0)
 
@@ -286,8 +292,8 @@ def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, letters: dict) -> list[Word]
 
 
 def _crossing(letters: dict, edge: tuple[int, int, int], exp: int) -> Word:
-    letter = letters.get(edge)
-    return () if letter is None else ((letter, exp),)
+    index = letters.get(edge)
+    return () if index is None else (letter(index, exp),)
 
 
 def _reroot(graph: SubgroupGraph, word: Word) -> SubgroupGraph:
@@ -300,11 +306,11 @@ def _reroot(graph: SubgroupGraph, word: Word) -> SubgroupGraph:
     out, inn = dict(graph.out), dict(graph.inn)
     fresh = graph.num_vertices
     v = fresh
-    for i, (gen, exp) in enumerate(hair):
+    for i, x in enumerate(hair):
         target = vertex if i == len(hair) - 1 else fresh + i + 1
-        u, w = (v, target) if exp > 0 else (target, v)
-        out[(u, gen)] = w
-        inn[(w, gen)] = u
+        u, w = (v, target) if exp_of(x) > 0 else (target, v)
+        out[(u, gen_of(x))] = w
+        inn[(w, gen_of(x))] = u
         v = target
     return SubgroupGraph(fresh + len(hair), out, inn, basepoint=fresh)
 

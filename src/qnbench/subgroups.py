@@ -314,14 +314,15 @@ class ShiftTailSubgroup(SubgroupSpec):
 
     def member(self, g: GroupElement) -> Trit:
         word, shift = g.payload
-        return Trit.from_bool(shift == 0 and all(idx >= self.n for idx, _ in word))
+        # the letters of the generators of index >= n are the letters >= 2n
+        return Trit.from_bool(shift == 0 and all(x >= 2 * self.n for x in word))
 
     def coset_key(self, g: GroupElement):
         word, shift = g.payload
         # right multiplication by the tail subgroup can only absorb trailing
-        # letters with index >= n + shift
+        # letters with index >= n + shift, which are the letters >= 2 (n + shift)
         cut = len(word)
-        while cut > 0 and word[cut - 1][0] >= self.n + shift:
+        while cut > 0 and word[cut - 1] >= 2 * (self.n + shift):
             cut -= 1
         return (word[:cut], shift)
 
@@ -330,10 +331,10 @@ class ShiftTailSubgroup(SubgroupSpec):
         # left multiplication absorbs a leading prefix of tail letters, right
         # multiplication a trailing suffix of letters shifted by the exponent
         start = 0
-        while start < len(word) and word[start][0] >= self.n:
+        while start < len(word) and word[start] >= 2 * self.n:
             start += 1
         end = len(word)
-        while end > start and word[end - 1][0] >= self.n + shift:
+        while end > start and word[end - 1] >= 2 * (self.n + shift):
             end -= 1
         return (word[start:end], shift)
 
@@ -472,7 +473,7 @@ def _shift_abelian_member(spec: SubgroupSpec, g: GroupElement) -> bool:
 
     def image(e: GroupElement) -> tuple[int, int]:
         word, shift = e.payload
-        return (sum(exp for _, exp in word), shift)
+        return (sum(W.exp_of(x) for x in word), shift)
 
     from .rewriting import lattice_member
 

@@ -1,30 +1,57 @@
 """Freely reduced words over integer-indexed generators.
 
-A word is a tuple of letters ``(gen, exp)`` with ``gen`` an arbitrary integer
-and ``exp`` in ``{+1, -1}``.  All functions keep words freely reduced: no
-``(i, +1)(i, -1)`` or ``(i, -1)(i, +1)`` factor survives.
+A letter is one int: generator ``g`` (any integer, negative ones included)
+to the power ``+1`` is ``2g`` and to the power ``-1`` is ``2g + 1``.  Every
+int is a letter, so the format needs no validation of its own; a group
+checks that its letters are in range (the generators ``0 .. n-1`` own the
+letters ``0 .. 2n-1``).  Three facts follow from the code and are part of
+the format:
+
+* the inverse of letter ``x`` is ``x ^ 1``;
+* shifting every generator index by ``d`` adds ``2d`` to every letter;
+* the code is monotone in the pair ``(g, +1 before -1)``, so ``word_key``,
+  length and then native tuple order, sorts words exactly as that pair order
+  does.
+
+A word is a tuple of letters.  All functions keep words freely reduced: no
+letter is followed by its inverse.  This module is the only one that knows
+the code.  Other modules build letters with ``letter`` and ``generator``,
+read them with ``gen_of`` and ``exp_of``, and ``format_word`` decodes them
+for output.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-Letter = Tuple[int, int]
+Letter = int
 Word = Tuple[Letter, ...]
 
 EMPTY: Word = ()
 
 
+def letter(gen: int, exp: int = 1) -> Letter:
+    """The letter of ``gen`` to the sign of ``exp`` (``exp`` nonzero)."""
+    return 2 * gen + (exp < 0)
+
+
+def gen_of(x: Letter) -> int:
+    return x >> 1
+
+
+def exp_of(x: Letter) -> int:
+    """``+1`` or ``-1``."""
+    return -1 if x & 1 else 1
+
+
 def reduce_word(letters: Iterable[Letter]) -> Word:
     """Freely reduce a letter sequence.  Idempotent."""
     out: list[Letter] = []
-    for gen, exp in letters:
-        if exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +-1, got {exp}")
-        if out and out[-1][0] == gen and out[-1][1] == -exp:
+    for x in letters:
+        if out and out[-1] == x ^ 1:
             out.pop()
         else:
-            out.append((gen, exp))
+            out.append(x)
     return tuple(out)
 
 
@@ -34,43 +61,38 @@ def concat(*words: Word) -> Word:
     letters it cancels plus two tuple slices."""
     out: Word = EMPTY
     for w in words:
-        if not (out and w and out[-1][0] == w[0][0] and out[-1][1] == -w[0][1]):
+        if not (out and w and out[-1] == w[0] ^ 1):
             out += w  # nothing cancels at this seam
             continue
         k, top = 1, min(len(out), len(w))
-        while k < top and out[-1 - k][0] == w[k][0] and out[-1 - k][1] == -w[k][1]:
+        while k < top and out[-1 - k] == w[k] ^ 1:
             k += 1
         out = out[:len(out) - k] + w[k:]
     return out
 
 
 def invert_word(word: Word) -> Word:
-    return tuple((gen, -exp) for gen, exp in reversed(word))
+    return tuple(x ^ 1 for x in reversed(word))
 
 
 def shift_word(word: Word, delta: int) -> Word:
     """Shift every generator index by ``delta``; ``delta`` 0 returns ``word`` itself."""
     if delta == 0:
         return word
-    return tuple((gen + delta, exp) for gen, exp in word)
+    step = 2 * delta
+    return tuple(x + step for x in word)
 
 
 def generator(gen: int, exp: int = 1) -> Word:
+    """The word ``gen^exp``."""
     if exp == 0:
         return EMPTY
-    sign = 1 if exp > 0 else -1
-    return tuple((gen, sign) for _ in range(abs(exp)))
-
-
-def letter_key(letter: Letter) -> tuple[int, int]:
-    # positive exponent sorts before negative for the same generator
-    gen, exp = letter
-    return (gen, 0 if exp > 0 else 1)
+    return (letter(gen, exp),) * abs(exp)
 
 
 def word_key(word: Word) -> tuple:
     """Length-then-lexicographic sort key."""
-    return (len(word), tuple(letter_key(l) for l in word))
+    return (len(word), word)
 
 
 def format_word(word: Word, name=None) -> str:
@@ -82,12 +104,12 @@ def format_word(word: Word, name=None) -> str:
     parts: list[str] = []
     i = 0
     while i < len(word):
-        gen, exp = word[i]
+        x = word[i]
         run = 1
-        while i + run < len(word) and word[i + run] == (gen, exp):
+        while i + run < len(word) and word[i + run] == x:
             run += 1
-        power = exp * run
-        parts.append(name(gen) if power == 1 else f"{name(gen)}^{power}")
+        power = exp_of(x) * run
+        parts.append(name(gen_of(x)) if power == 1 else f"{name(gen_of(x))}^{power}")
         i += run
     return " ".join(parts)
 

@@ -35,7 +35,7 @@ from qnbench.subgroups import (
     shift_tail_subgroup,
     subgroup,
 )
-from qnbench.words import concat, generator
+from qnbench.words import concat, gen_of, generator
 from test_groups import all_elements, free_abelian_of_rank_two, from_permutations
 
 F2 = FreeGroupDescriptor.of_rank(2)
@@ -392,7 +392,7 @@ def test_diagnose_free_group_singular_masa_evidence():
     # the certified part of the ball is exactly the powers of a
     for entry in report.gamma:
         word = entry.element.payload
-        is_power_of_a = all(gen == 0 for gen, _ in word)
+        is_power_of_a = all(gen_of(x) == 0 for x in word)
         assert (entry.verdict is not None and entry.verdict.certified_in) == is_power_of_a
 
 

@@ -1,9 +1,10 @@
 from qnbench.coset_table import enumerate_cosets
+from qnbench.words import letter
 
-A = (0, 1)
-AI = (0, -1)
-R = (1, 1)
-RI = (1, -1)
+A = letter(0)
+AI = letter(0, -1)
+R = letter(1)
+RI = letter(1, -1)
 
 DIHEDRAL = [(R, R), (R, A, R, A)]
 
@@ -33,7 +34,7 @@ def test_finite_group_trivial_subgroup():
 
 def test_infinite_index_hits_cap():
     # free abelian rank 2 over the first factor: infinitely many cosets
-    table = enumerate_cosets(2, [((0, 1), (1, 1), (0, -1), (1, -1))], [(A,)], max_cosets=128)
+    table = enumerate_cosets(2, [(A, R, AI, RI)], [(A,)], max_cosets=128)
     assert not table.complete
     assert table.created >= 128
 
@@ -48,21 +49,21 @@ def test_coset_action_is_consistent():
     # generators act as permutations: tracing g then g^-1 returns home
     for c in range(table.index):
         for gen in range(2):
-            there = table.table[c][2 * gen]
-            assert table.table[there][2 * gen + 1] == c
+            there = table.table[c][letter(gen)]
+            assert table.table[there][letter(gen, -1)] == c
 
 
 def test_klein_bottle_group_over_fiber():
     # b a b^-1 a: subgroup generated by a has infinite index
-    table = enumerate_cosets(2, [((1, 1), (0, 1), (1, -1), (0, 1))], [(A,)], max_cosets=256)
+    table = enumerate_cosets(2, [(R, A, RI, A)], [(A,)], max_cosets=256)
     assert not table.complete
     # over b it is also infinite
-    table2 = enumerate_cosets(2, [((1, 1), (0, 1), (1, -1), (0, 1))], [((1, 1),)], max_cosets=256)
+    table2 = enumerate_cosets(2, [(R, A, RI, A)], [(R,)], max_cosets=256)
     assert not table2.complete
 
 
 def test_index_three_subgroup_of_symmetric_group():
     # S3 = <s, t | s^2, t^2, (st)^3>, subgroup <s> has index 3
-    rel = [((0, 1), (0, 1)), ((1, 1), (1, 1)), ((0, 1), (1, 1)) * 3]
-    table = enumerate_cosets(2, rel, [((0, 1),)])
+    rel = [(A, A), (R, R), (A, R) * 3]
+    table = enumerate_cosets(2, rel, [(A,)])
     assert table.complete and table.index == 3

@@ -10,6 +10,7 @@ from qnbench.files import (
 )
 from qnbench.groups import Trit
 from qnbench.subgroups import ProductSubgroup, is_subgroup_member
+from qnbench.words import generator
 
 SAMPLES = "sample_inputs"
 
@@ -47,7 +48,7 @@ def test_word_parsing_powers():
         }
     )
     word = doc.subgroup.generators[0].payload
-    assert word == ((0, 1), (0, 1), (1, -1))
+    assert word == generator(0, 2) + generator(1, -1)
 
 
 def test_word_powers_up_to_the_cap():

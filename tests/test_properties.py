@@ -22,13 +22,13 @@ from qnbench.subgroups import (
     shift_tail_subgroup,
     subgroup,
 )
-from qnbench.words import concat, generator
+from qnbench.words import concat, generator, letter
 from test_groups import cyclic
 
 F2 = FreeGroupDescriptor.of_rank(2)
 
 free_words = st.lists(
-    st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=8
+    st.builds(letter, st.integers(0, 1), st.sampled_from([1, -1])), max_size=8
 ).map(tuple)
 
 
@@ -47,7 +47,8 @@ def test_group_laws_free(u, v, w):
 
 
 DIHEDRAL = infinite_dihedral()
-dihedral_letters = st.lists(st.sampled_from([(0, 1), (0, -1), (1, 1), (1, -1)]), max_size=6)
+dihedral_letters = st.lists(st.builds(letter, st.integers(0, 1), st.sampled_from([1, -1])),
+                            max_size=6)
 
 
 @settings(max_examples=60)

@@ -13,7 +13,7 @@ from qnbench.stallings import (
     graph_index,
     graphs_equal,
 )
-from qnbench.words import concat, generator, invert_word, reduce_word
+from qnbench.words import concat, exp_of, gen_of, generator, invert_word, letter, reduce_word
 
 A = generator(0)
 B = generator(1)
@@ -178,8 +178,9 @@ def test_basis_and_rewrite():
     expr = reference_rewrite_in_basis(g, concat(A, A, B))
     # reassemble from basis words and compare
     assembled = ()
-    for idx, exp in expr:
-        assembled = concat(assembled, basis[idx] if exp > 0 else invert_word(basis[idx]))
+    for x in expr:
+        word = basis[gen_of(x)]
+        assembled = concat(assembled, word if exp_of(x) > 0 else invert_word(word))
     assert assembled == reduce_word(concat(A, A, B))
     assert reference_rewrite_in_basis(g, A) is None
 
@@ -187,7 +188,7 @@ def test_basis_and_rewrite():
 def test_finite_index_matches_coset_enumeration():
     # oracle: BFS over left cosets wH using the even-a-exponent membership
     def member(w):
-        return sum(e for gen, e in w if gen == 0) % 2 == 0
+        return sum(exp_of(x) for x in w if gen_of(x) == 0) % 2 == 0
 
     reps = [()]
     frontier = [()]
@@ -240,7 +241,7 @@ def reference_path_to_basepoint(graph, v, parent):
     letters = []
     while v != graph.basepoint:
         u, gen, exp = parent[v]
-        letters.append((gen, exp))
+        letters.append(letter(gen, exp))
         v = u
     return tuple(letters)
 
@@ -250,7 +251,7 @@ def reference_basis(graph):
     parent, loose = reference_spanning_tree(graph)
     paths = {v: invert_word(reference_path_to_basepoint(graph, v, parent))
              for v in range(graph.num_vertices)}
-    return [concat(paths[u], ((gen, 1),), invert_word(paths[v])) for u, gen, v in loose]
+    return [concat(paths[u], generator(gen), invert_word(paths[v])) for u, gen, v in loose]
 
 
 def reference_rewrite_in_basis(graph, word):
@@ -262,11 +263,12 @@ def reference_rewrite_in_basis(graph, word):
     index = {edge: i for i, edge in enumerate(loose)}
     v = graph.basepoint
     letters = []
-    for gen, exp in word:
-        w = graph.step(v, gen, exp)
+    for x in word:
+        gen, exp = gen_of(x), exp_of(x)
+        w = graph.trace((x,), start=v)
         edge = (v, gen, w) if exp > 0 else (w, gen, v)
         if edge in index:
-            letters.append((index[edge], exp))
+            letters.append(letter(index[edge], exp))
         v = w
     return reduce_word(letters)
 
@@ -305,9 +307,9 @@ def reference_conjugate_graph(graph, by):
     edges = [[u + offset, gen, v + offset] for (u, gen), v in graph.out.items()]
     old_bp = graph.basepoint + offset
     v = 0
-    for i, (gen, exp) in enumerate(word):
+    for i, x in enumerate(word):
         target = old_bp if i == len(word) - 1 else i + 1
-        edges.append([v, gen, target] if exp > 0 else [target, gen, v])
+        edges.append([v, gen_of(x), target] if exp_of(x) > 0 else [target, gen_of(x), v])
         v = target
     return _finish(offset + graph.num_vertices, edges, 0)
 
@@ -340,7 +342,7 @@ def stabilizer_generators(perms):
     for p in queue:
         for i, perm in enumerate(perms):
             for exp, q in ((1, perm[p]), (-1, inverse[i][p])):
-                step = concat(reps[p], ((i, exp),))
+                step = concat(reps[p], generator(i, exp))
                 if q in reps:
                     gens.append(concat(step, invert_word(reps[q])))
                 else:
@@ -350,7 +352,7 @@ def stabilizer_generators(perms):
 
 
 def letters_of(rank):
-    return st.tuples(st.integers(0, rank - 1), st.sampled_from([1, -1]))
+    return st.builds(letter, st.integers(0, rank - 1), st.sampled_from([1, -1]))
 
 
 @st.composite

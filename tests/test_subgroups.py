@@ -28,7 +28,7 @@ from qnbench.subgroups import (
 )
 from qnbench.orbits import orbit_bfs
 from qnbench.stallings import graph_index
-from qnbench.words import concat, generator, invert_word
+from qnbench.words import concat, gen_of, generator, invert_word
 from test_groups import cyclic, free_abelian_of_rank_two
 from test_stallings import free_cases, letters_of, stabilizer_cases, stabilizer_generators
 
@@ -271,7 +271,7 @@ def split_readings(spec, g):
 def test_finite_index_keys_are_coset_orbits(case, other):
     # finite index: equal keys exactly when g' H lies in the orbit of g H
     gens, word = case
-    rank = 1 + max([gen for w in gens for gen, _ in w] + [1])
+    rank = 1 + max([gen_of(x) for w in gens for x in w] + [1])
     spec = free_spec(rank, gens)
     group = spec.group
     g, g2 = group.element(word), group.element(other)
@@ -289,7 +289,7 @@ def test_finite_index_keys_are_coset_orbits(case, other):
        st.lists(st.integers(0, 11), max_size=5), st.lists(letters_of(2), max_size=10).map(tuple))
 def test_infinite_index_keys_are_exact(case, left, right, other):
     gens, word = case
-    rank = 1 + max([gen for w in gens for gen, _ in w] + [gen for gen, _ in word] + [1])
+    rank = 1 + max([gen_of(x) for w in gens for x in w] + [gen_of(x) for x in word] + [1])
     spec = free_spec(rank, gens)
     group = spec.group
     g = group.element(word)
