@@ -38,6 +38,7 @@ from .expectations import (
     conditional_expectation,
     diagonal_subalgebra,
     full_subalgebra,
+    matrix_units,
     scalar_subalgebra,
     subalgebra_closure,
 )
@@ -507,6 +508,17 @@ def criterion_8(config: AcceptanceConfig) -> tuple:
 # -- criterion 9: tensor and corner shadows ----------------------------------------------------------
 
 
+def _summands_in_cut_order(sub) -> list:
+    """``(key, z)`` per simple summand of ``sub``: ``z`` its minimal central
+    projection, ``key`` its size and the rank of its ``E_11`` in each block
+    of ``M``, sorted by key.  A cut keeps a prefix, so the corner it compares
+    depends on ``sub`` alone, not on the order a unit source emits summands;
+    summands with equal keys give the same corner type."""
+    keys = [(len(grid), tuple(int(round(np.trace(b).real)) for b in grid[0][0].blocks))
+            for grid in matrix_units(sub)]
+    return sorted(zip(keys, central_projections(sub)), key=lambda pair: pair[0])
+
+
 @criterion(9, "tensor and corner shadows: multiplicative dimensions, corner span match",
            seconds=60.0)
 def criterion_9(config: AcceptanceConfig) -> tuple:
@@ -528,12 +540,12 @@ def criterion_9(config: AcceptanceConfig) -> tuple:
     cut_count = 0
     while cut_count < 20:
         algebra, sub, _ = _random_inclusion(rng, with_mid=False)
-        pieces = central_projections(sub)
-        if len(pieces) < 2:
+        summands = _summands_in_cut_order(sub)
+        if len(summands) < 2:
             continue
-        keep = rng.integers(1, len(pieces))
-        e = pieces[0]
-        for p in pieces[1:keep]:
+        keep = rng.integers(1, len(summands))
+        e = summands[0][1]
+        for _, p in summands[1:keep]:
             e = e + p
         construction = basic_construction(algebra, sub, tolerances=tol)
         report = cutdown_comparison(construction, e,

@@ -7,6 +7,7 @@ the command line interface: ``qnbench verify-paper``.
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qnbench import acceptance
@@ -16,6 +17,8 @@ from qnbench.acceptance import (
     criterion_10,
     run_criteria,
 )
+from qnbench.expectations import full_subalgebra
+from qnbench.matrixalg import build_algebra
 
 CONFIG = AcceptanceConfig(seed=42, budget=1000, radius=3, threshold=100)
 
@@ -95,6 +98,26 @@ def test_criterion_09_tensor_and_cutdown_shadows():
     result = _check(9)
     assert result.details["tensor_failures"] == 0
     assert result.details["worst_cutdown_residual"] < 1e-9
+
+
+def _cut_type(summands, keep):
+    """The kept summands' keys and the rank of the cut in each block of M."""
+    e = sum((z for _, z in summands[1:keep]), summands[0][1])
+    return ([key for key, _ in summands[:keep]],
+            [int(round(np.trace(b).real)) for b in e.blocks])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_criterion_9_cut_does_not_depend_on_the_unit_order(seed):
+    rng = np.random.default_rng(seed)
+    _, sub, _ = acceptance._random_inclusion(rng, with_mid=False)
+    algebra = build_algebra([3, 2, 2, 1], [0.1, 0.15, 0.15, 0.2])
+    for handle in (sub, full_subalgebra(algebra)):
+        before = acceptance._summands_in_cut_order(handle)
+        handle.units = handle.units[::-1]
+        after = acceptance._summands_in_cut_order(handle)
+        for keep in range(1, len(before)):
+            assert _cut_type(before, keep) == _cut_type(after, keep)
 
 
 def test_seed_variation_keeps_pass_pattern():

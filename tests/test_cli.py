@@ -176,6 +176,19 @@ def test_document_nan_tolerance_exits_2(tmp_path):
     assert code == 2
 
 
+def test_block_weight_below_the_closure_floor_exits_2(tmp_path, capsys):
+    # C + C with weights (1e-30, 1): the minimal projection of block 0 has
+    # trace norm 1e-15, under the closure's 1e-10 rank cutoff
+    doc = {"blocks": [1, 1], "weights": [1e-30, 1.0],
+           "subalgebra_generators": [[[[[0, 0]]], [[[1, 0]]]]]}
+    path = tmp_path / "tiny_weight.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["vn", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: block 0 has normalized weight 1e-30, below subalgebra_closure^2 = 1e-20\n")
+
+
 BAD_GENERATOR = [[[["a", 0], [0, 0]], [[0, 0], [0, 0]]]]
 
 
