@@ -14,6 +14,7 @@ identically.  Criterion ten reruns the other nine and compares those bytes.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -152,13 +153,8 @@ def criterion_1(config: AcceptanceConfig) -> tuple:
 
 def _all_letter_words(radius: int) -> list:
     """Every generator word of bounded length, reducible ones included."""
-    letters = [letter(gen, exp) for gen in (0, 1) for exp in (1, -1)]
-    words: list[tuple] = [()]
-    frontier: list[tuple] = [()]
-    for _ in range(radius):
-        frontier = [w + (l,) for w in frontier for l in letters]
-        words.extend(frontier)
-    return words
+    letters = range(letter(2))  # the letters of generators 0 and 1
+    return [w for k in range(radius + 1) for w in itertools.product(letters, repeat=k)]
 
 
 @criterion(2, "free group: exact backend agreement and singular position evidence",
@@ -509,11 +505,10 @@ def criterion_8(config: AcceptanceConfig) -> tuple:
 
 
 def _summands_in_cut_order(sub) -> list:
-    """``(key, z)`` per simple summand of ``sub``: ``z`` its minimal central
-    projection, ``key`` its size and the rank of its ``E_11`` in each block
-    of ``M``, sorted by key.  A cut keeps a prefix, so the corner it compares
-    depends on ``sub`` alone, not on the order a unit source emits summands;
-    summands with equal keys give the same corner type."""
+    """``(key, z)`` per simple summand: ``z`` its minimal central projection,
+    ``key`` its size and the rank of its ``E_11`` in each block of ``M``,
+    sorted by key.  A cut keeps a prefix, so the corner it compares does not
+    depend on the order units come in; equal keys give the same corner type."""
     keys = [(len(grid), tuple(int(round(np.trace(b).real)) for b in grid[0][0].blocks))
             for grid in matrix_units(sub)]
     return sorted(zip(keys, central_projections(sub)), key=lambda pair: pair[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .words import Word
+from .words import Word, inverse, letter
 
 SENTINEL = -1
 
@@ -54,7 +54,7 @@ def enumerate_cosets(
     subgroup_words: Sequence[Word],
     max_cosets: int = 20000,
 ) -> CosetTable:
-    width = 2 * num_gens  # the letters of generators 0 .. num_gens - 1
+    width = letter(num_gens)  # a column per letter of generators 0 .. num_gens - 1
     labels: list[int] = []
     rows: list[list[int]] = []
 
@@ -97,7 +97,7 @@ def enumerate_cosets(
         if n == SENTINEL:
             n = new_coset()
             rows[c][d] = n
-            rows[n][d ^ 1] = c
+            rows[n][inverse(d)] = c
         return find(n)
 
     def follow_word(c: int, word: Word) -> int:

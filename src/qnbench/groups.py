@@ -295,8 +295,9 @@ class FpGroupDescriptor(GroupDescriptor):
 
     def normalize_payload(self, payload):
         word = W.reduce_word(payload)
+        first, end = W.letter(0), W.letter(self.num_gens)
         for x in word:
-            if not (0 <= x < 2 * self.num_gens):
+            if not (first <= x < end):
                 raise DescriptorMismatchError(f"generator id {W.gen_of(x)} out of range")
         if self.rewriting is not None:
             word = self.rewriting.normal_form(word)

@@ -165,8 +165,7 @@ def build_algebra(block_dims: Sequence[int], block_weights: Sequence[float],
     rescaled = abs(total - 1.0) > tolerances.weight_sum
     weights = tuple(float(w) / total for w in block_weights) if rescaled \
         else tuple(float(w) for w in block_weights)
-    # a minimal projection of weight w has trace norm sqrt(w): below the
-    # closure's absolute cutoff its directions would be dropped
+    # a minimal projection's trace norm sqrt(w) must clear the closure's cutoff
     floor = tolerances.subalgebra_closure ** 2
     for k, w in enumerate(weights):
         if w < floor:

@@ -31,6 +31,7 @@ from .errors import GroupValidationError
 from .groups import FiniteTableGroup, GroupElement
 from .stallings import free_qn1_decide
 from .subgroups import FreeSubgroup, ProductSubgroup, ShiftTailSubgroup, SubgroupSpec
+from .words import letter
 
 CERTIFIED_IN = "certified_in"
 CERTIFIED_OUT = "certified_out"
@@ -191,7 +192,8 @@ def _decide_shift_tail(spec: ShiftTailSubgroup, g: GroupElement, budget: int) ->
     """
     n = spec.n
     word, shift = g.payload
-    if shift <= 0 and all(x >= 2 * (n + shift) for x in word):
+    tail = letter(n + shift)  # the least letter of a generator of index >= n + shift
+    if shift <= 0 and all(x >= tail for x in word):
         orbit = orbit_bfs(spec, g, 1)
         if not orbit.closed:
             raise GroupValidationError("shift-tail rule says cover size 1 but the orbit grows")

@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GroupValidationError
-from .words import Word, concat, exp_of, gen_of, invert_word, reduce_word, word_key
+from .words import (Word, concat, exp_of, gen_of, inverse, invert_word, letter, reduce_word,
+                    word_key)
 
 
 def _free_rules(num_gens: int) -> list[tuple[Word, Word]]:
-    return [((x, x ^ 1), ()) for x in range(2 * num_gens)]
+    return [((x, inverse(x)), ()) for x in range(letter(num_gens))]
 
 
 def _index_automaton(rules: Sequence[tuple[Word, Word]]) -> tuple[list, list]:

@@ -1,7 +1,8 @@
 """Folded subgroup graphs for finitely generated subgroups of free groups.
 
 A subgroup graph is a based, edge-labelled digraph.  Edges carry generator
-ids and may be traversed forwards (exponent +1) or backwards (exponent -1).
+ids; an edge is read forwards by its generator's letter and backwards by the
+inverse letter.
 After folding, every vertex has at most one outgoing and at most one incoming
 edge per label, so tracing a reduced word is deterministic and a word lies in
 the subgroup exactly when its trace is a closed loop at the basepoint.
@@ -34,7 +35,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import GroupValidationError
-from .words import Word, concat, exp_of, gen_of, invert_word, letter, reduce_word
+from .words import Word, concat, exp_of, gen_of, inverse, invert_word, letter, reduce_word
 
 
 @dataclass(frozen=True)
@@ -42,20 +43,12 @@ class SubgroupGraph:
     """Folded core graph of a finitely generated free-group subgroup."""
 
     num_vertices: int
-    out: dict  # (vertex, gen) -> vertex, edge traversed forwards
-    inn: dict  # (vertex, gen) -> vertex, same edge set indexed by target
+    # (vertex, letter) -> vertex: an edge u -> v labelled g is read forwards
+    # from u by g's letter and backwards from v by its inverse
+    moves: dict
     basepoint: int = 0
 
     # -- queries ---------------------------------------------------------
-
-    @cached_property
-    def moves(self) -> dict:
-        """``(vertex, letter) -> vertex``: an edge read forwards by its
-        generator's letter and backwards by the inverse letter; built once
-        per graph."""
-        moves = {(u, letter(gen)): v for (u, gen), v in self.out.items()}
-        moves.update({(v, letter(gen, -1)): u for (v, gen), u in self.inn.items()})
-        return moves
 
     def trace(self, word: Word, start: Optional[int] = None) -> Optional[int]:
         """Endpoint of the path reading ``word``, or None if it leaves the graph."""
@@ -86,50 +79,48 @@ class SubgroupGraph:
         return self.trace(reduce_word(word)) == self.basepoint
 
     def edges(self) -> list[tuple[int, int, int]]:
-        return sorted((u, gen, v) for (u, gen), v in self.out.items())
+        return sorted(_edge(u, x, v) for (u, x), v in self.moves.items() if exp_of(x) > 0)
 
-    def labels(self) -> set[int]:
-        return {gen for (_, gen) in self.out}
+    def letters(self) -> set[int]:
+        return {x for (_, x) in self.moves}
 
     # -- structure -------------------------------------------------------
 
     def spanning_tree(self) -> tuple[dict, list[tuple[int, int, int]]]:
         """BFS spanning tree from the basepoint.
 
-        Returns ``(parent, loose)`` where ``parent[v] = (u, gen, exp)`` walks
-        one step towards the basepoint and ``loose`` lists non-tree edges in
-        canonical order.  Non-tree edges are a free basis of the subgroup.
-        Moves from a vertex go by label, the forward edge before the backward
-        one; a folded graph has at most one of each.
+        Returns ``(parent, loose)`` where ``parent[v] = (u, x)``: reading
+        letter ``x`` from ``v`` walks one step towards the basepoint, to
+        ``u``.  ``loose`` lists the non-tree edges in canonical order; they
+        are a free basis of the subgroup.  Moves from a vertex go in letter
+        order, so by label, the forward edge before the backward one; a
+        folded graph has at most one of each.
         """
-        labels = sorted(self.labels())
-        parent: dict[int, tuple[int, int, int]] = {}
-        seen = {self.basepoint}
+        letters = sorted(self.letters())
+        parent: dict[int, tuple[int, int]] = {}
         queue = [self.basepoint]
         tree_edges: set[tuple[int, int, int]] = set()
         for v in queue:  # also visits vertices appended below
-            for gen in labels:
-                w = self.out.get((v, gen))
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    parent[w] = (v, gen, -1)
-                    tree_edges.add((v, gen, w))
-                    queue.append(w)
-                w = self.inn.get((v, gen))
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    parent[w] = (v, gen, 1)
-                    tree_edges.add((w, gen, v))
+            for x in letters:
+                w = self.moves.get((v, x))
+                if w is not None and w != self.basepoint and w not in parent:
+                    parent[w] = (v, inverse(x))
+                    tree_edges.add(_edge(v, x, w))
                     queue.append(w)
         loose = [e for e in self.edges() if e not in tree_edges]
         return parent, loose
 
     @cached_property
     def basis_letters(self) -> dict[tuple[int, int, int], int]:
-        """Loose edge ``(u, gen, v)`` -> its letter in the free basis; built
-        once per graph."""
+        """Loose edge ``(u, gen, v)`` -> its generator in the free basis;
+        built once per graph."""
         _, loose = self.spanning_tree()
         return {edge: i for i, edge in enumerate(loose)}
+
+
+def _edge(u: int, x: int, w: int) -> tuple[int, int, int]:
+    """The edge ``(tail, gen, head)`` that reading letter ``x`` from ``u`` to ``w`` crosses."""
+    return (u, gen_of(x), w) if exp_of(x) > 0 else (w, gen_of(x), u)
 
 
 # -- construction ----------------------------------------------------------
@@ -141,31 +132,25 @@ def build_subgroup_graph(generators: Sequence[Word]) -> SubgroupGraph:
     An empty generator list yields the one-vertex graph of the trivial
     subgroup.
     """
-    edges: list[list[int]] = []  # mutable [u, gen, v]
+    edges: list[tuple[int, int, int]] = []  # (tail, gen, head)
     fresh = 1
     for raw in generators:
         word = reduce_word(raw)
         if not word:
             continue
-        v = 0
-        for i, x in enumerate(word):
-            target = 0 if i == len(word) - 1 else fresh
-            if i != len(word) - 1:
-                fresh += 1
-            if exp_of(x) > 0:
-                edges.append([v, gen_of(x), target])
-            else:
-                edges.append([target, gen_of(x), v])
-            v = target
+        path = [0, *range(fresh, fresh + len(word) - 1), 0]
+        edges.extend(_edge(u, x, v) for u, x, v in zip(path, word, path[1:]))
+        fresh += len(word) - 1
     return _finish(fresh, edges, 0)
 
 
-def _finish(num_vertices: int, edges: list[list[int]], basepoint: int) -> SubgroupGraph:
+def _finish(num_vertices: int, edges: list[tuple[int, int, int]],
+            basepoint: int) -> SubgroupGraph:
     edges = _fold(num_vertices, edges)
     return _trim_and_canonicalize(edges, basepoint)
 
 
-def _fold(num_vertices: int, edges: list[list[int]]) -> list[tuple[int, int, int]]:
+def _fold(num_vertices: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     parent = list(range(num_vertices))
 
     def find(x: int) -> int:
@@ -212,28 +197,26 @@ def _trim_and_canonicalize(edges: Iterable[tuple[int, int, int]], basepoint: int
             break
         edges = {(u, g, v) for u, g, v in edges if u not in leaves and v not in leaves}
 
-    out: dict[tuple[int, int], int] = {}
-    inn: dict[tuple[int, int], int] = {}
+    moves: dict[tuple[int, int], int] = {}
     for u, gen, v in edges:
-        if (u, gen) in out or (v, gen) in inn:
+        forward, backward = (u, letter(gen)), (v, letter(gen, -1))
+        if forward in moves or backward in moves:
             raise GroupValidationError("folding left a duplicate edge")
-        out[(u, gen)] = v
-        inn[(v, gen)] = u
+        moves[forward] = v
+        moves[backward] = u
 
-    # canonical relabel: BFS from basepoint, moves in (label, direction) order
-    label_order = sorted({gen for (_, gen) in out})
+    # canonical relabel: BFS from basepoint, moves in letter order
+    letters = sorted({x for (_, x) in moves})
     relabel = {basepoint: 0}
     queue = [basepoint]
-    while queue:
-        v = queue.pop(0)
-        for gen in label_order:
-            for nxt in (out.get((v, gen)), inn.get((v, gen))):
-                if nxt is not None and nxt not in relabel:
-                    relabel[nxt] = len(relabel)
-                    queue.append(nxt)
-    new_out = {(relabel[u], gen): relabel[v] for (u, gen), v in out.items()}
-    new_inn = {(relabel[v], gen): relabel[u] for (v, gen), u in inn.items()}
-    return SubgroupGraph(num_vertices=len(relabel) or 1, out=new_out, inn=new_inn, basepoint=0)
+    for v in queue:  # also visits vertices appended below
+        for x in letters:
+            nxt = moves.get((v, x))
+            if nxt is not None and nxt not in relabel:
+                relabel[nxt] = len(relabel)
+                queue.append(nxt)
+    moves = {(relabel[u], x): relabel[v] for (u, x), v in moves.items()}
+    return SubgroupGraph(num_vertices=len(relabel) or 1, moves=moves, basepoint=0)
 
 
 # -- operations ------------------------------------------------------------
@@ -248,52 +231,43 @@ def graph_index(graph: SubgroupGraph, alphabet: Sequence[int]):
     """
     for v in range(graph.num_vertices):
         for gen in alphabet:
-            if (v, gen) not in graph.out or (v, gen) not in graph.inn:
+            if (v, letter(gen)) not in graph.moves or (v, letter(gen, -1)) not in graph.moves:
                 return ("infinite", None)
     return ("finite", graph.num_vertices)
 
 
-def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, letters: dict) -> list[Word]:
+def _pullback(g1: SubgroupGraph, g2: SubgroupGraph, basis: dict) -> list[Word]:
     """Free generators of the intersection of two subgroups, in ``g1``'s basis.
 
-    One BFS over the based pullback of the two folded graphs; ``letters`` is
+    One BFS over the based pullback of the two folded graphs; ``basis`` is
     ``g1.basis_letters``.  Each non-tree edge of the pullback yields one
-    generator (see the module docstring).
+    generator (see the module docstring), found from its forward side.
     """
-    labels = sorted(g1.labels() & g2.labels())
+    letters = sorted(g1.letters() & g2.letters())
     start = (g1.basepoint, g2.basepoint)
     ids = {start: 0}
     pairs = [start]
     crossed: list[Word] = [()]  # g1-basis letters along a pair's tree path
-    # label of the backward tree edge a pair was reached by: that edge is the
-    # pair's own forward edge with this label, which must not count twice
-    reached_backwards: list[Optional[int]] = [None]
+    # the letter a pair was reached by: read backwards, its tree edge is the
+    # pair's own forward edge with the inverse letter, which must not count twice
+    reached_by: list[Optional[int]] = [None]
     found: list[Word] = []
     for i, (u1, u2) in enumerate(pairs):  # also visits pairs appended below
-        for gen in labels:
-            w1, w2 = g1.out.get((u1, gen)), g2.out.get((u2, gen))
-            if w1 is not None and w2 is not None:
-                step = _crossing(letters, (u1, gen, w1), 1)
-                j = ids.get((w1, w2))
-                if j is None:
-                    ids[(w1, w2)] = len(pairs)
-                    pairs.append((w1, w2))
-                    reached_backwards.append(None)
-                    crossed.append(concat(crossed[i], step))
-                elif reached_backwards[i] != gen:
-                    found.append(concat(crossed[i], step, invert_word(crossed[j])))
-            w1, w2 = g1.inn.get((u1, gen)), g2.inn.get((u2, gen))
-            if w1 is not None and w2 is not None and (w1, w2) not in ids:
+        for x in letters:
+            w1, w2 = g1.moves.get((u1, x)), g2.moves.get((u2, x))
+            if w1 is None or w2 is None:
+                continue
+            index = basis.get(_edge(u1, x, w1))
+            step = () if index is None else (letter(index, exp_of(x)),)
+            j = ids.get((w1, w2))
+            if j is None:
                 ids[(w1, w2)] = len(pairs)
                 pairs.append((w1, w2))
-                reached_backwards.append(gen)
-                crossed.append(concat(crossed[i], _crossing(letters, (w1, gen, u1), -1)))
+                reached_by.append(x)
+                crossed.append(concat(crossed[i], step))
+            elif exp_of(x) > 0 and reached_by[i] != inverse(x):
+                found.append(concat(crossed[i], step, invert_word(crossed[j])))
     return found
-
-
-def _crossing(letters: dict, edge: tuple[int, int, int], exp: int) -> Word:
-    index = letters.get(edge)
-    return () if index is None else (letter(index, exp),)
 
 
 def _reroot(graph: SubgroupGraph, word: Word) -> SubgroupGraph:
@@ -301,18 +275,15 @@ def _reroot(graph: SubgroupGraph, word: Word) -> SubgroupGraph:
     vertex; not trimmed, and its vertex ids are not canonical."""
     vertex, rest = graph.trace_partial(invert_word(word))
     if not rest:
-        return SubgroupGraph(graph.num_vertices, graph.out, graph.inn, basepoint=vertex)
+        return SubgroupGraph(graph.num_vertices, graph.moves, basepoint=vertex)
     hair = invert_word(rest)
-    out, inn = dict(graph.out), dict(graph.inn)
+    moves = dict(graph.moves)
     fresh = graph.num_vertices
-    v = fresh
-    for i, x in enumerate(hair):
-        target = vertex if i == len(hair) - 1 else fresh + i + 1
-        u, w = (v, target) if exp_of(x) > 0 else (target, v)
-        out[(u, gen_of(x))] = w
-        inn[(w, gen_of(x))] = u
-        v = target
-    return SubgroupGraph(fresh + len(hair), out, inn, basepoint=fresh)
+    path = [*range(fresh, fresh + len(hair)), vertex]
+    for u, x, w in zip(path, hair, path[1:]):
+        moves[(u, x)] = w
+        moves[(w, inverse(x))] = u
+    return SubgroupGraph(fresh + len(hair), moves, basepoint=fresh)
 
 
 def conjugate_graph(graph: SubgroupGraph, by: Word) -> SubgroupGraph:
@@ -329,7 +300,7 @@ def graphs_equal(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
     return (
         g1.num_vertices == g2.num_vertices
         and g1.basepoint == g2.basepoint
-        and g1.out == g2.out
+        and g1.moves == g2.moves
     )
 
 

@@ -314,15 +314,16 @@ class ShiftTailSubgroup(SubgroupSpec):
 
     def member(self, g: GroupElement) -> Trit:
         word, shift = g.payload
-        # the letters of the generators of index >= n are the letters >= 2n
-        return Trit.from_bool(shift == 0 and all(x >= 2 * self.n for x in word))
+        tail = W.letter(self.n)  # the least letter of a generator of index >= n
+        return Trit.from_bool(shift == 0 and all(x >= tail for x in word))
 
     def coset_key(self, g: GroupElement):
         word, shift = g.payload
         # right multiplication by the tail subgroup can only absorb trailing
-        # letters with index >= n + shift, which are the letters >= 2 (n + shift)
+        # letters with index >= n + shift
+        tail = W.letter(self.n + shift)
         cut = len(word)
-        while cut > 0 and word[cut - 1] >= 2 * (self.n + shift):
+        while cut > 0 and word[cut - 1] >= tail:
             cut -= 1
         return (word[:cut], shift)
 
@@ -330,11 +331,11 @@ class ShiftTailSubgroup(SubgroupSpec):
         word, shift = g.payload
         # left multiplication absorbs a leading prefix of tail letters, right
         # multiplication a trailing suffix of letters shifted by the exponent
-        start = 0
-        while start < len(word) and word[start] >= 2 * self.n:
+        start, left_tail = 0, W.letter(self.n)
+        while start < len(word) and word[start] >= left_tail:
             start += 1
-        end = len(word)
-        while end > start and word[end - 1] >= 2 * (self.n + shift):
+        end, right_tail = len(word), W.letter(self.n + shift)
+        while end > start and word[end - 1] >= right_tail:
             end -= 1
         return (word[start:end], shift)
 

@@ -1,27 +1,21 @@
 """Freely reduced words over integer-indexed generators.
 
-A letter is one int: generator ``g`` (any integer, negative ones included)
-to the power ``+1`` is ``2g`` and to the power ``-1`` is ``2g + 1``.  Every
-int is a letter, so the format needs no validation of its own; a group
-checks that its letters are in range (the generators ``0 .. n-1`` own the
-letters ``0 .. 2n-1``).  Three facts follow from the code and are part of
-the format:
+A letter is one int: generator ``g`` (any integer) to the power ``+1`` is
+``2g``, to the power ``-1`` is ``2g + 1``.  So every int is a letter, the
+inverse of ``x`` is ``x ^ 1``, and shifting every generator index by ``d``
+adds ``2d``.  The code is monotone in ``(g, +1 before -1)``: ``word_key``,
+length then native tuple order, sorts words by that pair order, and the
+letters of the generators ``m .. n-1`` are the ints in ``[letter(m), letter(n))``.
 
-* the inverse of letter ``x`` is ``x ^ 1``;
-* shifting every generator index by ``d`` adds ``2d`` to every letter;
-* the code is monotone in the pair ``(g, +1 before -1)``, so ``word_key``,
-  length and then native tuple order, sorts words exactly as that pair order
-  does.
-
-A word is a tuple of letters.  All functions keep words freely reduced: no
-letter is followed by its inverse.  This module is the only one that knows
-the code.  Other modules build letters with ``letter`` and ``generator``,
-read them with ``gen_of`` and ``exp_of``, and ``format_word`` decodes them
-for output.
+A word is a tuple of letters, kept freely reduced: no letter is followed by
+its inverse.  Only this module knows the code.  Other modules use ``letter``,
+``generator``, ``gen_of``, ``exp_of``, ``inverse`` and the order above, and
+``format_word`` decodes words for output.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Tuple
 
 Letter = int
@@ -33,6 +27,10 @@ EMPTY: Word = ()
 def letter(gen: int, exp: int = 1) -> Letter:
     """The letter of ``gen`` to the sign of ``exp`` (``exp`` nonzero)."""
     return 2 * gen + (exp < 0)
+
+
+def inverse(x: Letter) -> Letter:
+    return x ^ 1
 
 
 def gen_of(x: Letter) -> int:
@@ -99,18 +97,11 @@ def format_word(word: Word, name=None) -> str:
     """Render ``a b^-1 ...`` using ``name(gen)`` for generator names."""
     if not word:
         return "1"
-    if name is None:
-        name = _default_name
+    name = name or _default_name
     parts: list[str] = []
-    i = 0
-    while i < len(word):
-        x = word[i]
-        run = 1
-        while i + run < len(word) and word[i + run] == x:
-            run += 1
-        power = exp_of(x) * run
+    for x, run in groupby(word):
+        power = exp_of(x) * len(list(run))
         parts.append(name(gen_of(x)) if power == 1 else f"{name(gen_of(x))}^{power}")
-        i += run
     return " ".join(parts)
 
 

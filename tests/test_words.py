@@ -7,6 +7,7 @@ from qnbench.words import (
     format_word,
     gen_of,
     generator,
+    inverse,
     invert_word,
     letter,
     reduce_word,
@@ -82,6 +83,7 @@ def pair_format(pairs, name):
 def test_the_code_is_a_bijection_on_letters(pairs, word):
     assert decode(encode(pairs)) == pairs
     assert encode(decode(word)) == word
+    assert tuple(inverse(x) for x in encode(pairs)) == encode(pair_invert(pairs))[::-1]
 
 
 @given(pair_words, pair_words, st.integers(-5, 5))
