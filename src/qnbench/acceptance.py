@@ -23,8 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basic import (basic_construction, left_operator, left_operators, module_projection,
-                    right_operator)
-from .bimodule import module_frame, orthonormal_basis
+                    qn1_module_test, right_operator)
+from .bimodule import orthonormal_basis
 from .certificates import compose_certificates, product_compose
 from .conditions import (
     DiagnosisConfig,
@@ -54,7 +54,6 @@ from .matrixalg import build_algebra
 from .orbits import orbit_bfs, qn1_membership
 from .stallings import free_qn1_decide
 from .subgroups import shift_tail_subgroup, subgroup
-from .tolerances import Tolerances
 from .wahp import OptimizerConfig, wahp_gap, wahp_witness_search
 from .words import Word, concat, exp_of, gen_of, generator, invert_word, letter, reduce_word
 
@@ -372,7 +371,6 @@ _IDENTITY_BOUNDS = {
            seconds=60.0)
 def criterion_6(config: AcceptanceConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
-    tol = Tolerances()
     worst = dict.fromkeys(_IDENTITY_BOUNDS, 0.0)
 
     def note(key, *residuals):
@@ -380,7 +378,7 @@ def criterion_6(config: AcceptanceConfig) -> tuple:
 
     for _ in range(20):
         algebra, sub, _ = _random_inclusion(rng, with_mid=False)
-        c = basic_construction(algebra, sub, tolerances=tol)
+        c = basic_construction(algebra, sub)
         expect = conditional_expectation(algebra, sub)
         note("trace_identity", c.trace_residual)
         note("compression", *c.compression_residuals(left_operators(
@@ -399,10 +397,8 @@ def criterion_6(config: AcceptanceConfig) -> tuple:
             note("reconstruction",
                  c.trace_vectors.reconstruction_residual(algebra.random_element(rng)))
         note("gram_identity", c.trace_vectors.gram_defect())
-        x = algebra.random_element(rng)
-        # the right module of the b1 x b2 is spanned by the b1 x b
-        frame = module_frame(sub, [b @ x for b in sub.basis], tol)
-        p = module_projection(c, orthonormal_basis(sub, expect, frame @ frame.conj().T))
+        module = qn1_module_test(sub, algebra.random_element(rng))
+        p = module_projection(c, orthonormal_basis(sub, expect, module.projection))
         note("projection", float(np.linalg.norm(p @ p - p, 2)),
              float(np.linalg.norm(p - p.conj().T, 2)))
         for b in sub.basis:
@@ -518,16 +514,13 @@ def _summands_in_cut_order(sub) -> list:
            seconds=60.0)
 def criterion_9(config: AcceptanceConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
-    tol = Tolerances()
 
     tensor_failures = 0
     small_pool = _DIM_POOL[:10]  # keep the tensor-product dimension moderate
     for _ in range(50):
         a1, s1, _ = _random_inclusion(rng, with_mid=False, pool=small_pool)
         a2, s2, _ = _random_inclusion(rng, with_mid=False, pool=small_pool)
-        c1 = basic_construction(a1, s1, tolerances=tol)
-        c2 = basic_construction(a2, s2, tolerances=tol)
-        check = tensor_module_check(c1, a1.random_element(rng), c2, a2.random_element(rng), tol)
+        check = tensor_module_check(s1, a1.random_element(rng), s2, a2.random_element(rng))
         if not check.multiplicative:
             tensor_failures += 1
 
@@ -542,9 +535,7 @@ def criterion_9(config: AcceptanceConfig) -> tuple:
         e = summands[0][1]
         for _, p in summands[1:keep]:
             e = e + p
-        construction = basic_construction(algebra, sub, tolerances=tol)
-        report = cutdown_comparison(construction, e,
-                                    [algebra.random_element(rng) for _ in range(2)], tol)
+        report = cutdown_comparison(sub, e, [algebra.random_element(rng) for _ in range(2)])
         worst_cut = max(worst_cut, report.worst_residual)
         cut_count += 1
     return tensor_failures == 0 and worst_cut < 1e-9, {

@@ -32,6 +32,10 @@ lambda(eta_i) e lambda(eta_i)* = 1``.
 The build checks ``Tr(x e y) = tau(x y)`` on all pairs of matrix units and
 the Pimsner-Popa identity in operator norm, and keeps the trace residual and
 the Pimsner-Popa operator for reports to read.
+
+``qn1_module_test`` needs none of this: the right module ``B x`` generates
+over ``B`` depends on ``B <= M`` alone, so it takes the subalgebra handle and
+reads the module off one frame of the ``b1 x b2`` (``bimodule.module_frame``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bimodule import BimoduleBasis, orthonormal_basis, product_frame
+from .bimodule import BimoduleBasis, module_frame, orthonormal_basis
 from .errors import ConstructionError, RepresentationError
 from .expectations import SubalgebraHandle, conditional_expectation
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
@@ -243,7 +247,7 @@ class ModuleReport:
     projection: np.ndarray
 
 
-def qn1_module_test(construction: BasicConstruction, x: AlgebraElement) -> ModuleReport:
+def qn1_module_test(sub: SubalgebraHandle, x: AlgebraElement) -> ModuleReport:
     """The right module generated by ``B x`` over the subalgebra ``B``.
 
     At finite dimension it is finitely generated, so ``x`` always carries a
@@ -252,9 +256,8 @@ def qn1_module_test(construction: BasicConstruction, x: AlgebraElement) -> Modul
     the orthogonal projector onto that column span; the report's generators
     are an orthonormal frame of it.
     """
-    sub, algebra = construction.subalgebra, construction.algebra
-    frame = product_frame(sub, [s @ b for s, b in zip(sub.stacks, x.blocks)],
-                          construction.tolerances)
+    algebra = sub.ambient
+    frame = module_frame(sub, [s @ b for s, b in zip(sub.stacks, x.blocks)])
     return ModuleReport(module_dim=frame.shape[1],
                         generators=algebra.elements(algebra.stacks_of(frame)),
                         projection=frame @ frame.conj().T)

@@ -19,16 +19,16 @@ module splits over the summands, ``X = sum_j (X E^j_11) (x) C^(n_j)``, so
 ``dim X = sum_j n_j rank[g E^j_a1 : g, a]``, each rank counted with the
 relative singular-value cutoff of its own summand (``module_dimension``).
 
-Both work on per-block stacks: all ``g b`` are one broadcast ``matmul`` of
-the generator stack against the handle's basis stacks per block
-(``product_frame``), and all ``x p`` over the columns of a projector are one
-``matmul`` per block on its coordinates.
+Both work on per-block stacks: ``module_frame``, the one frame entry point,
+takes its generators as stacks and forms all ``g b`` as one broadcast
+``matmul`` against the handle's basis stacks per block, and all ``x p`` over
+the columns of a projector are one ``matmul`` per block on its coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,21 +124,16 @@ def orthonormal_basis(
                          supports=supports)
 
 
-def module_frame(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
-                 tolerances: Optional[Tolerances] = None) -> np.ndarray:
-    """Orthonormal frame of the right module the generators span.
+def module_frame(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.ndarray:
+    """Orthonormal frame of the right module spanned by generators given as
+    per-block stacks ``(count, n_k, n_k)``.
 
     The left singular vectors of the stacked ``vec(g b)``, in ``(g, b)``
     order, whose singular values exceed ``subalgebra_closure * max(1,
     s_max)``.
     """
-    return product_frame(sub, sub.ambient.stack(generators), tolerances)
-
-
-def product_frame(sub: SubalgebraHandle, generators: Sequence[np.ndarray],
-                  tolerances: Optional[Tolerances] = None) -> np.ndarray:
-    """``module_frame`` of generators given as per-block stacks ``(count, n_k, n_k)``."""
-    return _span_frame(_products(sub, generators), tolerances or Tolerances())
+    frame, svals, _ = np.linalg.svd(_products(sub, generators), full_matrices=False)
+    return frame[:, _kept(svals)]
 
 
 def _products(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.ndarray:
@@ -149,20 +144,13 @@ def _products(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.nda
                                for g, s, n in zip(generators, sub.stacks, ambient.block_dims)])
 
 
-def _kept(svals: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+def _kept(svals: np.ndarray) -> np.ndarray:
     """The singular values above ``subalgebra_closure * max(1, s_max)``, per row of a batch."""
-    return svals > tolerances.subalgebra_closure * np.max(svals, axis=-1, initial=1.0,
-                                                          keepdims=True)
+    return svals > Tolerances().subalgebra_closure * np.max(svals, axis=-1, initial=1.0,
+                                                            keepdims=True)
 
 
-def _span_frame(columns: np.ndarray, tolerances: Tolerances) -> np.ndarray:
-    """Left singular vectors of the column span above the relative cutoff."""
-    frame, svals, _ = np.linalg.svd(columns, full_matrices=False)
-    return frame[:, _kept(svals, tolerances)]
-
-
-def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement],
-                     tolerances: Optional[Tolerances] = None) -> int:
+def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement]) -> int:
     """Linear dimension of the right module ``X`` the generators span:
     ``sum_j n_j rank[g E^j_a1 : g, a]`` over the summands ``j`` of ``B``
     (``E_1a`` maps ``X E_11`` onto ``X E_aa``), each rank under its own
@@ -179,5 +167,5 @@ def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement]
         count = len(units) // n
         spans = products.reshape(ambient.dim, len(generators), count, n).transpose(2, 0, 1, 3)
         svals = np.linalg.svd(spans.reshape(count, ambient.dim, -1), compute_uv=False)
-        total += n * int(np.count_nonzero(_kept(svals, tolerances or Tolerances())))
+        total += n * int(np.count_nonzero(_kept(svals)))
     return total

@@ -10,21 +10,23 @@ central projections of the subalgebra.  For a projection ``e`` in ``B``,
 ``eBe`` is already a unital *-subalgebra of ``eMe``, so the corner
 subalgebra is the span of the corner's identity and the compressed basis,
 with no closure.
+
+Both checks read modules over ``B`` only, so they take subalgebra handles:
+no basic construction is built, for the inclusion or for its corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .basic import BasicConstruction, basic_construction, qn1_module_test
+from .basic import qn1_module_test
 from .bimodule import module_dimension, module_frame
 from .errors import GroupValidationError
 from .expectations import SubalgebraHandle, cache_units, matrix_units, span_subalgebra
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra, kron_stacks
-from .tolerances import Tolerances
 
 
 @dataclass(eq=False)
@@ -42,14 +44,8 @@ class Cutdown:
         return self.corner.element(blocks)
 
 
-def cutdown(
-    ambient: MultiMatrixAlgebra,
-    sub: SubalgebraHandle,
-    e: AlgebraElement,
-    tolerances: Optional[Tolerances] = None,
-) -> Cutdown:
+def cutdown(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle, e: AlgebraElement) -> Cutdown:
     """Corner algebra of a projection in the subalgebra."""
-    tolerances = tolerances or Tolerances()
     if (e - e.adjoint()).norm2() > 1e-10 or (e @ e - e).norm2() > 1e-10:
         raise GroupValidationError("cutdown requires a projection")
     if not sub.contains(e, 1e-9):
@@ -67,12 +63,12 @@ def cutdown(
         isometries.append(frame)
         dims.append(frame.shape[1])
         weights.append(ambient.block_weights[k] / trace)
-    corner = build_algebra(dims, weights, tolerances)
+    corner = build_algebra(dims, weights)
     # eBe, one compression per kept block of the basis stacks
     compressed = corner.vectors_of([v.conj().T @ sub.stacks[k] @ v
                                     for k, v in zip(kept, isometries)])
     return Cutdown(corner=corner, kept_blocks=kept, isometries=isometries,
-                   sub_corner=span_subalgebra(corner, compressed, tolerances), projection=e)
+                   sub_corner=span_subalgebra(corner, compressed), projection=e)
 
 
 @dataclass
@@ -85,29 +81,20 @@ class CutdownComparison:
         return max((max(a, b) for a, b in self.containment_residuals), default=0.0)
 
 
-def cutdown_comparison(
-    construction: BasicConstruction,
-    e: AlgebraElement,
-    samples: Sequence[AlgebraElement],
-    tolerances: Optional[Tolerances] = None,
-) -> CutdownComparison:
+def cutdown_comparison(sub: SubalgebraHandle, e: AlgebraElement,
+                       samples: Sequence[AlgebraElement]) -> CutdownComparison:
     """Module comparison between an inclusion and its corner.
 
     For each sample ``x``, the compressed module generators of ``x`` must
     span the module of ``e x e`` over the corner subalgebra, and conversely.
     """
-    tolerances = tolerances or Tolerances()
-    ambient = construction.algebra
-    cut = cutdown(ambient, construction.subalgebra, e, tolerances)
-    corner_construction = basic_construction(cut.corner, cut.sub_corner, tolerances=tolerances)
+    cut = cutdown(sub.ambient, sub, e)
     residuals = []
     for x in samples:
-        ambient_module = qn1_module_test(construction, x)
-        compressed_gens = [cut.compress(e @ eta @ e) for eta in ambient_module.generators]
-        frame = module_frame(cut.sub_corner, compressed_gens, tolerances)
+        compressed = [cut.compress(e @ eta @ e) for eta in qn1_module_test(sub, x).generators]
+        frame = module_frame(cut.sub_corner, cut.corner.stack(compressed))
         p_compressed = frame @ frame.conj().T
-        corner_module = qn1_module_test(corner_construction, cut.compress(e @ x @ e))
-        p_corner = corner_module.projection
+        p_corner = qn1_module_test(cut.sub_corner, cut.compress(e @ x @ e)).projection
         r1 = float(np.linalg.norm(p_compressed - p_corner @ p_compressed, 2))
         r2 = float(np.linalg.norm(p_corner - p_compressed @ p_corner, 2))
         residuals.append((r1, r2))
@@ -125,23 +112,19 @@ class TensorModuleCheck:
         return self.product_dim == self.left_dim * self.right_dim
 
 
-def tensor_module_check(
-    c1: BasicConstruction, x1: AlgebraElement,
-    c2: BasicConstruction, x2: AlgebraElement,
-    tolerances: Optional[Tolerances] = None,
-) -> TensorModuleCheck:
+def tensor_module_check(sub1: SubalgebraHandle, x1: AlgebraElement,
+                        sub2: SubalgebraHandle, x2: AlgebraElement) -> TensorModuleCheck:
     """Exact dimension count: the module of a simple tensor over the tensor
     subalgebra is the tensor product of the component modules."""
-    tolerances = tolerances or Tolerances()
-    sub = tensor_subalgebra(c1.subalgebra, c2.subalgebra)
+    sub = tensor_subalgebra(sub1, sub2)
     # the product module is computed from x1 (x) x2 alone, independently of
     # both component modules
     product = sub.ambient
-    x = c1.algebra.tensor_element(product, x1, x2)
+    x = sub1.ambient.tensor_element(product, x1, x2)
     product_dim = module_dimension(
-        sub, product.elements([s @ b for s, b in zip(sub.stacks, x.blocks)]), tolerances)
-    return TensorModuleCheck(left_dim=qn1_module_test(c1, x1).module_dim,
-                             right_dim=qn1_module_test(c2, x2).module_dim,
+        sub, product.elements([s @ b for s, b in zip(sub.stacks, x.blocks)]))
+    return TensorModuleCheck(left_dim=qn1_module_test(sub1, x1).module_dim,
+                             right_dim=qn1_module_test(sub2, x2).module_dim,
                              product_dim=product_dim)
 
 

@@ -151,14 +151,13 @@ def subalgebra_closure(
                        _block_units(ambient))
 
 
-def span_subalgebra(ambient: MultiMatrixAlgebra, columns: np.ndarray,
-                    tolerances: Optional[Tolerances] = None) -> SubalgebraHandle:
+def span_subalgebra(ambient: MultiMatrixAlgebra, columns: np.ndarray) -> SubalgebraHandle:
     """Handle of the span of 1 and the coordinate columns, for a span already
     known to be a unital *-subalgebra: orthonormalized after the identity."""
     one = ambient.to_vector(ambient.one())
     return SubalgebraHandle(ambient=ambient, coordinates=_orthonormalize(
         ambient, np.concatenate([one[:, None], columns], axis=1),
-        (tolerances or Tolerances()).subalgebra_closure))
+        Tolerances().subalgebra_closure))
 
 
 def _block_units(ambient: MultiMatrixAlgebra) -> list:
@@ -167,11 +166,10 @@ def _block_units(ambient: MultiMatrixAlgebra) -> list:
             for k, n in enumerate(ambient.block_dims)]
 
 
-def full_subalgebra(ambient: MultiMatrixAlgebra, tolerances: Optional[Tolerances] = None
-                    ) -> SubalgebraHandle:
+def full_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
     """Handle for the whole algebra: the coordinate axes orthonormalized after
     the identity, with the units ``E^k_ab``."""
-    return cache_units(span_subalgebra(ambient, np.eye(ambient.dim), tolerances),
+    return cache_units(span_subalgebra(ambient, np.eye(ambient.dim)),
                        _block_units(ambient))
 
 
@@ -181,14 +179,13 @@ def scalar_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
         [[[ambient.one()]]])
 
 
-def diagonal_subalgebra(ambient: MultiMatrixAlgebra,
-                        tolerances: Optional[Tolerances] = None) -> SubalgebraHandle:
+def diagonal_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
     """The span of the diagonal units ``E^k_ii``, which is already a
     *-subalgebra and has them as its ``1 x 1`` units."""
     diagonal = [ambient.matrix_unit(k, i, i)
                 for k, n in enumerate(ambient.block_dims) for i in range(n)]
     return cache_units(
-        span_subalgebra(ambient, ambient.vectors_of(ambient.stack(diagonal)), tolerances),
+        span_subalgebra(ambient, ambient.vectors_of(ambient.stack(diagonal))),
         [[[e]] for e in diagonal])
 
 

@@ -18,7 +18,7 @@ trace reproduces the group trace (1 at the identity, 0 elsewhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .expectations import (
     subalgebra_closure,
 )
 from .groups import FiniteTableGroup, GroupElement
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra, build_algebra
-from .tolerances import Tolerances
+from .matrixalg import MultiMatrixAlgebra, build_algebra
 
 
 @dataclass
@@ -43,9 +42,6 @@ class GroupAlgebraInclusion:
     full: SubalgebraHandle
     sub: SubalgebraHandle
     images: dict  # element index -> AlgebraElement
-
-    def image(self, g: GroupElement) -> AlgebraElement:
-        return self.images[g.payload]
 
 
 def decompose_regular_representation(group: FiniteTableGroup) -> tuple:
@@ -77,7 +73,6 @@ def decompose_regular_representation(group: FiniteTableGroup) -> tuple:
 def group_algebra_inclusion(
     group: FiniteTableGroup,
     subgroup_elements: Sequence[GroupElement],
-    tolerances: Optional[Tolerances] = None,
 ) -> GroupAlgebraInclusion:
     """Decomposed group algebra of ``G`` with the span of a subgroup inside.
 
@@ -85,7 +80,6 @@ def group_algebra_inclusion(
     onto the subgroup span restricts coefficients to subgroup elements, which
     is verified on the basis.
     """
-    tolerances = tolerances or Tolerances()
     from .subgroups import SubgroupSpec, TableSubgroup
 
     if isinstance(subgroup_elements, SubgroupSpec):
@@ -106,7 +100,7 @@ def group_algebra_inclusion(
 
     dims, reps = decompose_regular_representation(group)
     weights = [d / group.order for d in dims]
-    algebra = build_algebra(dims, weights, tolerances)
+    algebra = build_algebra(dims, weights)
     images = {
         g: algebra.element([rep[g] for rep in reps]) for g in range(group.order)
     }
@@ -122,8 +116,8 @@ def group_algebra_inclusion(
             if (images[g] @ images[h] - prod).norm2() > 1e-8:
                 raise GroupValidationError("decomposition is not multiplicative")
 
-    full = full_subalgebra(algebra, tolerances)
-    sub = subalgebra_closure(algebra, [images[i] for i in indices], tolerances)
+    full = full_subalgebra(algebra)
+    sub = subalgebra_closure(algebra, [images[i] for i in indices])
     if sub.dim != len(indices):
         raise GroupValidationError("subgroup span has the wrong dimension")
     # restriction property of the expectation on the group basis

@@ -325,9 +325,6 @@ class FpGroupDescriptor(GroupDescriptor):
     def generators(self):
         return [GroupElement(self, self.normalize_payload(W.generator(i))) for i in range(self.num_gens)]
 
-    def word(self, *powers: tuple[int, int]) -> GroupElement:
-        return self.element(W.concat(*(W.generator(g, e) for g, e in powers)))
-
     def equality_is_exact(self) -> bool:
         return self.rewriting is not None
 
@@ -542,14 +539,13 @@ def enumerate_ball(group: GroupDescriptor, radius: int, cap: int = BALL_CAP) -> 
     """
     if radius < 0:
         raise GroupValidationError("radius must be nonnegative")
-    gens = group.generators()
-    moves = []
-    for g in gens:
-        moves.append(g)
-        gi = group.invert(g)
-        if gi not in moves:
-            moves.append(gi)
-    return _capped_ball(group, moves, radius, cap, "ball")
+    return _capped_ball(group, generator_moves(group, group.generators()), radius, cap, "ball")
+
+
+def generator_moves(group: GroupDescriptor, generators: Sequence[GroupElement]
+                    ) -> list[GroupElement]:
+    """Generators and their inverses, deduplicated, in listed order."""
+    return list(dict.fromkeys(m for g in generators for m in (g, group.invert(g))))
 
 
 def _capped_ball(group: GroupDescriptor, moves: Sequence[GroupElement], radius: int,

@@ -47,6 +47,7 @@ from .groups import (
     ShiftExtensionDescriptor,
     Trit,
     _capped_ball,
+    generator_moves,
 )
 from .stallings import (
     SubgroupGraph,
@@ -83,14 +84,7 @@ class SubgroupSpec:
 
     def generator_moves(self) -> list[GroupElement]:
         """Generators and their inverses, deduplicated, in listed order."""
-        moves = []
-        for g in self.generators:
-            if g not in moves:
-                moves.append(g)
-            gi = self.group.invert(g)
-            if gi not in moves:
-                moves.append(gi)
-        return moves
+        return generator_moves(self.group, self.generators)
 
     def describe(self) -> str:
         if self.label:

@@ -338,7 +338,6 @@ def wahp_witness_search(
     sub: SubalgebraHandle,
     mid: SubalgebraHandle,
     config: Optional[OptimizerConfig] = None,
-    tolerances: Optional[Tolerances] = None,
 ) -> WahpGapReport:
     """Gap over the full family of basis pairs, in closed form.
 
@@ -360,10 +359,9 @@ def wahp_witness_search(
     The report carries ``F(1)`` with minimizer ``1`` and no optimizer run.
     As a cross-check, ``F`` is evaluated at ``CROSS_CHECK_POINTS`` seeded
     random unitaries; ``oracle_value`` is their minimum, and ``converged``
-    says that every one lies within ``tolerances.oracle_slack`` of ``F(1)``.
+    says that every one lies within the default ``oracle_slack`` of ``F(1)``.
     """
     config = config or OptimizerConfig()
-    tolerances = tolerances or Tolerances()
     basis = ambient.basis()
     pairs = [(x, y) for x in basis for y in basis]
     q = _objective_matrix(ambient, sub, pairs, conditional_expectation(ambient, mid))
@@ -383,7 +381,7 @@ def wahp_witness_search(
         oracle_value=float(samples.min()),
         minimizer=ambient.one(),
         unitary_defect=0.0,
-        converged=spread <= tolerances.oracle_slack,
+        converged=spread <= Tolerances().oracle_slack,
         restarts=0,
         iterations=0,
         seed=config.seed,

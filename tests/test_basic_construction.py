@@ -456,7 +456,7 @@ def test_remove_component_examples():
 
 def test_qn1_module_of_subalgebra_element_sits_under_e():
     M, B, c = m2_diag()
-    report = qn1_module_test(c, B.basis[1])
+    report = qn1_module_test(B, B.basis[1])
     p = report.projection
     assert np.linalg.norm(c.e_sub @ p - p) < 1e-9
 
@@ -464,7 +464,7 @@ def test_qn1_module_of_subalgebra_element_sits_under_e():
 def test_qn1_module_of_matrix_unit():
     M, B, c = m2_diag()
     unit = M.matrix_unit(0, 0, 1)
-    report = qn1_module_test(c, unit)
+    report = qn1_module_test(B, unit)
     assert report.module_dim == 1
     v = M.to_vector(unit)
     expected = np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -479,7 +479,7 @@ def test_qn1_module_matches_gram_schmidt_reference(seed):
     M, B, _ = _random_inclusion(rng, with_mid=False)
     c = basic_construction(M, B)
     x = M.random_element(rng)
-    report = qn1_module_test(c, x)
+    report = qn1_module_test(B, x)
     E = conditional_expectation(M, B)
     basis = gram_schmidt_basis(B, E, [b1 @ x @ b2 for b1 in B.basis for b2 in B.basis])
     reference = module_projection(c, basis)
@@ -490,8 +490,7 @@ def test_qn1_module_matches_gram_schmidt_reference(seed):
 def test_qn1_module_over_scalars():
     M = build_algebra([2], [0.5])
     B = scalar_subalgebra(M)
-    c = basic_construction(M, B)
     rng = np.random.default_rng(50)
     x = M.random_element(rng)
-    report = qn1_module_test(c, x)
+    report = qn1_module_test(B, x)
     assert report.module_dim == 1  # the line through x

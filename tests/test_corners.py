@@ -1,7 +1,11 @@
+import sys
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from qnbench import expectations, matrixalg
+from qnbench import acceptance, basic, expectations, matrixalg
 from qnbench.basic import basic_construction, qn1_module_test
 from qnbench.corners import cutdown, cutdown_comparison, tensor_module_check
 from qnbench.errors import GroupValidationError
@@ -15,6 +19,7 @@ from qnbench.expectations import (
     subalgebra_closure,
 )
 from qnbench.matrixalg import build_algebra
+from test_block_stacks import inclusions
 
 
 def m2_diag():
@@ -99,51 +104,45 @@ def test_central_projections_of_skew_basis():
 
 def test_cutdown_comparison_identity_projection():
     M, B = m2_diag()
-    c = basic_construction(M, B)
     rng = np.random.default_rng(2)
-    report = cutdown_comparison(c, M.one(), [M.random_element(rng)])
+    report = cutdown_comparison(B, M.one(), [M.random_element(rng)])
     assert report.worst_residual < 1e-9
 
 
 def test_cutdown_comparison_central_projection():
     M, B = m2_m3_diag()
-    c = basic_construction(M, B)
     rng = np.random.default_rng(3)
     e = M.element([np.eye(2), np.zeros((3, 3))])  # central in B (block cut)
     # zero has an empty module: its compressed generator list is empty
     samples = [M.random_element(rng) for _ in range(3)] + [M.zero()]
-    report = cutdown_comparison(c, e, samples)
+    report = cutdown_comparison(B, e, samples)
     assert report.worst_residual < 1e-9
 
 
 def test_cutdown_comparison_minimal_central_pieces():
     M, B = m2_m3_diag()
-    c = basic_construction(M, B)
     rng = np.random.default_rng(4)
     pieces = central_projections(B)
     e = pieces[0] + pieces[2] if len(pieces) > 2 else pieces[0]
-    report = cutdown_comparison(c, e, [M.random_element(rng) for _ in range(2)])
+    report = cutdown_comparison(B, e, [M.random_element(rng) for _ in range(2)])
     assert report.worst_residual < 1e-9
 
 
 def test_tensor_module_dimensions_multiply():
     M1, B1 = m2_diag()
-    c1 = basic_construction(M1, B1)
     M2 = build_algebra([2], [0.5])
     B2 = scalar_subalgebra(M2)
-    c2 = basic_construction(M2, B2)
     rng = np.random.default_rng(5)
     x1, x2 = M1.random_element(rng), M2.random_element(rng)
-    check = tensor_module_check(c1, x1, c2, x2)
+    check = tensor_module_check(B1, x1, B2, x2)
     assert check.multiplicative
-    assert check.left_dim == qn1_module_test(c1, x1).module_dim
+    assert check.left_dim == qn1_module_test(B1, x1).module_dim
     assert check.product_dim == check.left_dim * check.right_dim
 
 
 def test_tensor_module_structured_example():
     M1, B1 = m2_diag()
-    c1 = basic_construction(M1, B1)
-    check = tensor_module_check(c1, M1.matrix_unit(0, 0, 1), c1, M1.matrix_unit(0, 1, 0))
+    check = tensor_module_check(B1, M1.matrix_unit(0, 0, 1), B1, M1.matrix_unit(0, 1, 0))
     assert check.left_dim == 1 and check.right_dim == 1 and check.product_dim == 1
 
 
@@ -153,7 +152,6 @@ def test_tensor_module_check_never_decomposes_the_product(monkeypatch):
     M1, B1 = m2_m3_diag()
     M2 = build_algebra([2, 1], [1 / 3, 1 / 3])
     B2 = subalgebra_closure(M2, [M2.random_selfadjoint(np.random.default_rng(2))])
-    c1, c2 = basic_construction(M1, B1), basic_construction(M2, B2)
     product = M1.tensor(M2)
     algebras = []
     real = matrixalg.spectral_frames
@@ -166,9 +164,53 @@ def test_tensor_module_check_never_decomposes_the_product(monkeypatch):
     monkeypatch.setattr(expectations, "spectral_frames", counted)
     rng = np.random.default_rng(7)
     for _ in range(3):
-        check = tensor_module_check(c1, M1.random_element(rng), c2, M2.random_element(rng))
+        check = tensor_module_check(B1, M1.random_element(rng), B2, M2.random_element(rng))
         assert check.multiplicative
     assert product not in algebras
     # the wrapper sees a decomposition where one runs
     matrix_units(SubalgebraHandle(ambient=M2, coordinates=B2.coordinates))
     assert algebras.count(M2) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(inclusions(), st.data())
+def test_basic_construction_builds_on_corners_cut_by_central_projections(case, data):
+    # criterion 9 cuts by sums of minimal central projections; the corner
+    # inclusion, with its renormalized weights, passes the build's trace
+    # identity and Pimsner-Popa checks
+    _, M, B = case
+    pieces = central_projections(B)
+    keep = sorted(data.draw(st.sets(st.integers(0, len(pieces) - 1), min_size=1)))
+    cut = cutdown(M, B, sum((pieces[i] for i in keep[1:]), pieces[keep[0]]))
+    assert abs(cut.corner.one().trace() - 1.0) < 1e-12
+    c = basic_construction(cut.corner, cut.sub_corner)
+    assert c.trace_residual <= c.tolerances.construction_identity
+    assert np.linalg.norm(c.pimsner_popa - np.eye(cut.corner.dim), 2) <= c.tolerances.reconstruction
+
+
+def test_module_checks_build_no_basic_construction(monkeypatch):
+    # the corner comparison, the tensor check and criterion 9 read modules
+    # over B alone: no basic construction, for an inclusion or its corner
+    calls = []
+    real = basic.basic_construction
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qnbench") and getattr(module, "basic_construction", None) is real:
+            monkeypatch.setattr(module, "basic_construction", counted)
+    assert acceptance.criterion_9(acceptance.AcceptanceConfig(seed=42)).passed
+    assert len(calls) == 0
+    M, B = m2_m3_diag()
+    rng = np.random.default_rng(8)
+    report = cutdown_comparison(B, central_projections(B)[0], [M.random_element(rng)])
+    assert report.worst_residual < 1e-9
+    M1, B1 = m2_diag()
+    assert tensor_module_check(B1, M1.random_element(rng), B1, M1.random_element(rng)) \
+        .multiplicative
+    assert len(calls) == 0
+    # the wrapper sees a build where one runs
+    basic.basic_construction(M, B)
+    assert len(calls) == 1

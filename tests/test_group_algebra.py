@@ -163,11 +163,11 @@ def test_cover_size_times_dim_is_a_module_dimension(drawn):
     assume(degree < 5 or len(spec.subset) <= 12)
     inclusion = group_algebra_inclusion(G, spec)
     L_H = inclusion.sub
-    H = [inclusion.image(h) for h in inclusion.subgroup_elements]
+    H = [inclusion.images[h.payload] for h in inclusion.subgroup_elements]
     assert L_H.dim == len(H)
     for g in all_elements(G):
         cover = qn1_membership(spec, g).certificate.cover_size
-        u_g = inclusion.image(g)
+        u_g = inclusion.images[g.payload]
         module = [u_h @ u_g for u_h in H]
         assert cover * L_H.dim == module_dimension(L_H, module) \
             == reference_module_dimension(L_H, module), g

@@ -22,12 +22,16 @@ TRACER = ROOT / "benchmarks" / "tracer.py"
 SRC = ROOT / "src" / "qnbench"
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-# src functions kept without a src caller
+# src functions and methods kept without a src caller
 NO_SRC_CALLER = {
-    "matrixalg.sup_norm",  # benchmarks/tracer.py TARGETS pins AlgebraElement.sup_norm
+    "matrixalg.AlgebraElement.sup_norm",  # benchmarks/tracer.py TARGETS pins it
     "matrixalg.spectral_calculus",  # benchmarks/tracer.py TARGETS pins it
-    "bimodule.length",  # benchmarks/tracer.py reads BimoduleBasis.length for bimodule.kept
+    "bimodule.BimoduleBasis.length",  # benchmarks/tracer.py reads it for bimodule.kept
     "group_algebra.group_algebra_inclusion",  # the matrix half of the cross-engine check
+    # the element-level package API that qnbench/__init__.py exports; the
+    # descriptors' methods do the work in src
+    "groups.multiply", "groups.invert", "groups.identity", "groups.elements_equal",
+    "groups.FreeGroupDescriptor.word",  # free-group elements from powers, for callers outside src
 }
 
 
@@ -97,38 +101,55 @@ def test_bench_files_report_declared_workloads_and_metrics():
 
 
 def _uncalled_src_functions():
-    """``module.name`` of each top-level function or method in src whose name
-    is read nowhere in src (``__init__.py`` aside) outside its own body."""
-    defs = []  # (module.name, def node)
-    reads = {}  # name -> the enclosing def nodes of each read of it
+    """``module.name`` of each top-level function and ``module.Class.name``
+    of each method in src that nothing in src (``__init__.py`` aside) reads
+    outside its own body: a function by its name or as ``module.name``
+    (``module`` a module imported with ``from . import``), a method as an
+    attribute.  A method's attribute read is no read of a function with the
+    same name: ``group.multiply(...)`` does not call ``groups.multiply``."""
+    defs = []  # (qualified name, def node, home module of a function or None)
+    reads = {}  # read key -> the enclosing def nodes of each read of it
 
-    def collect_reads(node, enclosing):
+    def collect_reads(node, enclosing, modules):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Name):
-                reads.setdefault(child.id, []).append(enclosing)
+                reads.setdefault(("name", child.id), []).append(enclosing)
             elif isinstance(child, ast.Attribute):
-                reads.setdefault(child.attr, []).append(enclosing)
-            collect_reads(child, enclosing + (child,) if isinstance(child, FUNCTIONS) else enclosing)
+                reads.setdefault(("attribute", child.attr), []).append(enclosing)
+                if isinstance(child.value, ast.Name) and child.value.id in modules:
+                    reads.setdefault((modules[child.value.id], child.attr), []).append(enclosing)
+            collect_reads(child, enclosing + (child,) if isinstance(child, FUNCTIONS) else enclosing,
+                          modules)
 
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        collect_reads(tree, ())
+        modules = {alias.asname or alias.name: alias.name for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                   for alias in node.names}
+        collect_reads(tree, (), modules)
         for node in tree.body:
-            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
-                if isinstance(fn, FUNCTIONS):
-                    defs.append((f"{path.stem}.{fn.name}", fn))
+            if isinstance(node, FUNCTIONS):
+                defs.append((f"{path.stem}.{node.name}", node, path.stem))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{fn.name}", fn, None)
+                         for fn in node.body if isinstance(fn, FUNCTIONS)]
+
+    def readers(fn, home):
+        if home is None:
+            return reads.get(("attribute", fn.name), [])
+        return reads.get(("name", fn.name), []) + reads.get((home, fn.name), [])
 
     def registered(fn):  # ``@criterion(...)`` puts it in acceptance.CRITERIA
         return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "criterion"
                    for d in fn.decorator_list)
 
     return sorted(
-        name for name, fn in defs
+        name for name, fn, home in defs
         if not (fn.name.startswith("__") and fn.name.endswith("__"))
         and not registered(fn) and name not in NO_SRC_CALLER
-        and all(fn in enclosing for enclosing in reads.get(fn.name, ())))
+        and all(fn in enclosing for enclosing in readers(fn, home)))
 
 
 def test_every_src_function_has_a_src_caller():
