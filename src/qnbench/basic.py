@@ -6,10 +6,9 @@ square block-diagonal matrices (the orthonormal scaling cancels), and the
 projection ``e`` of the construction is the orthogonal projection onto the
 subalgebra's vector span.  ``left_operators`` and ``right_operators`` build
 ``lambda`` and ``rho`` for a whole stack of elements at once, per block the
-stack broadcast against the identity; the trace identity (all matrix
-units), ``module_projection`` (all ``eta_i``) and the pull-down's span check
-(all of ``rho(B)``) use them directly, and ``left_operator`` and
-``right_operator`` are their one-element cases.
+stack broadcast against the identity; ``module_projection`` (all ``eta_i``)
+and the pull-down's span check (all of ``rho(B)``) use them directly, and
+``left_operator`` and ``right_operator`` are their one-element cases.
 
 The rest is closed form in a module basis ``eta_i`` of the ambient algebra
 over the subalgebra ``B``: the trace vector, then the closed-form basis of
@@ -29,9 +28,9 @@ lambda(eta_i) e lambda(eta_i)* = 1``.
   well defined as it depends on ``T`` alone; on ``x e y`` it gives
   ``x sum_i E_B(y eta_i) eta_i* = x y`` by reconstruction of ``y*``.
 
-The build checks ``Tr(x e y) = tau(x y)`` on all pairs of matrix units and
-the Pimsner-Popa identity in operator norm, and keeps the trace residual and
-the Pimsner-Popa operator for reports to read.
+The build checks the Pimsner-Popa identity as ``P = 1`` in operator norm, with
+``P`` that operator sum, and reads ``Tr(x e y) = tau(x y)`` on all pairs of
+matrix units off ``P``; it keeps the trace residual and ``P`` for reports.
 
 ``qn1_module_test`` needs none of this: the right module ``B x`` generates
 over ``B`` depends on ``B <= M`` alone, so it takes the subalgebra handle and
@@ -142,19 +141,18 @@ class BasicConstruction:
     # -- identity checks -----------------------------------------------------------
 
     def trace_identity_residual(self) -> float:
-        """Largest ``|Tr(x e y) - tau(x y)|`` over all pairs of matrix units."""
+        """Largest ``|Tr(x e y) - tau(x y)|`` over all pairs of matrix units,
+        read off the operator ``P`` that ``pimsner_popa_residual`` keeps.
+
+        The defect is ``<v(y*), (P - 1) v(x)>``: both sides equal ``sum_i
+        tau(E_B(y eta_i) E_B(eta_i* x)) - tau(x y)`` for any vectors ``eta_i``.
+        At ``x = E^k_ab``, ``y = E^l_cd`` it is ``(w_k w_l)^(1/2) (P - 1)`` at
+        ``((l, d, c), (k, a, b))``, and these run over all coordinate pairs.
+        """
         algebra = self.algebra
-        dim = algebra.dim
-        # the matrix units: block k's stack is the identity on its coordinate range
-        units = [np.eye(dim, dtype=complex)[:, part].reshape(dim, n, n)
-                 for part, n in zip(algebra.block_slices, algebra.block_dims)]
-        lefts = left_operators(algebra, units)
-        # Tr(L_x e L_y) = sum_ab (L_x)_ab (e L_y F)_ba with F the trace form
-        factors = (self.e_sub @ lefts @ self.trace_form).transpose(0, 2, 1)
-        traces = lefts.reshape(dim, -1) @ factors.reshape(dim, -1).T
-        one = algebra.to_vector(algebra.one())
-        products = (one.conj() @ lefts) @ (lefts @ one).T  # tau(x y) = <1, x y 1>
-        return float(np.max(np.abs(traces - products)))
+        roots = np.repeat(np.sqrt(algebra.block_weights), [n * n for n in algebra.block_dims])
+        defect = np.abs(self.pimsner_popa - np.eye(algebra.dim))
+        return float(np.max(roots[:, None] * defect * roots))
 
     def compression_residuals(self, lefts: np.ndarray) -> np.ndarray:
         """Operator norms of ``e lambda(x) e - lambda(E_B(x)) e`` for each
@@ -218,13 +216,13 @@ def _verify_construction(c: BasicConstruction) -> None:
     tol = c.tolerances.construction_identity
     if (c.trace_vectors.vectors[0] - c.algebra.one()).norm2() > tol:
         raise ConstructionError("module basis does not start at the trace vector")
-    for eta in c.trace_vectors.vectors[1:]:
-        if float(np.linalg.norm(c.e_sub @ c.algebra.to_vector(eta))) > tol:
-            raise ConstructionError("module basis vector has a nonzero subalgebra component")
+    rest = c.algebra.vectors_of(c.algebra.stack(c.trace_vectors.vectors[1:]))
+    if np.any(np.linalg.norm(c.e_sub @ rest, axis=0) > tol):
+        raise ConstructionError("module basis vector has a nonzero subalgebra component")
+    defect = c.pimsner_popa_residual()
     c.trace_residual = worst = c.trace_identity_residual()
     if worst > tol:
         raise ConstructionError(f"trace identity residual {worst:.2e} exceeds {tol:.2e}")
-    defect = c.pimsner_popa_residual()
     bound = c.tolerances.reconstruction
     if defect > bound:
         raise ConstructionError(f"Pimsner-Popa residual {defect:.2e} exceeds {bound:.2e}")

@@ -44,8 +44,8 @@ class Cutdown:
         return self.corner.element(blocks)
 
 
-def cutdown(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle, e: AlgebraElement) -> Cutdown:
-    """Corner algebra of a projection in the subalgebra."""
+def cutdown(sub: SubalgebraHandle, e: AlgebraElement) -> Cutdown:
+    """Corner algebra of a projection in the subalgebra, weighted ``w_k / tau(e)``."""
     if (e - e.adjoint()).norm2() > 1e-10 or (e @ e - e).norm2() > 1e-10:
         raise GroupValidationError("cutdown requires a projection")
     if not sub.contains(e, 1e-9):
@@ -62,7 +62,7 @@ def cutdown(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle, e: AlgebraElemen
         kept.append(k)
         isometries.append(frame)
         dims.append(frame.shape[1])
-        weights.append(ambient.block_weights[k] / trace)
+        weights.append(sub.ambient.block_weights[k] / trace)
     corner = build_algebra(dims, weights)
     # eBe, one compression per kept block of the basis stacks
     compressed = corner.vectors_of([v.conj().T @ sub.stacks[k] @ v
@@ -88,7 +88,7 @@ def cutdown_comparison(sub: SubalgebraHandle, e: AlgebraElement,
     For each sample ``x``, the compressed module generators of ``x`` must
     span the module of ``e x e`` over the corner subalgebra, and conversely.
     """
-    cut = cutdown(sub.ambient, sub, e)
+    cut = cutdown(sub, e)
     residuals = []
     for x in samples:
         compressed = [cut.compress(e @ eta @ e) for eta in qn1_module_test(sub, x).generators]

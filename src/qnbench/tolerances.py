@@ -12,7 +12,7 @@ from .errors import InputFormatError
 class Tolerances:
     weight_sum: float = 1e-12            # allowed drift of sum(w_k n_k) from 1
     subalgebra_closure: float = 1e-10    # rank cutoff for span closures
-    construction_identity: float = 1e-8  # build-time check Tr(x e y) = tau(xy)
+    construction_identity: float = 1e-8  # build-time Tr(x e y) = tau(xy), via Pimsner-Popa
     trace_identity: float = 1e-10        # spanning-set residual of the same identity
     compression_identity: float = 1e-12  # e x e = E(x) e as operators
     pull_down: float = 1e-10             # span membership: right-action commutator

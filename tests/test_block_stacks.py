@@ -355,7 +355,7 @@ def test_engine_records_compare_by_identity():
     x = M.random_element(np.random.default_rng(0))
     for record, copy in ((B, twin), (c, basic_construction(M, B)),
                          (qn1_module_test(B, x), qn1_module_test(B, x)),
-                         (cutdown(M, B, M.one()), cutdown(M, B, M.one()))):
+                         (cutdown(B, M.one()), cutdown(B, M.one()))):
         assert record == record and record != copy
         assert len({record, copy}) == 2
 

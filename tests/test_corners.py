@@ -34,7 +34,7 @@ def m2_m3_diag():
 
 def test_cutdown_by_identity_is_everything():
     M, B = m2_diag()
-    cut = cutdown(M, B, M.one())
+    cut = cutdown(B, M.one())
     assert cut.corner.block_dims == (2,)
     rng = np.random.default_rng(0)
     x = M.random_element(rng)
@@ -44,7 +44,7 @@ def test_cutdown_by_identity_is_everything():
 def test_cutdown_one_dimensional_corner():
     M, B = m2_diag()
     e = M.matrix_unit(0, 0, 0)
-    cut = cutdown(M, B, e)
+    cut = cutdown(B, e)
     assert cut.corner.block_dims == (1,)
     assert abs(cut.corner.one().trace() - 1.0) < 1e-12
     assert cut.sub_corner.dim == 1
@@ -53,7 +53,7 @@ def test_cutdown_one_dimensional_corner():
 def test_cutdown_renormalizes_trace():
     M, B = m2_m3_diag()
     e = M.element([np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 0.0])])
-    cut = cutdown(M, B, e)
+    cut = cutdown(B, e)
     assert cut.corner.block_dims == (1, 2)
     rng = np.random.default_rng(1)
     x = M.random_element(rng)
@@ -61,19 +61,34 @@ def test_cutdown_renormalizes_trace():
     assert abs(compressed.trace() - (e @ x @ e).trace() / e.trace().real) < 1e-10
 
 
+def test_cutdown_weights_are_ambient_weights_over_trace_of_projection():
+    # three blocks of unequal weight; e drops the middle block and cuts the
+    # others down, so each kept block k carries w_k / tau(e)
+    M = build_algebra([2, 1, 3], [0.05, 0.3, 0.2])
+    B = diagonal_subalgebra(M)
+    e = M.element([np.diag([0.0, 1.0]), np.zeros((1, 1)), np.diag([1.0, 0.0, 1.0])])
+    tau_e = 0.05 + 2 * 0.2
+    assert abs(e.trace().real - tau_e) < 1e-15
+    cut = cutdown(B, e)
+    assert cut.kept_blocks == [0, 2]
+    assert cut.corner.block_dims == (1, 2)
+    np.testing.assert_allclose(cut.corner.block_weights, [0.05 / tau_e, 0.2 / tau_e],
+                               rtol=1e-14)
+
+
 def test_cutdown_rejects_non_projection():
     M, B = m2_diag()
     with pytest.raises(GroupValidationError):
-        cutdown(M, B, 2.0 * M.one())
+        cutdown(B, 2.0 * M.one())
     with pytest.raises(GroupValidationError):
-        cutdown(M, B, M.matrix_unit(0, 0, 1))
+        cutdown(B, M.matrix_unit(0, 0, 1))
 
 
 def test_cutdown_rejects_projection_outside_subalgebra():
     M = build_algebra([2], [0.5])
     B = scalar_subalgebra(M)
     with pytest.raises(GroupValidationError):
-        cutdown(M, B, M.matrix_unit(0, 0, 0))
+        cutdown(B, M.matrix_unit(0, 0, 0))
 
 
 def test_central_projections_of_diagonal():
@@ -181,7 +196,7 @@ def test_basic_construction_builds_on_corners_cut_by_central_projections(case, d
     _, M, B = case
     pieces = central_projections(B)
     keep = sorted(data.draw(st.sets(st.integers(0, len(pieces) - 1), min_size=1)))
-    cut = cutdown(M, B, sum((pieces[i] for i in keep[1:]), pieces[keep[0]]))
+    cut = cutdown(B, sum((pieces[i] for i in keep[1:]), pieces[keep[0]]))
     assert abs(cut.corner.one().trace() - 1.0) < 1e-12
     c = basic_construction(cut.corner, cut.sub_corner)
     assert c.trace_residual <= c.tolerances.construction_identity
