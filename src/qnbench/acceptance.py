@@ -184,7 +184,7 @@ def criterion_2(config: AcceptanceConfig) -> tuple:
         if verdict.certified_in != expected_in or verdict.unknown:
             gamma_mismatch += 1
 
-    report = diagnose_inclusion(group, spec, DiagnosisConfig(
+    report = diagnose_inclusion(spec, DiagnosisConfig(
         radius=config.radius, budget=config.budget, threshold=config.threshold))
     passed = (
         agreement_failures == 0
@@ -310,9 +310,9 @@ def criterion_5(config: AcceptanceConfig) -> tuple:
     group = infinite_dihedral()
     a, r = group.generators()
     spec = subgroup(group, [a], label="<a>")
-    normal = normality_test(group, spec)
+    normal = normality_test(spec)
     c1 = check_c1(spec, r, threshold=config.threshold)
-    report = diagnose_inclusion(group, spec, DiagnosisConfig(
+    report = diagnose_inclusion(spec, DiagnosisConfig(
         radius=2, budget=config.budget, threshold=config.threshold, claim_abelian=True))
     passed = (
         normal is Trit.YES
@@ -378,13 +378,12 @@ def criterion_6(config: AcceptanceConfig) -> tuple:
 
     for _ in range(20):
         algebra, sub, _ = _random_inclusion(rng, with_mid=False)
-        c = basic_construction(algebra, sub)
-        expect = conditional_expectation(algebra, sub)
+        c = basic_construction(sub)
+        expect = conditional_expectation(sub)
         note("trace_identity", c.trace_residual)
         note("compression", *c.compression_residuals(left_operators(
             algebra, algebra.stack([algebra.random_element(rng) for _ in range(5)]))).tolist())
-        note("pull_down_welldefined",
-             float(np.linalg.norm(c.pimsner_popa - np.eye(algebra.dim), 2)))
+        note("pull_down_welldefined", c.pimsner_popa_defect)
         ws = [c.basic_operator(algebra.random_element(rng), algebra.random_element(rng))
               + left_operator(algebra.random_element(rng)) for _ in range(5)]
         note("vector_norm", *c.vector_norm_residuals(np.stack(ws)).tolist())
@@ -398,7 +397,7 @@ def criterion_6(config: AcceptanceConfig) -> tuple:
                  c.trace_vectors.reconstruction_residual(algebra.random_element(rng)))
         note("gram_identity", c.trace_vectors.gram_defect())
         module = qn1_module_test(sub, algebra.random_element(rng))
-        p = module_projection(c, orthonormal_basis(sub, expect, module.projection))
+        p = module_projection(orthonormal_basis(sub, expect, module.projection))
         note("projection", float(np.linalg.norm(p @ p - p, 2)),
              float(np.linalg.norm(p - p.conj().T, 2)))
         for b in sub.basis:
@@ -420,12 +419,12 @@ def criterion_7(config: AcceptanceConfig) -> tuple:
     diag = diagonal_subalgebra(m2)
     pair = (m2.matrix_unit(0, 0, 1), m2.matrix_unit(0, 1, 0))
     opt = OptimizerConfig(seed=config.seed, restarts=8, oracle_points=10000)
-    report_diag = wahp_gap(m2, diag, diag, [pair], opt)
+    report_diag = wahp_gap(diag, diag, [pair], config=opt)
 
     scalars = scalar_subalgebra(m2)
     x = m2.element([np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)])
     closed_form = abs((x @ x).trace()) ** 2  # hand oracle: |tau(x y)|^2
-    report_scalar = wahp_gap(m2, scalars, scalars, [(x, x)], opt)
+    report_scalar = wahp_gap(scalars, scalars, [(x, x)], config=opt)
     passed = (
         abs(report_diag.objective_value - 0.5) < 1e-6
         and abs(report_diag.oracle_value - 0.5) < 1e-6
@@ -486,7 +485,7 @@ def criterion_8(config: AcceptanceConfig) -> tuple:
     rows = []
     for name, algebra, sub, mid in _dichotomy_inclusions():
         mid_handle = mid if mid is not None else full_subalgebra(algebra)
-        report = wahp_witness_search(algebra, sub, mid_handle, opt)
+        report = wahp_witness_search(sub, mid_handle, opt)
         expects_zero = mid is None
         if expects_zero:
             ok = report.exact_zero and report.objective_value == 0.0

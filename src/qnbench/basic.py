@@ -1,12 +1,12 @@
-"""The basic construction of an inclusion at finite dimension.
+"""The basic construction ``<M, e_B>`` of an inclusion at finite dimension.
 
+It depends on ``B <= M`` alone (Jones), which the subalgebra handle holds.
 Everything lives on the GNS space of the ambient trace: elements become
 coordinate vectors, left and right multiplications ``lambda``/``rho`` become
 square block-diagonal matrices (the orthonormal scaling cancels), and the
-projection ``e`` of the construction is the orthogonal projection onto the
-subalgebra's vector span.  ``left_operators`` and ``right_operators`` build
-``lambda`` and ``rho`` for a whole stack of elements at once, per block the
-stack broadcast against the identity; ``module_projection`` (all ``eta_i``)
+projection ``e`` is the handle's ``projector``.  ``left_operators`` and
+``right_operators`` build ``lambda`` and ``rho`` for a whole stack of elements
+at once, per block the stack broadcast against the identity; ``module_projection`` (all ``eta_i``)
 and the pull-down's span check (all of ``rho(B)``) use them directly, and
 ``left_operator`` and ``right_operator`` are their one-element cases.
 
@@ -30,7 +30,7 @@ lambda(eta_i) e lambda(eta_i)* = 1``.
 
 The build checks the Pimsner-Popa identity as ``P = 1`` in operator norm, with
 ``P`` that operator sum, and reads ``Tr(x e y) = tau(x y)`` on all pairs of
-matrix units off ``P``; it keeps the trace residual and ``P`` for reports.
+matrix units off ``P``; it keeps the trace residual, ``P`` and ``|P - 1|``.
 
 ``qn1_module_test`` needs none of this: the right module ``B x`` generates
 over ``B`` depends on ``B <= M`` alone, so it takes the subalgebra handle and
@@ -93,16 +93,24 @@ def right_operator(y: AlgebraElement) -> np.ndarray:
 
 @dataclass(eq=False)
 class BasicConstruction:
-    algebra: MultiMatrixAlgebra
     subalgebra: SubalgebraHandle
     tolerances: Tolerances
-    e_sub: np.ndarray
     trace_vectors: BimoduleBasis
     trace_form: np.ndarray  # sum of |eta_i><eta_i|
-    # kept by the build's check: trace_identity_residual() and the operator
-    # sum_i lambda(eta_i) e lambda(eta_i)* of pimsner_popa_residual()
+    # kept by the build's check: trace_identity_residual(), and P = sum_i
+    # lambda(eta_i) e lambda(eta_i)* and |P - 1| of pimsner_popa_residual()
     trace_residual: float = field(default=math.nan, init=False)
+    pimsner_popa_defect: float = field(default=math.nan, init=False)
     pimsner_popa: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def algebra(self) -> MultiMatrixAlgebra:
+        return self.subalgebra.ambient
+
+    @property
+    def e_sub(self) -> np.ndarray:
+        """The projection ``e`` onto the subalgebra's span."""
+        return self.subalgebra.projector
 
     # -- operators -----------------------------------------------------------
 
@@ -177,34 +185,30 @@ class BasicConstruction:
 
         Pull-down of ``x e y`` is ``x`` times the adjoint of the
         reconstruction of ``y*``, so this bounds the pull-down defect.  The
-        operator is kept as ``pimsner_popa``.
+        operator is kept as ``pimsner_popa`` and the norm as ``pimsner_popa_defect``.
         """
-        self.pimsner_popa = module_projection(self, self.trace_vectors)
-        return float(np.linalg.norm(self.pimsner_popa - np.eye(self.algebra.dim), 2))
+        self.pimsner_popa = p = module_projection(self.trace_vectors)
+        self.pimsner_popa_defect = float(np.linalg.norm(p - np.eye(self.algebra.dim), 2))
+        return self.pimsner_popa_defect
 
 
 def basic_construction(
-    algebra: MultiMatrixAlgebra,
     subalgebra: SubalgebraHandle,
     tolerances: Optional[Tolerances] = None,
 ) -> BasicConstruction:
-    """Build and verify the extension data for an inclusion."""
+    """Build and verify the extension data of the inclusion a handle holds."""
     tolerances = tolerances or Tolerances()
-    coords = subalgebra.coordinates
-    e_sub = coords @ coords.conj().T
-
-    expect = conditional_expectation(algebra, subalgebra)
-    rest = orthonormal_basis(subalgebra, expect, np.eye(algebra.dim) - e_sub)
+    algebra = subalgebra.ambient
+    expect = conditional_expectation(subalgebra)
+    rest = orthonormal_basis(subalgebra, expect, np.eye(algebra.dim) - subalgebra.projector)
     trace_vectors = BimoduleBasis(subalgebra=subalgebra, expectation=expect,
                                   vectors=[algebra.one()] + rest.vectors,
                                   supports=[algebra.one()] + rest.supports)
     frame = np.stack([algebra.to_vector(eta) for eta in trace_vectors.vectors], axis=1)
 
     construction = BasicConstruction(
-        algebra=algebra,
         subalgebra=subalgebra,
         tolerances=tolerances,
-        e_sub=e_sub,
         trace_vectors=trace_vectors,
         trace_form=frame @ frame.conj().T,
     )
@@ -214,8 +218,6 @@ def basic_construction(
 
 def _verify_construction(c: BasicConstruction) -> None:
     tol = c.tolerances.construction_identity
-    if (c.trace_vectors.vectors[0] - c.algebra.one()).norm2() > tol:
-        raise ConstructionError("module basis does not start at the trace vector")
     rest = c.algebra.vectors_of(c.algebra.stack(c.trace_vectors.vectors[1:]))
     if np.any(np.linalg.norm(c.e_sub @ rest, axis=0) > tol):
         raise ConstructionError("module basis vector has a nonzero subalgebra component")
@@ -228,12 +230,12 @@ def _verify_construction(c: BasicConstruction) -> None:
         raise ConstructionError(f"Pimsner-Popa residual {defect:.2e} exceeds {bound:.2e}")
 
 
-def module_projection(construction: BasicConstruction, basis: BimoduleBasis) -> np.ndarray:
-    """Projection onto the closed module a basis spans: ``sum w_i w_i*`` with
-    ``w_i = lambda(eta_i) e``."""
-    algebra = construction.algebra
+def module_projection(basis: BimoduleBasis) -> np.ndarray:
+    """Projection onto the closed module a basis over ``B`` spans: ``sum w_i
+    w_i*`` with ``w_i = lambda(eta_i) e``."""
+    sub, algebra = basis.subalgebra, basis.subalgebra.ambient
     # the w_i side by side: (dim, count * dim)
-    w = (left_operators(algebra, algebra.stack(basis.vectors)) @ construction.e_sub) \
+    w = (left_operators(algebra, algebra.stack(basis.vectors)) @ sub.projector) \
         .transpose(1, 0, 2).reshape(algebra.dim, -1)
     return w @ w.conj().T
 

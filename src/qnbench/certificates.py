@@ -183,20 +183,20 @@ def compose_certificates(c1: QnCertificate, c2: QnCertificate) -> QnCertificate:
 def product_compose(
     c1: QnCertificate,
     c2: QnCertificate,
-    product_group: Optional[DirectProductDescriptor] = None,
     product_spec: Optional[SubgroupSpec] = None,
 ) -> QnCertificate:
-    """Certificate for ``(x1, x2)`` over the product subgroup.
+    """Certificate for ``(x1, x2)`` over the product subgroup, in ``product_spec.group``.
 
     The cover is the set of componentwise pairs, so its size is at most the
     product of the component cover sizes.
     """
-    if product_group is None:
-        product_group = DirectProductDescriptor(c1.subgroup.group, c2.subgroup.group)
+    left, right = c1.subgroup, c2.subgroup
     if product_spec is None:
-        product_spec = product_subgroup(product_group, c1.subgroup, c2.subgroup)
+        product_spec = product_subgroup(DirectProductDescriptor(left.group, right.group),
+                                        left, right)
     elif not isinstance(product_spec, ProductSubgroup):
         raise DescriptorMismatchError("product certificate needs a product subgroup spec")
+    product_group = product_spec.group
     element = product_group.pair(c1.element, c2.element)
     cover = [product_group.pair(a, b) for a in c1.cover for b in c2.cover]
     return certificate_from_cover(product_spec, element, cover)

@@ -77,7 +77,7 @@ def run_group_analysis(args) -> int:
         threshold=args.threshold,
         claim_abelian=doc.claim_abelian,
     )
-    report = diagnose_inclusion(doc.group, doc.subgroup, config)
+    report = diagnose_inclusion(doc.subgroup, config)
     _emit(report.to_dict(), args.format)
     return 0
 
@@ -96,7 +96,7 @@ def run_vn_analysis(args) -> int:
             sub.basis + [algebra.element(g) for g in doc.intermediate_generators],
             tolerances,
         )
-    construction = basic_construction(algebra, sub, tolerances)
+    construction = basic_construction(sub, tolerances)
     rng = np.random.default_rng(seed)
     identity_summary = _identity_summary(construction, rng, tolerances)
     output = {
@@ -116,8 +116,8 @@ def run_vn_analysis(args) -> int:
             (algebra.element(x), algebra.element(y)) for x, y in doc.witness_pairs
         ]
         mid_handle = mid if mid is not None else sub
-        report = wahp_gap(algebra, sub, mid_handle, pairs,
-                          OptimizerConfig(seed=seed), tolerances)
+        report = wahp_gap(sub, mid_handle, pairs, config=OptimizerConfig(seed=seed),
+                          tolerances=tolerances)
         gap_doc = report.to_dict()
         gap_doc["minimizer"] = encode_matrix_element(report.minimizer)
         gap_doc["tier"] = "numerical"

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .certificates import QnCertificate, translate_certificate
 from .errors import GroupValidationError, IndeterminateResultError
-from .groups import BALL_CAP, GroupDescriptor, GroupElement, Trit, enumerate_ball
+from .groups import BALL_CAP, GroupElement, Trit, enumerate_ball
 from .orbits import MembershipVerdict, h1_status, qn1_membership
 from .subgroups import (
     INFINITE,
@@ -241,11 +241,9 @@ def _c3_from_verdicts(ball, memberships, verdicts) -> C3Result:
 # -- normalizer ---------------------------------------------------------------
 
 
-def normality_test(group: GroupDescriptor, spec: SubgroupSpec) -> Trit:
-    """Whether the subgroup is normal: every ambient generator normalizes."""
-    gens = group.generators()
-    spec.group.check_same(*gens)
-    return Trit.conjunction([spec.normalizes(g) for g in gens])
+def normality_test(spec: SubgroupSpec) -> Trit:
+    """Whether the subgroup is normal: every generator of ``spec.group`` normalizes."""
+    return Trit.conjunction([spec.normalizes(g) for g in spec.group.generators()])
 
 
 # -- diagnosis ------------------------------------------------------------------
@@ -403,11 +401,12 @@ def verify_abelian(spec: SubgroupSpec) -> Optional[bool]:
     return True if decided else None
 
 
-def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
+def diagnose_inclusion(spec: SubgroupSpec,
                        config: Optional[DiagnosisConfig] = None) -> InclusionReport:
     """Assemble ball verdicts, the three conditions, normality and the
-    evidence flags for one inclusion."""
+    evidence flags for the inclusion ``H <= G`` a subgroup spec holds."""
     config = config or DiagnosisConfig()
+    group = spec.group
     report = InclusionReport(
         group_family=group.family, subgroup=spec.describe(), config=config
     )
@@ -466,7 +465,7 @@ def diagnose_inclusion(group: GroupDescriptor, spec: SubgroupSpec,
         report.c2 = C2Result(kind="witness", witness=group.identity(), candidates_tested=0)
 
     report.c3 = _c3_from_verdicts(ball, memberships, verdicts)
-    report.normality = normality_test(group, spec)
+    report.normality = normality_test(spec)
 
     c3_clean = report.c3.kind == "no_counterexample" and report.c3.exact
     if abelian and report.c1_holds:

@@ -10,8 +10,9 @@ rounding error.
 Everything else is read from the coordinates and cached: the basis as
 per-block stacks ``(dim B, n_k, n_k)`` (``SubalgebraHandle.stacks``), so
 module and construction code forms every product with the basis as one
-batched ``matmul`` per block, and the basis elements (``basis``) as views
-of those stacks.
+batched ``matmul`` per block, the basis elements (``basis``) as views of
+those stacks, and the projection onto the span (``projector``).  A handle
+holds ``B <= M``: functions that take one read ``M`` as ``sub.ambient``.
 
 Closures start from the spectral projections of the generators' real and
 imaginary parts, which span the same algebra with a well conditioned basis
@@ -78,6 +79,11 @@ class SubalgebraHandle:
     def basis(self) -> list:
         """The tau-orthonormal basis elements, views of ``stacks``; ``basis[0] = 1``."""
         return self.ambient.elements(self.stacks)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """``coords coords*``: the projection ``e`` onto the span, on the GNS space."""
+        return self.coordinates @ self.coordinates.conj().T
 
     def project_vector(self, vec: np.ndarray) -> np.ndarray:
         return self.coordinates @ (self.coordinates.conj().T @ vec)
@@ -189,19 +195,15 @@ def diagonal_subalgebra(ambient: MultiMatrixAlgebra) -> SubalgebraHandle:
         [[[e]] for e in diagonal])
 
 
-def conditional_expectation(
-    ambient: MultiMatrixAlgebra, sub: SubalgebraHandle
-) -> Callable[[AlgebraElement], AlgebraElement]:
-    """Trace-preserving conditional expectation onto the subalgebra.
+def conditional_expectation(sub: SubalgebraHandle) -> Callable[[AlgebraElement], AlgebraElement]:
+    """Trace-preserving conditional expectation of ``sub.ambient`` onto ``sub``.
 
     This is the orthogonal projection in the trace inner product, which is
     automatically bimodular, idempotent, adjoint-preserving and positive.
     When the subalgebra is the whole algebra the map is the identity
     function, exact to the last bit.
     """
-    if sub.ambient is not ambient:
-        raise GroupValidationError("subalgebra handle belongs to a different ambient algebra")
-    if sub.dim == ambient.dim:
+    if sub.dim == sub.ambient.dim:
         return lambda x: x
     return sub.project
 

@@ -54,7 +54,6 @@ from .groups import (
     FiniteTableGroup,
     FpGroupDescriptor,
     FreeGroupDescriptor,
-    GroupDescriptor,
     ShiftExtensionDescriptor,
 )
 from .subgroups import SubgroupSpec, product_subgroup, shift_tail_subgroup, subgroup
@@ -68,8 +67,7 @@ MAX_DOCUMENT_LETTERS = 2 * MAX_WORD_LETTERS  # most letters all words of a docum
 
 @dataclass
 class GroupInclusionDoc:
-    group: GroupDescriptor
-    subgroup: SubgroupSpec
+    subgroup: SubgroupSpec  # holds the group as subgroup.group
     claim_abelian: bool = False
 
 
@@ -277,13 +275,12 @@ def parse_group_inclusion(doc: dict, context: str = "inclusion",
                         {"family", "left", "right"}, context)
         left = parse_group_inclusion(doc["left"], context + ".left", read)
         right = parse_group_inclusion(doc["right"], context + ".right", read)
-        group = DirectProductDescriptor(left.group, right.group)
-        spec = product_subgroup(group, left.subgroup, right.subgroup)
+        spec = product_subgroup(DirectProductDescriptor(left.subgroup.group, right.subgroup.group),
+                                left.subgroup, right.subgroup)
     else:
         raise InputFormatError(f"{context}: unknown family {family!r}")
-    return GroupInclusionDoc(
-        group=group, subgroup=spec, claim_abelian=bool(doc.get("subgroup_abelian", False))
-    )
+    return GroupInclusionDoc(subgroup=spec,
+                             claim_abelian=bool(doc.get("subgroup_abelian", False)))
 
 
 def load_group_inclusion(path: str) -> GroupInclusionDoc:

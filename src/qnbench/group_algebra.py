@@ -18,7 +18,6 @@ trace reproduces the group trace (1 at the identity, 0 elsewhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +29,9 @@ from .expectations import (
     matrix_units,
     subalgebra_closure,
 )
-from .groups import FiniteTableGroup, GroupElement
+from .groups import FiniteTableGroup
 from .matrixalg import MultiMatrixAlgebra, build_algebra
+from .subgroups import TableSubgroup
 
 
 @dataclass
@@ -70,33 +70,19 @@ def decompose_regular_representation(group: FiniteTableGroup) -> tuple:
     return [len(grid) for grid in summands], reps
 
 
-def group_algebra_inclusion(
-    group: FiniteTableGroup,
-    subgroup_elements: Sequence[GroupElement],
-) -> GroupAlgebraInclusion:
-    """Decomposed group algebra of ``G`` with the span of a subgroup inside.
+def group_algebra_inclusion(spec: TableSubgroup) -> GroupAlgebraInclusion:
+    """Decomposed group algebra of ``G = spec.group`` with the span of the
+    subgroup inside.
 
-    The trace is the group trace (block weights ``d_i/|G|``); the expectation
-    onto the subgroup span restricts coefficients to subgroup elements, which
-    is verified on the basis.
+    A table subgroup's subset is the closure of its generators, so it is a
+    subgroup as given.  The trace is the group trace (block weights
+    ``d_i/|G|``); the expectation onto the subgroup span restricts
+    coefficients to subgroup elements, which is verified on the basis.
     """
-    from .subgroups import SubgroupSpec, TableSubgroup
-
-    if isinstance(subgroup_elements, SubgroupSpec):
-        spec = subgroup_elements
-        if spec.group is not group or not isinstance(spec, TableSubgroup):
-            raise GroupValidationError("subgroup spec does not describe a finite table subgroup")
-        subgroup_elements = [group.element(i) for i in sorted(spec.subset)]
-    indices = sorted({g.payload for g in subgroup_elements} | {group.identity_index})
-    for g in subgroup_elements:
-        group.check_same(g)
-    subset = set(indices)
-    for i in indices:
-        if group.inverse[i] not in subset:
-            raise GroupValidationError("subgroup set is not closed under inverses")
-        for j in indices:
-            if group.table[i][j] not in subset:
-                raise GroupValidationError("subgroup set is not closed under products")
+    if not isinstance(spec, TableSubgroup):
+        raise GroupValidationError("subgroup spec does not describe a finite table subgroup")
+    group, subset = spec.group, spec.subset
+    indices = sorted(subset)
 
     dims, reps = decompose_regular_representation(group)
     weights = [d / group.order for d in dims]
@@ -121,7 +107,7 @@ def group_algebra_inclusion(
     if sub.dim != len(indices):
         raise GroupValidationError("subgroup span has the wrong dimension")
     # restriction property of the expectation on the group basis
-    expect = conditional_expectation(algebra, sub)
+    expect = conditional_expectation(sub)
     for g in range(group.order):
         target = images[g] if g in subset else algebra.zero()
         if (expect(images[g]) - target).norm2() > 1e-8:

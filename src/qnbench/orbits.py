@@ -217,7 +217,7 @@ def _decide_product(spec: ProductSubgroup, g: GroupElement, budget: int) -> Memb
     of either component refutes the pair."""
     g1, g2 = g.payload
     return product_verdict(qn1_membership(spec.left, g1, budget),
-                           qn1_membership(spec.right, g2, budget), spec.group, spec)
+                           qn1_membership(spec.right, g2, budget), spec)
 
 
 # spec class -> exact decider; other families fall back to the orbit search
@@ -263,7 +263,7 @@ def h1_status(forward: MembershipVerdict, backward: MembershipVerdict) -> str:
 
 
 def product_verdict(v1: MembershipVerdict, v2: MembershipVerdict,
-                    product_group=None, product_spec=None) -> MembershipVerdict:
+                    product_spec=None) -> MembershipVerdict:
     """Combine componentwise verdicts over a product subgroup.
 
     Componentwise certificates compose; a single exact refutation refutes the
@@ -272,7 +272,7 @@ def product_verdict(v1: MembershipVerdict, v2: MembershipVerdict,
     from .certificates import product_compose
 
     if v1.certified_in and v2.certified_in:
-        cert = product_compose(v1.certificate, v2.certificate, product_group, product_spec)
+        cert = product_compose(v1.certificate, v2.certificate, product_spec)
         return MembershipVerdict(status=CERTIFIED_IN, certificate=cert)
     if v1.certified_out or v2.certified_out:
         side = v1 if v1.certified_out else v2

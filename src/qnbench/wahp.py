@@ -47,7 +47,7 @@ import numpy as np
 from .basic import left_operators, right_operators
 from .errors import GroupValidationError
 from .expectations import SubalgebraHandle, conditional_expectation, matrix_units
-from .matrixalg import AlgebraElement, MultiMatrixAlgebra
+from .matrixalg import AlgebraElement
 from .tolerances import Tolerances
 
 
@@ -94,7 +94,7 @@ class WahpGapReport:
         }
 
 
-def hermitian_basis(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle) -> list:
+def hermitian_basis(sub: SubalgebraHandle) -> list:
     """Real-orthonormal basis of the self-adjoint part of the subalgebra.
 
     Read off the matrix units of each summand: ``E_aa``, and for ``a < b``
@@ -124,12 +124,11 @@ class _UnitForm:
     q: np.ndarray  # E* Q E
 
 
-def _unit_form(ambient: MultiMatrixAlgebra, sub: SubalgebraHandle,
-               herm: Sequence[AlgebraElement], q: np.ndarray) -> _UnitForm:
+def _unit_form(sub: SubalgebraHandle, herm: Sequence[AlgebraElement], q: np.ndarray) -> _UnitForm:
     """``Q`` and the directions ``herm`` (self-adjoint elements of ``B``) in
     the coordinates of the units; the columns of ``E`` are orthogonal with
     squared norm ``tau(E^j_11)``."""
-    grids = matrix_units(sub)
+    ambient, grids = sub.ambient, matrix_units(sub)
     units = ambient.vectors_of(ambient.stack([u for g in grids for row in g for u in row]))
     sizes = [len(g) for g in grids]
     starts = np.cumsum([0] + [n * n for n in sizes])
@@ -210,7 +209,7 @@ def _descend(form: _UnitForm, floor: float, w: np.ndarray) -> tuple:
     return value, w, MAX_ITERATIONS
 
 
-def _objective_matrix(ambient, sub, pairs, expect_mid) -> np.ndarray:
+def _objective_matrix(sub, pairs, expect_mid) -> np.ndarray:
     """``Q = sum_j A_j* A_j`` with ``A_j = P_B (L_x R_y - L_{E_N x} R_{E_N y})``.
 
     Pairs whose two terms cancel identically are dropped.  The operators of
@@ -218,7 +217,7 @@ def _objective_matrix(ambient, sub, pairs, expect_mid) -> np.ndarray:
     ``A_j`` are formed ``PAIR_CHUNK`` pairs at a time, and ``Q`` is summed
     pair by pair in order.
     """
-    proj = sub.coordinates @ sub.coordinates.conj().T
+    ambient = sub.ambient
     q = np.zeros((ambient.dim, ambient.dim), dtype=complex)
     # the distinct element objects (elements hash by identity) and their images
     image = {e: expect_mid(e) for e in dict.fromkeys(e for pair in pairs for e in pair)}
@@ -232,29 +231,38 @@ def _objective_matrix(ambient, sub, pairs, expect_mid) -> np.ndarray:
     for start in range(0, len(index), PAIR_CHUNK):
         ix, iy = index[start:start + PAIR_CHUNK].T
         maps = left[ix] @ right[iy] - left[mid + ix] @ right[mid + iy]
-        for filtered in proj @ maps:
+        for filtered in sub.projector @ maps:
             q += filtered.conj().T @ filtered
     return q
 
 
-def _exact_zero_report(ambient, pairs, config: OptimizerConfig) -> WahpGapReport:
+def _exact_zero_report(sub, pairs, config: OptimizerConfig) -> WahpGapReport:
     """Every pair cancelled exactly: the gap is identically zero."""
     return WahpGapReport(
         witness_pairs=pairs, objective_value=0.0, oracle_value=0.0,
-        minimizer=ambient.one(), unitary_defect=0.0, converged=True,
+        minimizer=sub.ambient.one(), unitary_defect=0.0, converged=True,
         restarts=0, iterations=0, seed=config.seed, exact_zero=True,
     )
 
 
+def _check_triple(sub: SubalgebraHandle, mid: SubalgebraHandle, pairs: Sequence) -> None:
+    """``B <= N <= M`` lie in one ``M``: ``mid`` and every witness element
+    must belong to ``sub.ambient``, compared by value as elements compare."""
+    ambient = sub.ambient
+    if mid.ambient != ambient or any(e.algebra != ambient for pair in pairs for e in pair):
+        raise GroupValidationError("handles and witness pairs of different ambient algebras")
+
+
 def wahp_gap(
-    ambient: MultiMatrixAlgebra,
     sub: SubalgebraHandle,
     mid: SubalgebraHandle,
     witness_pairs: Sequence,
+    *,
     config: Optional[OptimizerConfig] = None,
     tolerances: Optional[Tolerances] = None,
 ) -> WahpGapReport:
-    """Minimize the gap functional; report optimizer and oracle values.
+    """Minimize the gap functional for ``B <= N <= M``, with ``B = sub``,
+    ``N = mid`` and ``M = sub.ambient``; report optimizer and oracle values.
 
     A restart replaces the best unitary only when its value is lower by more
     than ``VALUE_FLOOR * |Q|``, so on a functional that is constant on
@@ -263,13 +271,13 @@ def wahp_gap(
     """
     config = config or OptimizerConfig()
     tolerances = tolerances or Tolerances()
-    expect_mid = conditional_expectation(ambient, mid)
-    pairs = [(x, y) for x, y in witness_pairs]
-    q = _objective_matrix(ambient, sub, pairs, expect_mid)
+    ambient, pairs = sub.ambient, [(x, y) for x, y in witness_pairs]
+    _check_triple(sub, mid, pairs)
+    q = _objective_matrix(sub, pairs, conditional_expectation(mid))
     if not q.any():
-        return _exact_zero_report(ambient, pairs, config)
+        return _exact_zero_report(sub, pairs, config)
 
-    form = _unit_form(ambient, sub, hermitian_basis(ambient, sub), q)
+    form = _unit_form(sub, hermitian_basis(sub), q)
     q_norm = np.linalg.norm(q)
     floor = GRADIENT_FLOOR * q_norm
     rng = np.random.default_rng(config.seed)
@@ -334,7 +342,6 @@ def _oracle_search(form: _UnitForm, config: OptimizerConfig, rng) -> tuple:
 
 
 def wahp_witness_search(
-    ambient: MultiMatrixAlgebra,
     sub: SubalgebraHandle,
     mid: SubalgebraHandle,
     config: Optional[OptimizerConfig] = None,
@@ -362,13 +369,14 @@ def wahp_witness_search(
     says that every one lies within the default ``oracle_slack`` of ``F(1)``.
     """
     config = config or OptimizerConfig()
-    basis = ambient.basis()
+    _check_triple(sub, mid, ())
+    basis = sub.ambient.basis()
     pairs = [(x, y) for x in basis for y in basis]
-    q = _objective_matrix(ambient, sub, pairs, conditional_expectation(ambient, mid))
+    q = _objective_matrix(sub, pairs, conditional_expectation(mid))
     if not q.any():
-        return _exact_zero_report(ambient, pairs, config)
+        return _exact_zero_report(sub, pairs, config)
 
-    form = _unit_form(ambient, sub, hermitian_basis(ambient, sub), q)
+    form = _unit_form(sub, hermitian_basis(sub), q)
     dim_h = len(form.herm)
     rng = np.random.default_rng(config.seed)
     thetas = rng.normal(scale=np.pi, size=(CROSS_CHECK_POINTS, dim_h))
@@ -379,7 +387,7 @@ def wahp_witness_search(
         witness_pairs=pairs,
         objective_value=value,
         oracle_value=float(samples.min()),
-        minimizer=ambient.one(),
+        minimizer=sub.ambient.one(),
         unitary_defect=0.0,
         converged=spread <= Tolerances().oracle_slack,
         restarts=0,

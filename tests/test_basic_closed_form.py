@@ -78,7 +78,7 @@ def inclusions(draw):
         B = full_subalgebra(M)
     else:
         B = subalgebra_closure(M, [M.random_selfadjoint(rng)])
-    return rng, M, basic_construction(M, B)
+    return rng, M, basic_construction(B)
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,7 +119,7 @@ def test_trace_identity_residual_keeps_its_power_on_a_broken_basis(dims, weights
     # the identity <v(y*), (P - 1) v(x)> = Tr(x e y) - tau(x y) holds for any
     # vectors eta_i, so a broken module basis moves both forms alike
     M = build_algebra(dims, weights)
-    c = basic_construction(M, diagonal_subalgebra(M))
+    c = basic_construction(diagonal_subalgebra(M))
     vectors = c.trace_vectors.vectors
     if mutation == "drop":
         vectors.pop()
@@ -135,7 +135,7 @@ def test_trace_identity_residual_keeps_its_power_on_a_broken_basis(dims, weights
 
 def test_pimsner_popa_residual_detects_a_short_basis():
     M = build_algebra([2], [0.5])
-    c = basic_construction(M, diagonal_subalgebra(M))
+    c = basic_construction(diagonal_subalgebra(M))
     assert c.pimsner_popa_residual() < 1e-12
     c.trace_vectors.vectors.pop()
     assert c.pimsner_popa_residual() > 0.5
@@ -143,7 +143,7 @@ def test_pimsner_popa_residual_detects_a_short_basis():
 
 def test_pull_down_inverts_left_multiplication_over_full_subalgebra():
     M = build_algebra([2, 1], [1 / 3, 1 / 3])
-    c = basic_construction(M, full_subalgebra(M))
+    c = basic_construction(full_subalgebra(M))
     # with B = M the span is lambda(M), which contains no noncentral right action
     assert (c.pull_down(left_operator(M.matrix_unit(0, 0, 1)))
             - M.matrix_unit(0, 0, 1)).norm2() < 1e-12
@@ -158,7 +158,7 @@ def test_basic_construction_memory_stays_below_span_matrix():
     B = diagonal_subalgebra(M)
     tracemalloc.start()
     try:
-        c = basic_construction(M, B)
+        c = basic_construction(B)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,7 +173,7 @@ def test_basic_construction_memory_stays_below_matrix_unit_operators():
     M = build_algebra([12], [1 / 12])
     tracemalloc.start()
     try:
-        c = basic_construction(M, diagonal_subalgebra(M))
+        c = basic_construction(diagonal_subalgebra(M))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

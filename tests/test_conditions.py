@@ -106,7 +106,7 @@ FREE_TEMPLATES = [
 def free_template(rank, words):
     doc = parse_group_inclusion({"family": "free", "generators": list("abc"[:rank]),
                                  "subgroup_generators": words})
-    return doc.group, doc.subgroup
+    return doc.subgroup.group, doc.subgroup
 
 
 def symmetric_group(degree):
@@ -260,7 +260,7 @@ def test_c2_rejects_member_inputs():
 
 
 def test_c3_free_group_no_counterexample():
-    result = diagnose_inclusion(F2, cyclic_a(), DiagnosisConfig(radius=3, budget=200)).c3
+    result = diagnose_inclusion(cyclic_a(), DiagnosisConfig(radius=3, budget=200)).c3
     assert result.kind == "no_counterexample"
     assert result.unknowns == ()
     assert result.exact
@@ -269,7 +269,7 @@ def test_c3_free_group_no_counterexample():
 def test_c3_shift_extension_finds_stable_letter_inverse():
     G = ShiftExtensionDescriptor(window=1)
     K0 = shift_tail_subgroup(G, 0)
-    result = diagnose_inclusion(G, K0, DiagnosisConfig(radius=1, budget=64)).c3
+    result = diagnose_inclusion(K0, DiagnosisConfig(radius=1, budget=64)).c3
     assert result.kind == "counterexample"
     assert result.counterexample == G.stable_letter(-1)
     assert result.certificate.cover_size == 1
@@ -279,7 +279,7 @@ def test_c3_infinite_dihedral_counterexample():
     D = infinite_dihedral()
     a, r = D.generators()
     H = subgroup(D, [a])
-    result = diagnose_inclusion(D, H, DiagnosisConfig(radius=2, budget=50)).c3
+    result = diagnose_inclusion(H, DiagnosisConfig(radius=2, budget=50)).c3
     assert result.kind == "counterexample"
     assert result.counterexample == r
     assert result.certificate.cover_size == 1
@@ -299,7 +299,7 @@ def test_normalizer_infinite_dihedral_reflection():
     a, r = D.generators()
     H = subgroup(D, [a])
     assert H.normalizes(r) is Trit.YES
-    assert normality_test(D, H) is Trit.YES
+    assert normality_test(H) is Trit.YES
 
 
 def test_normalizer_membership_trivial():
@@ -313,7 +313,7 @@ def test_normalizer_shift_tail():
     assert K0.normalizes(G.base_generator(1)) is Trit.YES
     assert K0.normalizes(G.stable_letter()) is Trit.NO
     assert K0.normalizes(G.base_generator(-1)) is Trit.NO
-    assert normality_test(G, K0) is Trit.NO
+    assert normality_test(K0) is Trit.NO
 
 
 def test_normalizer_finite_table():
@@ -346,10 +346,10 @@ def test_free_double_coset_keys_leave_the_report_unchanged(monkeypatch, rank, wo
     original = orbits.free_qn1_decide
     monkeypatch.setattr(orbits, "free_qn1_decide",
                         lambda graph, word: decisions.append(word) or original(graph, word))
-    shared = diagnose_inclusion(group, spec, config).to_dict()
+    shared = diagnose_inclusion(spec, config).to_dict()
     with_keys = len(decisions)
     monkeypatch.setattr(FreeSubgroup, "double_coset_key", lambda self, g: None)
-    assert diagnose_inclusion(group, spec, config).to_dict() == shared
+    assert diagnose_inclusion(spec, config).to_dict() == shared
     assert with_keys < len(decisions) - with_keys
 
 
@@ -363,24 +363,24 @@ def test_product_double_coset_keys_leave_every_row_unchanged(monkeypatch, words)
     S3 = from_permutations([(1, 0, 2), (0, 2, 1)])
     left = parse_group_inclusion({"family": "free", "generators": ["a", "b"],
                                   "subgroup_generators": words})
-    spec = product_subgroup(DirectProductDescriptor(left.group, S3), left.subgroup,
+    spec = product_subgroup(DirectProductDescriptor(left.subgroup.group, S3), left.subgroup,
                             subgroup(S3, [S3.generators()[0]]))
     group = spec.group
     config = DiagnosisConfig(radius=2)
     ball = enumerate_ball(group, 2)
     keys = [spec.double_coset_key(g) for g in ball]
     assert len({k for k in keys if k is not None}) < sum(k is not None for k in keys)
-    shared = diagnose_inclusion(group, spec, config).to_dict()
+    shared = diagnose_inclusion(spec, config).to_dict()
     for g, row in zip(ball, shared["gamma_ball"]):
         own = qn1_membership(spec, g, config.budget)
         assert row["qn1_status"] == own.status, row
         assert row["cover_size"] == (own.certificate.cover_size if own.certificate else None), row
     monkeypatch.setattr(ProductSubgroup, "double_coset_key", lambda self, g: None)
-    assert diagnose_inclusion(group, spec, config).to_dict() == shared
+    assert diagnose_inclusion(spec, config).to_dict() == shared
 
 
 def test_diagnose_free_group_singular_masa_evidence():
-    report = diagnose_inclusion(F2, cyclic_a(), DiagnosisConfig(radius=3, budget=200))
+    report = diagnose_inclusion(cyclic_a(), DiagnosisConfig(radius=3, budget=200))
     assert report.abelian_verified is True
     assert report.c1_holds is True
     assert report.c3.kind == "no_counterexample"
@@ -400,7 +400,7 @@ def test_diagnose_infinite_dihedral_cartan():
     D = infinite_dihedral()
     a, r = D.generators()
     H = subgroup(D, [a])
-    report = diagnose_inclusion(D, H, DiagnosisConfig(radius=2, budget=100, claim_abelian=True))
+    report = diagnose_inclusion(H, DiagnosisConfig(radius=2, budget=100, claim_abelian=True))
     assert report.abelian_verified is True
     assert report.c1_holds is True
     assert report.normality is Trit.YES
@@ -413,7 +413,7 @@ def test_diagnose_abelian_ambient_neither():
     Z2 = free_abelian_of_rank_two()
     a, _ = Z2.generators()
     H = subgroup(Z2, [a])
-    report = diagnose_inclusion(Z2, H, DiagnosisConfig(radius=2, budget=50))
+    report = diagnose_inclusion(H, DiagnosisConfig(radius=2, budget=50))
     assert report.c1_holds is False
     assert not report.masa_evidence
     assert not report.singular_evidence and not report.cartan_evidence
@@ -427,7 +427,7 @@ def test_diagnose_normal_subgroup_certifies_ball():
         F2.element(concat(generator(0), generator(1), generator(0, -1))),
     ]
     H = subgroup(F2, gens)
-    report = diagnose_inclusion(F2, H, DiagnosisConfig(radius=3, budget=50))
+    report = diagnose_inclusion(H, DiagnosisConfig(radius=3, budget=50))
     for entry in report.gamma:
         assert entry.verdict.certified_in
         assert entry.verdict.certificate.cover_size <= 2
@@ -438,7 +438,7 @@ def test_diagnose_normal_subgroup_certifies_ball():
 def test_diagnose_shift_extension_is_exact():
     G = ShiftExtensionDescriptor(window=1)
     K0 = shift_tail_subgroup(G, 0)
-    report = diagnose_inclusion(G, K0, DiagnosisConfig(radius=2, budget=100))
+    report = diagnose_inclusion(K0, DiagnosisConfig(radius=2, budget=100))
     t_inv = G.stable_letter(-1)
     t = G.stable_letter()
     by_element = {e.element: e for e in report.gamma}
@@ -460,7 +460,7 @@ def test_skipped_rows_are_ball_limited():
     H = subgroup(F, [a])
     with pytest.raises(IndeterminateResultError):
         qn1_membership(H, b, budget=16)
-    report = diagnose_inclusion(F, H, DiagnosisConfig(radius=1, budget=16))
+    report = diagnose_inclusion(H, DiagnosisConfig(radius=1, budget=16))
     rows = {row["element"]: row for row in report.to_dict()["gamma_ball"]}
     assert rows["b"]["qn1_status"] == "skipped"
     assert rows["b"]["tier"] == "ball-limited"
@@ -471,11 +471,11 @@ def test_diagnose_claim_abelian_rejected_when_false():
     gens = [A, B]
     H = subgroup(F2, gens)
     with pytest.raises(GroupValidationError):
-        diagnose_inclusion(F2, H, DiagnosisConfig(radius=1, budget=10, claim_abelian=True))
+        diagnose_inclusion(H, DiagnosisConfig(radius=1, budget=10, claim_abelian=True))
 
 
 def test_report_serializes_with_stable_fields():
-    report = diagnose_inclusion(F2, cyclic_a(), DiagnosisConfig(radius=2, budget=50))
+    report = diagnose_inclusion(cyclic_a(), DiagnosisConfig(radius=2, budget=50))
     doc = report.to_dict()
     assert list(doc.keys()) == [
         "inclusion",

@@ -66,7 +66,7 @@ def test_closure_defect_small():
 def test_expectation_on_diagonal_subalgebra():
     M = m2()
     B = diagonal_subalgebra(M)
-    E = conditional_expectation(M, B)
+    E = conditional_expectation(B)
     x = M.element([[[1.0, 2.0], [3.0, 4.0]]])
     np.testing.assert_allclose(E(x).blocks[0], [[1.0, 0], [0, 4.0]], atol=1e-12)
 
@@ -74,14 +74,14 @@ def test_expectation_on_diagonal_subalgebra():
 def test_expectation_fixes_identity():
     M = m2()
     B = diagonal_subalgebra(M)
-    E = conditional_expectation(M, B)
+    E = conditional_expectation(B)
     assert (E(M.one()) - M.one()).norm2() < 1e-13
 
 
 def test_expectation_onto_scalars_is_trace():
     M = m2()
     B = scalar_subalgebra(M)
-    E = conditional_expectation(M, B)
+    E = conditional_expectation(B)
     rng = np.random.default_rng(7)
     x = M.random_element(rng)
     assert (E(x) - x.trace() * M.one()).norm2() < 1e-12
@@ -90,7 +90,7 @@ def test_expectation_onto_scalars_is_trace():
 def test_expectation_onto_everything_is_identity_function():
     M = m2()
     B = full_subalgebra(M)
-    E = conditional_expectation(M, B)
+    E = conditional_expectation(B)
     rng = np.random.default_rng(8)
     x = M.random_element(rng)
     assert E(x) is x  # bitwise identical, not merely close
@@ -101,7 +101,7 @@ def test_expectation_properties(seed):
     rng = np.random.default_rng(seed)
     M = build_algebra([2, 2], [1 / 8, 3 / 8])
     B = subalgebra_closure(M, [M.random_selfadjoint(rng)])
-    E = conditional_expectation(M, B)
+    E = conditional_expectation(B)
     x, y = M.random_element(rng), M.random_element(rng)
     b1, b2 = B.basis[1 % B.dim], B.basis[min(2, B.dim - 1)]
     # idempotent
@@ -119,7 +119,7 @@ def test_expectation_properties(seed):
     assert E(x).norm2() <= x.norm2() + 1e-12
     # composed with a larger algebra's expectation
     N = subalgebra_closure(M, B.basis + [M.random_selfadjoint(rng)])
-    EN = conditional_expectation(M, N)
+    EN = conditional_expectation(N)
     assert (E(EN(x)) - E(x)).norm2() < 1e-10
 
 

@@ -17,7 +17,7 @@ SAMPLES = "sample_inputs"
 
 def test_load_shift_file():
     doc = load_group_inclusion(f"{SAMPLES}/shift_tail.json")
-    group = doc.group
+    group = doc.subgroup.group
     assert group.family == "shift_extension"
     assert doc.subgroup.label == "K0"
     assert is_subgroup_member(doc.subgroup, group.base_generator(1)) is Trit.YES
@@ -26,16 +26,16 @@ def test_load_shift_file():
 
 def test_load_free_file():
     doc = load_group_inclusion(f"{SAMPLES}/f2_cyclic.json")
-    assert doc.group.family == "free"
+    assert doc.subgroup.group.family == "free"
     assert doc.claim_abelian
     assert len(doc.subgroup.generators) == 1
 
 
 def test_load_fp_file_with_rules():
     doc = load_group_inclusion(f"{SAMPLES}/infinite_dihedral.json")
-    assert doc.group.family == "fp"
-    assert doc.group.rewriting is not None and doc.group.rewriting.verified
-    a, r = doc.group.generators()
+    assert doc.subgroup.group.family == "fp"
+    assert doc.subgroup.group.rewriting is not None and doc.subgroup.group.rewriting.verified
+    a, r = doc.subgroup.group.generators()
     assert is_subgroup_member(doc.subgroup, r) is Trit.NO
 
 
@@ -101,7 +101,7 @@ def test_direct_product_document():
             "right": {"family": "free", "generators": ["x"], "subgroup_generators": ["x"]},
         }
     )
-    assert doc.group.family == "direct_product"
+    assert doc.subgroup.group.family == "direct_product"
     assert type(doc.subgroup) is ProductSubgroup
 
 
@@ -248,8 +248,8 @@ def test_table_document_messages(table, names, error, message):
 def test_integral_float_table_entries_load_as_integers():
     doc = parse_group_inclusion(
         {"family": "finite_table", "table": [[0, 1.0], [1, 0]], "subgroup_generators": ["x1"]})
-    assert doc.group.table == ((0, 1), (1, 0))
-    assert type(doc.group.table[0][1]) is int
+    assert doc.subgroup.group.table == ((0, 1), (1, 0))
+    assert type(doc.subgroup.group.table[0][1]) is int
 
 
 def test_missing_file_gives_format_error(tmp_path):

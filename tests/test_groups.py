@@ -268,7 +268,7 @@ def test_fp_arithmetic_is_the_normal_form_of_the_reduced_word(make, u, v):
 FP_GROUPS = {
     "infinite_dihedral": infinite_dihedral(),
     "free_abelian_of_rank_two": free_abelian_of_rank_two(),
-    "sample_document": load_group_inclusion("sample_inputs/infinite_dihedral.json").group,
+    "sample_document": load_group_inclusion("sample_inputs/infinite_dihedral.json").subgroup.group,
     "no_rules": FpGroupDescriptor(2, infinite_dihedral().relators),
 }
 

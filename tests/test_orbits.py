@@ -410,9 +410,9 @@ def test_product_verdict_out_dominates():
     v_out = qn1_membership(HA, B, budget=10)
     P = DirectProductDescriptor(F2, F2)
     spec = product_subgroup(P, HA, HA)
-    combined = product_verdict(v_in, v_out, P, spec)
+    combined = product_verdict(v_in, v_out, spec)
     assert combined.certified_out
-    combined_in = product_verdict(v_in, v_in, P, spec)
+    combined_in = product_verdict(v_in, v_in, spec)
     assert combined_in.certified_in
     replay_certificate(combined_in.certificate)
 

@@ -3,7 +3,8 @@ lists must still exist, and its count hooks must still read what those
 functions take and return: a rename or a changed signature fails here
 instead of at ``--trace 1``.  And every src function must have a src
 caller, so code that nothing reaches is deleted or moved into the tests.
-The package depends on numpy alone."""
+No src function takes a handle together with the algebra or group the
+handle already holds.  The package depends on numpy alone."""
 
 import ast
 import contextlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from qnbench import acceptance
 from qnbench.cli import main
+from qnbench.groups import GroupDescriptor
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "benchmarks" / "tracer.py"
@@ -155,6 +157,63 @@ def _uncalled_src_functions():
 def test_every_src_function_has_a_src_caller():
     uncalled = _uncalled_src_functions()
     assert not uncalled, f"src functions without a src caller: {uncalled}"
+
+
+# handles hold their parent: a SubalgebraHandle (and a BimoduleBasis through
+# its subalgebra) holds B <= M as sub.ambient, a SubgroupSpec holds H <= G as
+# spec.group
+HANDLE_TYPES = {"SubalgebraHandle", "BimoduleBasis", "SubgroupSpec"}
+HANDLE_NAMES = {"sub", "subalgebra", "spec", "mid", "product_spec"}
+PARENT_NAMES = {"ambient", "algebra", "group", "product_group"}
+# src functions that take a handle and a parent on purpose
+HANDLE_AND_PARENT = {
+    # the product descriptor is what the pair elements belong to; the factor
+    # specs hold only the factor groups, so they cannot supply it
+    "subgroups.product_subgroup",
+}
+
+
+def _descriptor_names(cls=GroupDescriptor):
+    return {cls.__name__}.union(*(_descriptor_names(c) for c in cls.__subclasses__()))
+
+
+def _annotation_names(node):
+    """The class names an annotation mentions, also inside a string annotation."""
+    if node is None:
+        return set()
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} \
+        | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _handle_and_parent_functions():
+    """``module.name`` (or ``module.Class.name``) of each src function with a
+    handle parameter and a parent parameter, by annotation or by name."""
+    parent_types = {"MultiMatrixAlgebra"} | _descriptor_names()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, node) for node in tree.body] + [
+            (f"{path.stem}.{node.name}", fn) for node in tree.body
+            if isinstance(node, ast.ClassDef) for fn in node.body]
+        for prefix, fn in scopes:
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            kinds = [_annotation_names(a.annotation) for a in args]
+            handles = any(a.arg in HANDLE_NAMES or k & HANDLE_TYPES for a, k in zip(args, kinds))
+            parents = any(a.arg in PARENT_NAMES or k & parent_types for a, k in zip(args, kinds))
+            if handles and parents:
+                found.append(f"{prefix}.{fn.name}")
+    return found
+
+
+def test_no_src_function_takes_a_handle_and_its_parent():
+    both = _handle_and_parent_functions()
+    assert "subgroups.product_subgroup" in both  # the walk sees annotated parameters
+    extra = sorted(set(both) - HANDLE_AND_PARENT)
+    assert not extra, f"src functions taking a handle and the parent it holds: {extra}"
 
 
 def test_src_imports_only_the_standard_library_and_numpy():

@@ -7,6 +7,7 @@ import pytest
 from qnbench import wahp
 from qnbench.acceptance import _dichotomy_inclusions
 from qnbench.basic import left_operator, right_operator
+from qnbench.errors import GroupValidationError
 from qnbench.expectations import (
     conditional_expectation,
     diagonal_subalgebra,
@@ -36,7 +37,7 @@ def m2():
 def test_hermitian_basis_spans_selfadjoint_part():
     M = m2()
     B = diagonal_subalgebra(M)
-    herm = hermitian_basis(M, B)
+    herm = hermitian_basis(B)
     assert len(herm) == 2
     for s in herm:
         assert (s - s.adjoint()).norm2() < 1e-12
@@ -46,7 +47,7 @@ def test_hermitian_basis_spans_selfadjoint_part():
 def test_hermitian_basis_is_real_orthonormal_of_length_dim_b(dims):
     M = build_algebra(dims, [1.0] * len(dims))
     for B in (full_subalgebra(M), diagonal_subalgebra(M)):
-        herm = hermitian_basis(M, B)
+        herm = hermitian_basis(B)
         assert len(herm) == B.dim
         vecs = np.array([M.to_vector(h) for h in herm])
         gram = (vecs.conj() @ vecs.T).real
@@ -69,7 +70,7 @@ def test_gap_diag_pair_is_half():
     M = m2()
     B = diagonal_subalgebra(M)
     pair = (M.matrix_unit(0, 0, 1), M.matrix_unit(0, 1, 0))
-    report = wahp_gap(M, B, B, [pair], CFG)
+    report = wahp_gap(B, B, [pair], config=CFG)
     assert report.converged
     assert abs(report.objective_value - closed_form_diag_pair_gap()) < 1e-6
     assert abs(report.oracle_value - closed_form_diag_pair_gap()) < 1e-6
@@ -89,7 +90,7 @@ def test_gap_scalar_subalgebra_closed_form():
     M = m2()
     B = scalar_subalgebra(M)
     x = M.element([[[0, 1], [1, 0]]])  # trace zero
-    report = wahp_gap(M, B, B, [(x, x)], CFG)
+    report = wahp_gap(B, B, [(x, x)], config=CFG)
     expected = closed_form_scalar_gap(x, x)
     assert abs(expected - 1.0) < 1e-12  # tau(x^2) = tau(1) = 1
     assert abs(report.objective_value - expected) < 1e-6
@@ -99,7 +100,7 @@ def test_gap_scalar_normalized_witness_quarter():
     M = m2()
     B = scalar_subalgebra(M)
     x = M.element([np.array([[0, 1], [1, 0]]) / np.sqrt(2)])
-    report = wahp_gap(M, B, B, [(x, x)], CFG)
+    report = wahp_gap(B, B, [(x, x)], config=CFG)
     expected = closed_form_scalar_gap(x, x)
     assert abs(expected - 0.25) < 1e-12
     assert abs(report.objective_value - expected) < 1e-6
@@ -111,7 +112,7 @@ def test_gap_zero_when_mid_is_everything():
     N = full_subalgebra(M)
     rng = np.random.default_rng(0)
     pairs = [(M.random_element(rng), M.random_element(rng)) for _ in range(4)]
-    report = wahp_gap(M, B, N, pairs, CFG)
+    report = wahp_gap(B, N, pairs, config=CFG)
     assert report.exact_zero
     assert report.objective_value == 0.0
     assert report.oracle_value == 0.0
@@ -121,14 +122,14 @@ def test_witness_search_zero_for_full_mid():
     M = build_algebra([2, 1], [1 / 3, 1 / 3])
     B = subalgebra_closure(M, [M.matrix_unit(0, 0, 0)])
     N = full_subalgebra(M)
-    report = wahp_witness_search(M, B, N, CFG)
+    report = wahp_witness_search(B, N, CFG)
     assert report.exact_zero and report.objective_value == 0.0
 
 
 def test_witness_search_positive_for_proper_mid():
     M = m2()
     B = diagonal_subalgebra(M)
-    report = wahp_witness_search(M, B, B, CFG)
+    report = wahp_witness_search(B, B, CFG)
     assert not report.exact_zero
     assert report.objective_value > 0.01
     assert report.converged
@@ -138,15 +139,15 @@ def test_witness_search_scalar_to_diag_positive():
     M = m2()
     B = scalar_subalgebra(M)
     N = diagonal_subalgebra(M)
-    report = wahp_witness_search(M, B, N, CFG)
+    report = wahp_witness_search(B, N, CFG)
     assert report.objective_value > 0.01
 
 
 def test_determinism_same_seed():
     M = m2()
     B = diagonal_subalgebra(M)
-    r1 = wahp_witness_search(M, B, B, OptimizerConfig(seed=7, restarts=4))
-    r2 = wahp_witness_search(M, B, B, OptimizerConfig(seed=7, restarts=4))
+    r1 = wahp_witness_search(B, B, OptimizerConfig(seed=7, restarts=4))
+    r2 = wahp_witness_search(B, B, OptimizerConfig(seed=7, restarts=4))
     assert r1.objective_value == r2.objective_value
     assert r1.oracle_value == r2.oracle_value
     assert (r1.minimizer - r2.minimizer).norm2() == 0.0
@@ -157,7 +158,8 @@ def test_optimizer_beats_oracle():
     B = diagonal_subalgebra(M)
     rng = np.random.default_rng(3)
     pairs = [(M.random_element(rng), M.random_element(rng)) for _ in range(3)]
-    report = wahp_gap(M, B, B, pairs, OptimizerConfig(seed=1, restarts=8, oracle_points=4000))
+    report = wahp_gap(B, B, pairs,
+                      config=OptimizerConfig(seed=1, restarts=8, oracle_points=4000))
     assert report.objective_value <= report.oracle_value + 1e-8
     assert report.unitary_defect < 1e-10
 
@@ -170,8 +172,51 @@ def test_tie_rule_keeps_the_value_of_a_non_constant_gap():
     B = diagonal_subalgebra(M)
     rng = np.random.default_rng(3)
     pairs = [(M.random_element(rng), M.random_element(rng)) for _ in range(3)]
-    report = wahp_gap(M, B, B, pairs, OptimizerConfig(seed=1, restarts=8, oracle_points=4000))
+    report = wahp_gap(B, B, pairs,
+                      config=OptimizerConfig(seed=1, restarts=8, oracle_points=4000))
     assert abs(report.objective_value - 23.274812634668045) <= 1e-9
+
+
+def weight_swapped_handles():
+    """``B``, the diagonal copy of ``M_2`` closed from two ``(x, x)`` with ``x``
+    real symmetric, in ``M = M_2 + M_2`` with weights (1/8, 3/8) and in ``N``
+    with weights (3/8, 1/8), and two witness pairs drawn in ``N``."""
+    M = build_algebra([2, 2], [1 / 8, 3 / 8])
+    N = build_algebra([2, 2], [3 / 8, 1 / 8])
+    rng = np.random.default_rng(3)
+    xs = []
+    for _ in range(2):
+        a = rng.normal(size=(2, 2))
+        xs.append((a + a.T) / 2)
+    pairs = [(N.random_element(rng), N.random_element(rng)) for _ in range(2)]
+    b_of_m, b_of_n = (subalgebra_closure(A, [A.element([x, x]) for x in xs]) for A in (M, N))
+    assert b_of_m.dim == b_of_n.dim == 4
+    return b_of_m, b_of_n, pairs
+
+
+def test_gap_rejects_handles_and_pairs_of_another_ambient():
+    # B in M and B in N share block sizes and basis but not weights: the
+    # operators of N against the projection of B in M give a gap of 3.277
+    # that belongs to neither inclusion (B in N gives 1.758), so it raises.
+    b_of_m, b_of_n, pairs = weight_swapped_handles()
+    with pytest.raises(GroupValidationError):
+        wahp_gap(b_of_m, b_of_n, pairs)
+    with pytest.raises(GroupValidationError):
+        wahp_witness_search(b_of_m, b_of_n)
+    with pytest.raises(GroupValidationError):  # the pairs lie in N, the handles in M
+        wahp_gap(b_of_m, b_of_m, pairs)
+    assert abs(wahp_gap(b_of_n, b_of_n, pairs).objective_value - 1.7579531066324705) <= 1e-9
+
+
+def test_gap_compares_ambients_by_value():
+    # a second algebra with the same blocks and weights is the same ambient,
+    # as it is for element arithmetic
+    _, b_of_n, pairs = weight_swapped_handles()
+    twin = build_algebra([2, 2], [3 / 8, 1 / 8])
+    assert twin is not b_of_n.ambient
+    mid = subalgebra_closure(twin, b_of_n.basis)
+    expected = wahp_gap(b_of_n, b_of_n, pairs).objective_value
+    assert abs(wahp_gap(b_of_n, mid, pairs).objective_value - expected) <= 1e-9
 
 
 def random_form(dim, rng):
@@ -208,13 +253,13 @@ def test_batched_values_match_scalar_path(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     M = build_algebra([2, 2, 1], [0.1, 0.2, 0.2])
     B = full_subalgebra(M)
-    herm = hermitian_basis(M, B)
+    herm = hermitian_basis(B)
     assert len(herm) == 9
     q = random_form(M.dim, rng)
     for dim_h in range(10):
         subset = herm[:dim_h]
         thetas = rng.normal(size=(25, dim_h)) * rng.choice([0.3, 1.0, 3.0], size=(25, 1))
-        batched = _values(_unit_form(M, B, subset, q), thetas)
+        batched = _values(_unit_form(B, subset, q), thetas)
         for theta, value in zip(thetas, batched):
             expected = scalar_value(M, subset, q, theta)
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -251,10 +296,10 @@ def test_batched_oracle_matches_loop(dims, weights, sub_of):
     rng = np.random.default_rng(11)
     M = build_algebra(dims, weights)
     B = sub_of(M)
-    herm = hermitian_basis(M, B)
+    herm = hermitian_basis(B)
     q = random_form(M.dim, rng)
     config = OptimizerConfig(seed=5, oracle_points=400)
-    value, theta = _oracle_search(_unit_form(M, B, herm, q), config, np.random.default_rng(5))
+    value, theta = _oracle_search(_unit_form(B, herm, q), config, np.random.default_rng(5))
     expected, _ = loop_oracle(lambda t: scalar_value(M, herm, q, t), len(herm), config,
                               np.random.default_rng(5))
     assert abs(value - expected) <= 1e-12 * max(1.0, expected)
@@ -271,10 +316,10 @@ EXACT_GAPS = {
 }
 
 
-def reference_objective_matrix(ambient, sub, pairs, expect_mid):
+def reference_objective_matrix(sub, pairs, expect_mid):
     """``Q`` from one pair's left and right operators at a time, in pair order."""
     proj = sub.coordinates @ sub.coordinates.conj().T
-    q = np.zeros((ambient.dim, ambient.dim), dtype=complex)
+    q = np.zeros((sub.ambient.dim, sub.ambient.dim), dtype=complex)
     for x, y in pairs:
         xm, ym = expect_mid(x), expect_mid(y)
         if xm is x and ym is y:
@@ -298,11 +343,11 @@ def test_descent_reaches_the_two_projection_closed_form(mid_of, seed):
     N = B if mid_of is None else mid_of(M)
     rng = np.random.default_rng(seed)
     pairs = [(M.random_element(rng), M.random_element(rng)) for _ in range(3)]
-    q = reference_objective_matrix(M, B, pairs, conditional_expectation(M, N))
+    q = reference_objective_matrix(B, pairs, conditional_expectation(N))
     p_hat, q_hat = M.to_vector(p), M.to_vector(M.one() - p)
     alpha = (p_hat.conj() @ q @ p_hat + q_hat.conj() @ q @ q_hat).real
     beta = p_hat.conj() @ q @ q_hat
-    report = wahp_gap(M, B, N, pairs, OptimizerConfig(seed=seed, oracle_points=9))
+    report = wahp_gap(B, N, pairs, config=OptimizerConfig(seed=seed, oracle_points=9))
     assert abs(report.objective_value - (alpha - 2 * abs(beta))) <= 1e-9
     assert report.iterations > 0
 
@@ -317,26 +362,26 @@ def test_objective_matrix_matches_pair_by_pair_reference(chunk, monkeypatch):
         basis = algebra.basis()
         pairs = [(b, c) for b in basis for c in basis] + [(x, x), (basis[-1], x)]
         for handle in (mid if mid is not None else full_subalgebra(algebra), sub):
-            expect = conditional_expectation(algebra, handle)
+            expect = conditional_expectation(handle)
             np.testing.assert_array_equal(
-                _objective_matrix(algebra, sub, pairs, expect),
-                reference_objective_matrix(algebra, sub, pairs, expect), err_msg=name)
+                _objective_matrix(sub, pairs, expect),
+                reference_objective_matrix(sub, pairs, expect), err_msg=name)
 
 
 @pytest.mark.parametrize("name, algebra, sub, mid", PROPER_MID, ids=[r[0] for r in PROPER_MID])
 def test_witness_functional_is_constant_on_unitaries(name, algebra, sub, mid):
     basis = algebra.basis()
     pairs = [(x, y) for x in basis for y in basis]
-    q = _objective_matrix(algebra, sub, pairs, conditional_expectation(algebra, mid))
-    herm = hermitian_basis(algebra, sub)
+    q = _objective_matrix(sub, pairs, conditional_expectation(mid))
+    herm = hermitian_basis(sub)
     thetas = np.random.default_rng(0).normal(scale=np.pi, size=(50, len(herm)))
     at_one = _value_at(algebra, q, algebra.one())
-    assert np.max(np.abs(_values(_unit_form(algebra, sub, herm, q), thetas) - at_one)) <= 1e-12
+    assert np.max(np.abs(_values(_unit_form(sub, herm, q), thetas) - at_one)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, algebra, sub, mid", PROPER_MID, ids=[r[0] for r in PROPER_MID])
 def test_witness_search_exact_gaps(name, algebra, sub, mid):
-    report = wahp_witness_search(algebra, sub, mid, CFG)
+    report = wahp_witness_search(sub, mid, CFG)
     assert abs(report.objective_value - float(EXACT_GAPS[name])) <= 1e-12
     assert abs(report.oracle_value - report.objective_value) <= 1e-12
     assert report.converged and not report.exact_zero
@@ -350,9 +395,9 @@ def test_chunked_oracle_memory_is_bounded():
     # whole (10 000, 6, 6) stack goes through one eigh.
     M = build_algebra([6], [1 / 6])
     B = full_subalgebra(M)
-    herm = hermitian_basis(M, B)
+    herm = hermitian_basis(B)
     assert len(herm) == 36
-    form = _unit_form(M, B, herm, random_form(M.dim, np.random.default_rng(0)))
+    form = _unit_form(B, herm, random_form(M.dim, np.random.default_rng(0)))
     config = OptimizerConfig(seed=1, oracle_points=10000)
     tracemalloc.start()
     try:
