@@ -257,6 +257,7 @@ def qn1_module_test(sub: SubalgebraHandle, x: AlgebraElement) -> ModuleReport:
     are an orthonormal frame of it.
     """
     algebra = sub.ambient
+    algebra.check_members((x,))
     frame = module_frame(sub, [s @ b for s, b in zip(sub.stacks, x.blocks)])
     return ModuleReport(module_dim=frame.shape[1],
                         generators=algebra.elements(algebra.stacks_of(frame)),

@@ -104,7 +104,10 @@ def _c1_search(spec: SubgroupSpec, g: GroupElement, threshold: int) -> C1Result:
 
     ``finite`` is returned only when the set is closed under conjugation by
     every listed generator, which decides finiteness exactly when the listed
-    generators generate the subgroup.
+    generators generate the subgroup.  Each conjugate is one
+    ``GroupDescriptor.conjugate``: with a rewriting system, one rewrite of
+    ``h g h^-1`` that reads only the last ``L - 1`` letters of the normal
+    form ``h`` (``L`` the longest left-hand side) and the letters after it.
     """
     group = spec.group
     max_radius = max(threshold, 8)
@@ -126,7 +129,7 @@ def _c1_search(spec: SubgroupSpec, g: GroupElement, threshold: int) -> C1Result:
                     )
                 ball_seen.add(nh)
                 next_frontier.append(nh)
-                conj = group.multiply(group.multiply(nh, g), group.invert(nh))
+                conj = group.conjugate(nh, g)
                 if conj not in conjugates:
                     conjugates.add(conj)
                     grew = True
@@ -136,7 +139,7 @@ def _c1_search(spec: SubgroupSpec, g: GroupElement, threshold: int) -> C1Result:
         if not grew:
             # growth stalled: run the exact closure test
             closed = all(
-                group.multiply(group.multiply(s, x), group.invert(s)) in conjugates
+                group.conjugate(s, x) in conjugates
                 for s in moves
                 for x in conjugates
             )

@@ -116,6 +116,9 @@ def tensor_module_check(sub1: SubalgebraHandle, x1: AlgebraElement,
                         sub2: SubalgebraHandle, x2: AlgebraElement) -> TensorModuleCheck:
     """Exact dimension count: the module of a simple tensor over the tensor
     subalgebra is the tensor product of the component modules."""
+    # the component modules first: they check that each x_i is in sub_i's ambient
+    left_dim = qn1_module_test(sub1, x1).module_dim
+    right_dim = qn1_module_test(sub2, x2).module_dim
     sub = tensor_subalgebra(sub1, sub2)
     # the product module is computed from x1 (x) x2 alone, independently of
     # both component modules
@@ -123,9 +126,7 @@ def tensor_module_check(sub1: SubalgebraHandle, x1: AlgebraElement,
     x = sub1.ambient.tensor_element(product, x1, x2)
     product_dim = module_dimension(
         sub, product.elements([s @ b for s, b in zip(sub.stacks, x.blocks)]))
-    return TensorModuleCheck(left_dim=qn1_module_test(sub1, x1).module_dim,
-                             right_dim=qn1_module_test(sub2, x2).module_dim,
-                             product_dim=product_dim)
+    return TensorModuleCheck(left_dim=left_dim, right_dim=right_dim, product_dim=product_dim)
 
 
 def tensor_subalgebra(sub1: SubalgebraHandle, sub2: SubalgebraHandle) -> SubalgebraHandle:

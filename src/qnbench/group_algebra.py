@@ -17,6 +17,7 @@ trace reproduces the group trace (1 at the identity, 0 elsewhere).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +71,18 @@ def decompose_regular_representation(group: FiniteTableGroup) -> tuple:
     return [len(grid) for grid in summands], reps
 
 
-def group_algebra_inclusion(spec: TableSubgroup) -> GroupAlgebraInclusion:
-    """Decomposed group algebra of ``G = spec.group`` with the span of the
-    subgroup inside.
+# group -> (algebra, full handle, images), see _regular_algebra
+_REGULAR: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    A table subgroup's subset is the closure of its generators, so it is a
-    subgroup as given.  The trace is the group trace (block weights
-    ``d_i/|G|``); the expectation onto the subgroup span restricts
-    coefficients to subgroup elements, which is verified on the basis.
+
+def _regular_algebra(group: FiniteTableGroup) -> tuple:
+    """The checked decomposition of ``L(G)``: its algebra, full handle and
+    the images ``lambda(g)`` by element index.  It depends on the group
+    alone, so it is computed once per group object and shared by all of its
+    subgroups.
     """
-    if not isinstance(spec, TableSubgroup):
-        raise GroupValidationError("subgroup spec does not describe a finite table subgroup")
-    group, subset = spec.group, spec.subset
-    indices = sorted(subset)
-
+    if group in _REGULAR:
+        return _REGULAR[group]
     dims, reps = decompose_regular_representation(group)
     weights = [d / group.order for d in dims]
     algebra = build_algebra(dims, weights)
@@ -101,8 +100,25 @@ def group_algebra_inclusion(spec: TableSubgroup) -> GroupAlgebraInclusion:
             prod = images[group.table[g][h]]
             if (images[g] @ images[h] - prod).norm2() > 1e-8:
                 raise GroupValidationError("decomposition is not multiplicative")
+    _REGULAR[group] = algebra, full_subalgebra(algebra), images
+    return _REGULAR[group]
 
-    full = full_subalgebra(algebra)
+
+def group_algebra_inclusion(spec: TableSubgroup) -> GroupAlgebraInclusion:
+    """Decomposed group algebra of ``G = spec.group`` with the span of the
+    subgroup inside.
+
+    A table subgroup's subset is the closure of its generators, so it is a
+    subgroup as given.  The trace is the group trace (block weights
+    ``d_i/|G|``); the expectation onto the subgroup span restricts
+    coefficients to subgroup elements, which is verified on the basis.  The
+    decomposition of ``L(G)`` is made once per group (``_regular_algebra``).
+    """
+    if not isinstance(spec, TableSubgroup):
+        raise GroupValidationError("subgroup spec does not describe a finite table subgroup")
+    group, subset = spec.group, spec.subset
+    indices = sorted(subset)
+    algebra, full, images = _regular_algebra(group)
     sub = subalgebra_closure(algebra, [images[i] for i in indices])
     if sub.dim != len(indices):
         raise GroupValidationError("subgroup span has the wrong dimension")
@@ -118,5 +134,5 @@ def group_algebra_inclusion(spec: TableSubgroup) -> GroupAlgebraInclusion:
         algebra=algebra,
         full=full,
         sub=sub,
-        images=images,
+        images=dict(images),
     )

@@ -93,6 +93,10 @@ class GroupDescriptor:
     def invert(self, a: GroupElement) -> GroupElement:
         raise NotImplementedError
 
+    def conjugate(self, h: GroupElement, g: GroupElement) -> GroupElement:
+        """``h g h^-1``."""
+        return self.multiply(self.multiply(h, g), self.invert(h))
+
     def normalize_payload(self, payload):
         raise NotImplementedError
 
@@ -308,12 +312,25 @@ class FpGroupDescriptor(GroupDescriptor):
         outside payloads), so the product needs no reduce or range pass.  A
         verified system contains the free cancellation rules and is
         convergent, so the plain juxtaposition has the normal form of the
-        reduced product.  Without rules the normal form is the freely
-        reduced word that ``W.concat`` returns."""
+        reduced product; its left factor is irreducible, so the rewrite
+        re-reads only its last ``L - 1`` letters (``L`` the longest
+        left-hand side) and reads the right factor.  Without rules the
+        normal form is the freely reduced word that ``W.concat`` returns."""
         self.check_same(a, b)
         if self.rewriting is None:
             return GroupElement(self, W.concat(a.payload, b.payload))
-        return GroupElement(self, self.rewriting.normal_form(a.payload + b.payload))
+        return GroupElement(self, self.rewriting.normal_form(a.payload + b.payload,
+                                                             len(a.payload)))
+
+    def conjugate(self, h, g):
+        """With rules, one rewrite of ``h g h^-1`` after the irreducible
+        ``h``: the system is convergent, so any word over letters in range
+        rewrites to the unique normal form."""
+        if self.rewriting is None:
+            return super().conjugate(h, g)
+        self.check_same(h, g)
+        word = h.payload + g.payload + W.invert_word(h.payload)
+        return GroupElement(self, self.rewriting.normal_form(word, len(h.payload)))
 
     def invert(self, a):
         self.check_same(a)

@@ -107,8 +107,15 @@ class MultiMatrixAlgebra:
         ends = accumulate(n * n for n in self.block_dims)
         return [slice(end - n * n, end) for end, n in zip(ends, self.block_dims)]
 
+    def check_members(self, elements: Iterable["AlgebraElement"]) -> None:
+        """Raise unless every element belongs to this algebra or an equal one."""
+        for x in elements:
+            if x.algebra is not self and x.algebra != self:
+                raise GroupValidationError("elements of different algebras")
+
     def stack(self, elements: Sequence["AlgebraElement"]) -> list:
         """Per block ``k``, the ``(len(elements), n_k, n_k)`` stack of the elements' blocks."""
+        self.check_members(elements)
         return [np.array([x.blocks[k] for x in elements], dtype=complex).reshape(-1, n, n)
                 for k, n in enumerate(self.block_dims)]
 
@@ -187,16 +194,12 @@ class AlgebraElement:
             b.setflags(write=False)
         self.blocks = blocks
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
-            raise GroupValidationError("elements of different algebras")
-
     def __add__(self, other):
-        self._check(other)
+        self.algebra.check_members((other,))
         return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other):
-        self._check(other)
+        self.algebra.check_members((other,))
         return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self):
@@ -209,7 +212,7 @@ class AlgebraElement:
         return self.__rmul__(scalar)
 
     def __matmul__(self, other):
-        self._check(other)
+        self.algebra.check_members((other,))
         return AlgebraElement(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
     def adjoint(self) -> "AlgebraElement":
@@ -222,7 +225,7 @@ class AlgebraElement:
 
     def inner(self, other: "AlgebraElement") -> complex:
         """Trace inner product ``tau(other* self)``."""
-        self._check(other)
+        self.algebra.check_members((other,))
         return complex(
             sum(
                 w * np.sum(o.conj() * s)

@@ -13,11 +13,17 @@ Three tools, all sound and clearly scoped:
   table step per letter read instead of a scan over every rule.  Its output
   equals the plain first-listed-rule scan: the rewriting stack never holds
   a left-hand side, so every new match is a suffix of the stack, and each
-  automaton state names the first listed rule among those suffixes.  A
-  product of two normal forms needs neither a free reduction nor a range
-  check: its letters are in range, and the free cancellation rules are
-  part of the system, which is convergent, so rewriting the plain
-  juxtaposition gives the normal form of the reduced product.
+  automaton state names the first listed rule among those suffixes.  For
+  the same reason the state after any stack is its longest suffix that is
+  a proper prefix of a left-hand side, which has at most ``L - 1`` letters
+  for ``L`` the longest left-hand side: re-reading the last ``L - 1``
+  letters of the stack recovers it.  So an irreducible prefix is taken as
+  it stands, and only the letters after it are read.  A product of two
+  normal forms needs neither a free reduction nor a range check: its
+  letters are in range, and the free cancellation rules are part of the
+  system, which is convergent, so rewriting the plain juxtaposition gives
+  the normal form of the reduced product, and the left factor is such an
+  irreducible prefix.
 
 * ``relator_insertion_search`` -- bounded BFS over relator insertions; finds
   positive proofs that a word represents the identity.
@@ -41,7 +47,7 @@ def _free_rules(num_gens: int) -> list[tuple[Word, Word]]:
     return [((x, inverse(x)), ()) for x in range(letter(num_gens))]
 
 
-def _index_automaton(rules: Sequence[tuple[Word, Word]]) -> tuple[list, list]:
+def _index_automaton(rules: Sequence[tuple[Word, Word]]) -> tuple[list, list, int]:
     """Aho-Corasick automaton over the rules' left-hand sides.
 
     States are the prefixes of the left-hand sides, 0 being the empty word;
@@ -52,7 +58,9 @@ def _index_automaton(rules: Sequence[tuple[Word, Word]]) -> tuple[list, list]:
     back to state 0.  ``output[s]`` is None or ``(len(lhs) - 1, reversed
     rhs)`` for the lowest-index rule whose left-hand side is a suffix of the
     state's word.  Empty left-hand sides are left out: the stack scan never
-    fires them either.
+    fires them either.  The third entry, ``L - 1`` for ``L`` the longest
+    left-hand side, is how many trailing letters of an irreducible word fix
+    the state after it.
     (Aho-Corasick 1975; Sims 1994, *Computation with Finitely Presented
     Groups*, section 2.8.)
     """
@@ -83,7 +91,7 @@ def _index_automaton(rules: Sequence[tuple[Word, Word]]) -> tuple[list, list]:
         queue.extend((child, delta[fail][letter]) for letter, child in trie[state].items())
     output = [None if i is None else (len(rules[i][0]) - 1, tuple(reversed(rules[i][1])))
               for i in first]
-    return delta, output
+    return delta, output, max((len(lhs) for lhs, _ in rules), default=1) - 1
 
 
 @dataclass
@@ -111,8 +119,9 @@ class RewritingSystem:
     def all_rules(self) -> list[tuple[Word, Word]]:
         return list(self.rules) + _free_rules(self.num_gens)
 
-    def normal_form(self, word: Word) -> Word:
-        """Rewrite to an irreducible word.
+    def normal_form(self, word: Word, irreducible: int = 0) -> Word:
+        """Rewrite to an irreducible word; ``word[:irreducible]`` must
+        already be irreducible, and is not read again.
 
         Stack strategy: push letters left to right and rewrite whenever a
         left-hand side appears as a suffix of the stack, by the first such
@@ -121,32 +130,35 @@ class RewritingSystem:
         all; termination follows from the shortlex descent of each rule.
 
         The stack never holds a left-hand side, so a pushed letter can only
-        complete left-hand sides that are suffixes of the stack.  A state
-        stack beside the letter stack holds the index automaton's state
-        after each prefix: one table step per pushed letter finds the first
-        listed rule among those suffixes, which is the rule the plain scan
-        over all rules would pick.  A rewrite pops ``len(lhs) - 1`` letters
-        and states (the last letter was never pushed) and queues the
-        right-hand side.
+        complete left-hand sides that are suffixes of the stack, and the
+        index automaton's state after the stack, its longest suffix that is
+        a proper prefix of a left-hand side, lies within its last ``L - 1``
+        letters.  One table step per pushed letter finds the first listed
+        rule among those suffixes, which is the rule the plain scan over all
+        rules would pick.  A rewrite pops ``len(lhs) - 1`` letters (the last
+        letter was never pushed), re-reads the last ``L - 1`` letters left
+        to recover the state and queues the right-hand side.  The
+        irreducible prefix is such a stack, so it starts the same way.
         """
-        delta, output = self._automaton
-        letters: list = []
-        states = [0]
+        delta, output, reach = self._automaton
+        letters = list(word[:irreducible])
+        pending = list(reversed(word[irreducible:]))
         state = 0
-        pending = list(reversed(word))
+        for kept in letters[-reach:]:
+            state = delta[state].get(kept, 0)
         while pending:
             letter = pending.pop()
             state = delta[state].get(letter, 0)
             match = output[state]
             if match is None:
                 letters.append(letter)
-                states.append(state)
             else:
                 drop, rhs_reversed = match
                 if drop:
                     del letters[-drop:]
-                    del states[-drop:]
-                state = states[-1]
+                state = 0
+                for kept in letters[-reach:]:
+                    state = delta[state].get(kept, 0)
                 pending.extend(rhs_reversed)
         return tuple(letters)
 

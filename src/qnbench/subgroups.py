@@ -144,15 +144,9 @@ class SubgroupSpec:
         """Whether ``g H g^-1 = H``; exact wherever a backend permits."""
         # generator-driven check: g H g^-1 <= H and g^-1 H g <= H force equality
         group = self.group
-        g_inv = group.invert(g)
-        results = []
-        for h in self.generators:
-            for conj in (
-                group.multiply(group.multiply(g, h), g_inv),
-                group.multiply(group.multiply(g_inv, h), g),
-            ):
-                results.append(is_subgroup_member(self, conj))
-        return Trit.conjunction(results)
+        both = (g, group.invert(g))
+        return Trit.conjunction([is_subgroup_member(self, group.conjugate(x, h))
+                                 for h in self.generators for x in both])
 
     def conjugacy_class(self, g: GroupElement):
         """The ``H``-conjugacy class of ``g``: a frozenset when it is finite,

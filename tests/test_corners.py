@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from qnbench import acceptance, basic, expectations, matrixalg
 from qnbench.basic import basic_construction, qn1_module_test
+from qnbench.bimodule import module_dimension
 from qnbench.corners import cutdown, cutdown_comparison, tensor_module_check
 from qnbench.errors import GroupValidationError
 from qnbench.expectations import (
@@ -229,3 +230,27 @@ def test_module_checks_build_no_basic_construction(monkeypatch):
     # the wrapper sees a build where one runs
     basic.basic_construction(B)
     assert len(calls) == 1
+
+
+def test_module_checks_reject_an_element_of_another_algebra():
+    # a foreign element used to be zipped block by block with the handle's
+    # stacks: qn1_module_test reported module_dim 4 and module_dimension
+    # failed with a bare IndexError
+    M = build_algebra([2, 2], [1 / 8, 3 / 8])
+    B = diagonal_subalgebra(M)
+    x = build_algebra([2], [0.5]).random_element(np.random.default_rng(0))
+    calls = [
+        lambda: qn1_module_test(B, x),
+        lambda: module_dimension(B, [x]),
+        lambda: cutdown_comparison(B, M.one(), [x]),
+        lambda: tensor_module_check(B, x, B, M.one()),
+        lambda: tensor_module_check(B, M.one(), B, x),
+    ]
+    for call in calls:
+        with pytest.raises(GroupValidationError, match="elements of different algebras"):
+            call()
+    # an equal algebra built apart is the same algebra
+    twin = build_algebra([2, 2], [1 / 8, 3 / 8])
+    y = twin.random_element(np.random.default_rng(1))
+    assert qn1_module_test(B, y).module_dim == 8  # B y B is all of M
+    assert module_dimension(B, [y]) == 4  # y B

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import hypothesis.strategies as st
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from qnbench import group_algebra
 from qnbench.basic import basic_construction
 from qnbench.bimodule import module_dimension
 from qnbench.errors import GroupValidationError
@@ -83,6 +85,20 @@ def test_rejects_a_spec_that_is_not_a_table_subgroup():
         group_algebra_inclusion(subgroup(F, [F.generators()[0]]))
 
 
+def test_regular_representation_is_decomposed_once_per_group(monkeypatch):
+    calls = []
+    decompose = group_algebra.decompose_regular_representation
+    monkeypatch.setattr(group_algebra, "decompose_regular_representation",
+                        lambda group: calls.append(group) or decompose(group))
+    G = s3()
+    first = group_algebra_inclusion(subgroup(G, []))
+    second = group_algebra_inclusion(subgroup(G, [G.generators()[0]]))
+    assert calls == [G]
+    assert first.algebra is second.algebra and first.sub.dim == 1 and second.sub.dim == 2
+    group_algebra_inclusion(subgroup(s3(), []))  # another group object: decomposed again
+    assert len(calls) == 2
+
+
 def test_regular_representation_unitary_images():
     G = s3()
     inclusion = group_algebra_inclusion(subgroup(G, []))
@@ -121,9 +137,11 @@ def test_group_algebra_gap_positive_for_proper_subgroup():
 # -- the two engines check each other ------------------------------------------
 
 
+@functools.cache
 def symmetric_group(degree):
     """S_d from a transposition and a d-cycle; ``from_permutations`` sorts the
-    elements, so a permutation's index is its lexicographic rank."""
+    elements, so a permutation's index is its lexicographic rank.  One group
+    object per degree, so its algebra is decomposed once for all examples."""
     return from_permutations(
         [(1, 0) + tuple(range(2, degree)), tuple(range(1, degree)) + (0,)])
 

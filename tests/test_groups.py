@@ -287,6 +287,65 @@ def test_fp_products_of_normal_forms_match_the_checked_path(name, u, v):
     assert multiply(multiply(y, x), invert(x)) == y
 
 
+def counted_steps(system):
+    """Swap the system's automaton rows for copies that count their lookups,
+    one per letter the automaton reads; returns the one-entry counter."""
+    steps = [0]
+
+    class CountingRow(dict):
+        def get(self, key, default=None):
+            steps[0] += 1
+            return dict.get(self, key, default)
+
+    delta, output, reach = system._automaton
+    system._automaton = ([CountingRow(row) for row in delta], output, reach)
+    return steps
+
+
+@pytest.mark.parametrize("make, word, moves", [
+    # a^1000 times a^{+-1} or r, a^999 r times r, a^500 b^500 times b^{+-1}:
+    # at most one rewrite, right at the seam
+    (infinite_dihedral, generator(0, 1000), [generator(0), generator(0, -1), generator(1)]),
+    (infinite_dihedral, generator(0, 999) + generator(1), [generator(1)]),
+    (free_abelian_of_rank_two, generator(0, 500) + generator(1, 500),
+     [generator(1), generator(1, -1)]),
+])
+def test_a_product_by_a_generator_reads_only_the_seam(make, word, moves):
+    # the left factor is a normal form: the rewrite re-reads its last L - 1
+    # letters (L the longest left-hand side), not all 1000 of them
+    G = make()
+    longest = max(len(lhs) for lhs, _ in G.rewriting.all_rules())
+    x = G.element(word)
+    assert len(x.payload) == 1000
+    steps = counted_steps(G.rewriting)
+    for move in moves:
+        y = G.element(move)
+        steps[0] = 0
+        product = multiply(x, y)
+        assert 0 < steps[0] <= longest + 1
+        assert product.payload == G.normalize_payload(x.payload + move)
+
+
+CONJUGATION_GROUPS = {
+    "free": lambda: enumerate_ball(F2, 2),
+    "table": lambda: all_elements(from_permutations([(1, 0, 2), (0, 2, 1)])),
+    "shift_extension": lambda: enumerate_ball(ShiftExtensionDescriptor(window=1), 2),
+    "direct_product": lambda: enumerate_ball(DirectProductDescriptor(F2, cyclic(3)), 2),
+    "fp_with_rules": lambda: enumerate_ball(infinite_dihedral(), 3),
+    "fp_without_rules": lambda: enumerate_ball(
+        FpGroupDescriptor(2, infinite_dihedral().relators), 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONJUGATION_GROUPS))
+def test_conjugate_is_the_product_with_the_inverse(family):
+    elements = CONJUGATION_GROUPS[family]()
+    G = elements[0].group
+    for h in elements:
+        for g in elements:
+            assert G.conjugate(h, g) == multiply(multiply(h, g), invert(h))
+
+
 @pytest.mark.parametrize("with_rules", [True, False])
 def test_fp_bad_letters_raise_with_and_without_rules(with_rules):
     D = infinite_dihedral()

@@ -159,6 +159,11 @@ def test_normal_form_matches_the_stack_scan(system, data):
     for _ in range(3):
         word = tuple(data.draw(words))
         assert system.normal_form(word) == reference_normal_form(system, word)
+        # the scan fires no rule inside an irreducible prefix, so resuming
+        # after one is exact even when the system is not confluent
+        prefix = system.normal_form(word)
+        resumed = prefix + tuple(data.draw(words))
+        assert system.normal_form(resumed, len(prefix)) == reference_normal_form(system, resumed)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +199,43 @@ def test_free_abelian_normal_form_matches_the_stack_scan(letters):
     system = free_abelian_of_rank_two().rewriting
     word = tuple(letters)
     assert system.normal_form(word) == reference_normal_form(system, word)
+
+
+# -- resuming after an irreducible prefix ----------------------------------------
+
+
+def order_four_system():
+    """``<a | a^4>`` with ``a a a -> a^-1`` and ``a^-1 a^-1 -> a a``: its
+    longest left-hand side has three letters, so a resumed rewrite re-reads
+    two."""
+    system = RewritingSystem(num_gens=1, rules=[((A, A, A), (AI,)), ((AI, AI), (A, A))])
+    system.verify([(A, A, A, A)])
+    return system
+
+
+CONVERGENT_SYSTEMS = {
+    "dihedral": (dihedral_system(), [A, AI, R, RI]),
+    "lattice": (free_abelian_of_rank_two().rewriting, [A, AI, B, BI]),
+    "order_four": (order_four_system(), [A, AI]),
+}
+
+
+def test_order_four_system_has_a_three_letter_left_hand_side():
+    system, _ = CONVERGENT_SYSTEMS["order_four"]
+    assert max(len(lhs) for lhs, _ in system.all_rules()) == 3
+    assert system.normal_form((A,) * 5) == (A,)
+    assert system.normal_form((A, A, A)) == (AI,)
+
+
+@pytest.mark.parametrize("name", sorted(CONVERGENT_SYSTEMS))
+@settings(max_examples=80)
+@given(data=st.data())
+def test_normal_form_resumes_after_an_irreducible_prefix(name, data):
+    system, alphabet = CONVERGENT_SYSTEMS[name]
+    words = st.lists(st.sampled_from(alphabet), max_size=30).map(tuple)
+    prefix = system.normal_form(data.draw(words))
+    word = prefix + data.draw(words)
+    assert system.normal_form(word, len(prefix)) == system.normal_form(word)
 
 
 def test_rules_are_frozen_at_construction():
