@@ -30,7 +30,9 @@ lambda(eta_i) e lambda(eta_i)* = 1``.
 
 The build checks the Pimsner-Popa identity as ``P = 1`` in operator norm, with
 ``P`` that operator sum, and reads ``Tr(x e y) = tau(x y)`` on all pairs of
-matrix units off ``P``; it keeps the trace residual, ``P`` and ``|P - 1|``.
+matrix units off ``P`` (``trace_identity_residual``); the record keeps the
+trace residual, ``P`` and ``|P - 1|``.  Its bounds are the ambient algebra's
+``tolerances``; the pull-down's span check is relative, at ``PULL_DOWN``.
 
 ``qn1_module_test`` needs none of this: the right module ``B x`` generates
 over ``B`` depends on ``B <= M`` alone, so it takes the subalgebra handle and
@@ -39,9 +41,8 @@ reads the module off one frame of the ``b1 x b2`` (``bimodule.module_frame``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from .bimodule import BimoduleBasis, module_frame, orthonormal_basis
 from .errors import ConstructionError, RepresentationError
 from .expectations import SubalgebraHandle, conditional_expectation
 from .matrixalg import AlgebraElement, MultiMatrixAlgebra
-from .tolerances import Tolerances
+
+PULL_DOWN = 1e-10  # span membership: right-action commutator, relative to max(1, |T|)
 
 
 def _block_operators(ambient: MultiMatrixAlgebra, stacks: Sequence[np.ndarray], place
@@ -94,14 +96,11 @@ def right_operator(y: AlgebraElement) -> np.ndarray:
 @dataclass(eq=False)
 class BasicConstruction:
     subalgebra: SubalgebraHandle
-    tolerances: Tolerances
     trace_vectors: BimoduleBasis
     trace_form: np.ndarray  # sum of |eta_i><eta_i|
-    # kept by the build's check: trace_identity_residual(), and P = sum_i
-    # lambda(eta_i) e lambda(eta_i)* and |P - 1| of pimsner_popa_residual()
-    trace_residual: float = field(default=math.nan, init=False)
-    pimsner_popa_defect: float = field(default=math.nan, init=False)
-    pimsner_popa: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    pimsner_popa: np.ndarray = field(repr=False)  # P = sum_i lambda(eta_i) e lambda(eta_i)*
+    pimsner_popa_defect: float  # |P - 1| in operator norm, which bounds the pull-down defect
+    trace_residual: float  # trace_identity_residual of P
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
@@ -134,7 +133,7 @@ class BasicConstruction:
         The input must lie in the span, that is commute with the right
         action of the subalgebra.
         """
-        bound = self.tolerances.pull_down * max(1.0, float(np.linalg.norm(op)))
+        bound = PULL_DOWN * max(1.0, float(np.linalg.norm(op)))
         algebra = self.algebra
         rights = right_operators(algebra, self.subalgebra.stacks)
         errs = np.linalg.norm(op @ rights - rights @ op, axis=(1, 2))
@@ -147,20 +146,6 @@ class BasicConstruction:
             np.einsum("aij,akj->ik", t, e.conj()) for t, e in zip(images, etas)))
 
     # -- identity checks -----------------------------------------------------------
-
-    def trace_identity_residual(self) -> float:
-        """Largest ``|Tr(x e y) - tau(x y)|`` over all pairs of matrix units,
-        read off the operator ``P`` that ``pimsner_popa_residual`` keeps.
-
-        The defect is ``<v(y*), (P - 1) v(x)>``: both sides equal ``sum_i
-        tau(E_B(y eta_i) E_B(eta_i* x)) - tau(x y)`` for any vectors ``eta_i``.
-        At ``x = E^k_ab``, ``y = E^l_cd`` it is ``(w_k w_l)^(1/2) (P - 1)`` at
-        ``((l, d, c), (k, a, b))``, and these run over all coordinate pairs.
-        """
-        algebra = self.algebra
-        roots = np.repeat(np.sqrt(algebra.block_weights), [n * n for n in algebra.block_dims])
-        defect = np.abs(self.pimsner_popa - np.eye(algebra.dim))
-        return float(np.max(roots[:, None] * defect * roots))
 
     def compression_residuals(self, lefts: np.ndarray) -> np.ndarray:
         """Operator norms of ``e lambda(x) e - lambda(E_B(x)) e`` for each
@@ -180,54 +165,47 @@ class BasicConstruction:
         vectors = ws @ self.algebra.to_vector(self.algebra.one())
         return np.abs(np.sqrt(np.maximum(traces, 0.0)) - np.linalg.norm(vectors, axis=1))
 
-    def pimsner_popa_residual(self) -> float:
-        """Operator norm of ``sum_i lambda(eta_i) e lambda(eta_i)* - 1``.
 
-        Pull-down of ``x e y`` is ``x`` times the adjoint of the
-        reconstruction of ``y*``, so this bounds the pull-down defect.  The
-        operator is kept as ``pimsner_popa`` and the norm as ``pimsner_popa_defect``.
-        """
-        self.pimsner_popa = p = module_projection(self.trace_vectors)
-        self.pimsner_popa_defect = float(np.linalg.norm(p - np.eye(self.algebra.dim), 2))
-        return self.pimsner_popa_defect
-
-
-def basic_construction(
-    subalgebra: SubalgebraHandle,
-    tolerances: Optional[Tolerances] = None,
-) -> BasicConstruction:
-    """Build and verify the extension data of the inclusion a handle holds."""
-    tolerances = tolerances or Tolerances()
+def basic_construction(subalgebra: SubalgebraHandle) -> BasicConstruction:
+    """Build and verify the extension data of the inclusion a handle holds,
+    within the ambient algebra's tolerances."""
     algebra = subalgebra.ambient
+    tolerances = algebra.tolerances
     expect = conditional_expectation(subalgebra)
     rest = orthonormal_basis(subalgebra, expect, np.eye(algebra.dim) - subalgebra.projector)
     trace_vectors = BimoduleBasis(subalgebra=subalgebra, expectation=expect,
                                   vectors=[algebra.one()] + rest.vectors,
                                   supports=[algebra.one()] + rest.supports)
     frame = np.stack([algebra.to_vector(eta) for eta in trace_vectors.vectors], axis=1)
-
-    construction = BasicConstruction(
-        subalgebra=subalgebra,
-        tolerances=tolerances,
-        trace_vectors=trace_vectors,
-        trace_form=frame @ frame.conj().T,
-    )
-    _verify_construction(construction)
-    return construction
-
-
-def _verify_construction(c: BasicConstruction) -> None:
-    tol = c.tolerances.construction_identity
-    rest = c.algebra.vectors_of(c.algebra.stack(c.trace_vectors.vectors[1:]))
-    if np.any(np.linalg.norm(c.e_sub @ rest, axis=0) > tol):
+    tol = tolerances.construction_identity
+    if np.any(np.linalg.norm(subalgebra.projector @ frame[:, 1:], axis=0) > tol):
         raise ConstructionError("module basis vector has a nonzero subalgebra component")
-    defect = c.pimsner_popa_residual()
-    c.trace_residual = worst = c.trace_identity_residual()
+    p = module_projection(trace_vectors)
+    defect = float(np.linalg.norm(p - np.eye(algebra.dim), 2))
+    worst = trace_identity_residual(algebra, p)
     if worst > tol:
         raise ConstructionError(f"trace identity residual {worst:.2e} exceeds {tol:.2e}")
-    bound = c.tolerances.reconstruction
-    if defect > bound:
-        raise ConstructionError(f"Pimsner-Popa residual {defect:.2e} exceeds {bound:.2e}")
+    if defect > tolerances.reconstruction:
+        raise ConstructionError(
+            f"Pimsner-Popa residual {defect:.2e} exceeds {tolerances.reconstruction:.2e}")
+    return BasicConstruction(subalgebra=subalgebra, trace_vectors=trace_vectors,
+                             trace_form=frame @ frame.conj().T, pimsner_popa=p,
+                             pimsner_popa_defect=defect, trace_residual=worst)
+
+
+def trace_identity_residual(algebra: MultiMatrixAlgebra, p: np.ndarray) -> float:
+    """Largest ``|Tr(x e y) - tau(x y)|`` over all pairs of matrix units,
+    read off the operator ``P = sum_i lambda(eta_i) e lambda(eta_i)*``
+    (``module_projection`` of the trace vectors).
+
+    The defect is ``<v(y*), (P - 1) v(x)>``: both sides equal ``sum_i
+    tau(E_B(y eta_i) E_B(eta_i* x)) - tau(x y)`` for any vectors ``eta_i``.
+    At ``x = E^k_ab``, ``y = E^l_cd`` it is ``(w_k w_l)^(1/2) (P - 1)`` at
+    ``((l, d, c), (k, a, b))``, and these run over all coordinate pairs.
+    """
+    roots = np.repeat(np.sqrt(algebra.block_weights), [n * n for n in algebra.block_dims])
+    defect = np.abs(p - np.eye(algebra.dim))
+    return float(np.max(roots[:, None] * defect * roots))
 
 
 def module_projection(basis: BimoduleBasis) -> np.ndarray:

@@ -34,7 +34,6 @@ import numpy as np
 
 from .expectations import SubalgebraHandle, matrix_units
 from .matrixalg import AlgebraElement
-from .tolerances import Tolerances
 
 Expectation = Callable[[AlgebraElement], AlgebraElement]
 
@@ -130,10 +129,10 @@ def module_frame(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.
 
     The left singular vectors of the stacked ``vec(g b)``, in ``(g, b)``
     order, whose singular values exceed ``subalgebra_closure * max(1,
-    s_max)``.
+    s_max)`` (``_kept``).
     """
     frame, svals, _ = np.linalg.svd(_products(sub, generators), full_matrices=False)
-    return frame[:, _kept(svals)]
+    return frame[:, _kept(sub, svals)]
 
 
 def _products(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.ndarray:
@@ -144,10 +143,11 @@ def _products(sub: SubalgebraHandle, generators: Sequence[np.ndarray]) -> np.nda
                                for g, s, n in zip(generators, sub.stacks, ambient.block_dims)])
 
 
-def _kept(svals: np.ndarray) -> np.ndarray:
-    """The singular values above ``subalgebra_closure * max(1, s_max)``, per row of a batch."""
-    return svals > Tolerances().subalgebra_closure * np.max(svals, axis=-1, initial=1.0,
-                                                            keepdims=True)
+def _kept(sub: SubalgebraHandle, svals: np.ndarray) -> np.ndarray:
+    """The singular values above ``subalgebra_closure * max(1, s_max)``, per
+    row of a batch, with the cutoff of ``sub.ambient``."""
+    return svals > sub.ambient.tolerances.subalgebra_closure * np.max(
+        svals, axis=-1, initial=1.0, keepdims=True)
 
 
 def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement]) -> int:
@@ -167,5 +167,5 @@ def module_dimension(sub: SubalgebraHandle, generators: Sequence[AlgebraElement]
         count = len(units) // n
         spans = products.reshape(ambient.dim, len(generators), count, n).transpose(2, 0, 1, 3)
         svals = np.linalg.svd(spans.reshape(count, ambient.dim, -1), compute_uv=False)
-        total += n * int(np.count_nonzero(_kept(svals)))
+        total += n * int(np.count_nonzero(_kept(sub, svals)))
     return total

@@ -30,8 +30,8 @@ from .tolerances import Tolerances
 from .wahp import OptimizerConfig, wahp_gap
 
 
-def _parse_tolerances(pairs, base: Tolerances) -> Tolerances:
-    """``base`` with the ``KEY=VALUE`` overrides applied."""
+def _tolerance_overrides(pairs) -> dict:
+    """The ``KEY=VALUE`` pairs of ``--tolerance`` as numbers by key."""
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -43,7 +43,7 @@ def _parse_tolerances(pairs, base: Tolerances) -> Tolerances:
             overrides[key] = float(value)
         except ValueError:
             raise InputFormatError(f"tolerance {key!r} needs a number, got {value!r}") from None
-    return base.override(**overrides)
+    return overrides
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -84,21 +84,17 @@ def run_group_analysis(args) -> int:
 
 def run_vn_analysis(args) -> int:
     doc = load_matrix_inclusion(args.file)
-    tolerances = _parse_tolerances(args.tolerance, doc.tolerances)
+    tolerances = doc.tolerances.override(**_tolerance_overrides(args.tolerance))
     seed = args.seed if args.seed is not None else (doc.seed if doc.seed is not None else 42)
     algebra = build_algebra(doc.blocks, doc.weights, tolerances)
-    sub = subalgebra_closure(algebra, [algebra.element(g) for g in doc.subalgebra_generators],
-                             tolerances)
+    sub = subalgebra_closure(algebra, [algebra.element(g) for g in doc.subalgebra_generators])
     mid = None
     if doc.intermediate_generators is not None:
         mid = subalgebra_closure(
-            algebra,
-            sub.basis + [algebra.element(g) for g in doc.intermediate_generators],
-            tolerances,
-        )
-    construction = basic_construction(sub, tolerances)
+            algebra, sub.basis + [algebra.element(g) for g in doc.intermediate_generators])
+    construction = basic_construction(sub)
     rng = np.random.default_rng(seed)
-    identity_summary = _identity_summary(construction, rng, tolerances)
+    identity_summary = _identity_summary(construction, rng)
     output = {
         "algebra": {
             "blocks": list(algebra.block_dims),
@@ -116,8 +112,7 @@ def run_vn_analysis(args) -> int:
             (algebra.element(x), algebra.element(y)) for x, y in doc.witness_pairs
         ]
         mid_handle = mid if mid is not None else sub
-        report = wahp_gap(sub, mid_handle, pairs, config=OptimizerConfig(seed=seed),
-                          tolerances=tolerances)
+        report = wahp_gap(sub, mid_handle, pairs, config=OptimizerConfig(seed=seed))
         gap_doc = report.to_dict()
         gap_doc["minimizer"] = encode_matrix_element(report.minimizer)
         gap_doc["tier"] = "numerical"
@@ -126,12 +121,14 @@ def run_vn_analysis(args) -> int:
     return 0
 
 
-def _identity_summary(construction, rng, tolerances: Tolerances) -> dict:
+def _identity_summary(construction, rng) -> dict:
     """The build's trace residual, then the compression and vector-norm
     identities at five random pairs and module reconstruction at five random
     samples, each as one stacked call: reconstruction is the Pimsner-Popa
-    operator ``P`` the build kept, so its residual is ``|(1 - P) v|``."""
+    operator ``P`` the build kept, so its residual is ``|(1 - P) v|``.  The
+    bounds are the algebra's tolerances."""
     algebra, e = construction.algebra, construction.e_sub
+    tolerances = algebra.tolerances
     xs, ys = zip(*[(algebra.random_element(rng), algebra.random_element(rng)) for _ in range(5)])
     lefts = [left_operators(algebra, algebra.stack(side)) for side in (xs, ys)]
     worst_compression = float(np.max(construction.compression_residuals(lefts[0])))

@@ -45,7 +45,8 @@ class Cutdown:
 
 
 def cutdown(sub: SubalgebraHandle, e: AlgebraElement) -> Cutdown:
-    """Corner algebra of a projection in the subalgebra, weighted ``w_k / tau(e)``."""
+    """Corner algebra of a projection in the subalgebra, weighted ``w_k / tau(e)``,
+    with the tolerances of ``sub.ambient``."""
     if (e - e.adjoint()).norm2() > 1e-10 or (e @ e - e).norm2() > 1e-10:
         raise GroupValidationError("cutdown requires a projection")
     if not sub.contains(e, 1e-9):
@@ -63,7 +64,7 @@ def cutdown(sub: SubalgebraHandle, e: AlgebraElement) -> Cutdown:
         isometries.append(frame)
         dims.append(frame.shape[1])
         weights.append(sub.ambient.block_weights[k] / trace)
-    corner = build_algebra(dims, weights)
+    corner = build_algebra(dims, weights, sub.ambient.tolerances)
     # eBe, one compression per kept block of the basis stacks
     compressed = corner.vectors_of([v.conj().T @ sub.stacks[k] @ v
                                     for k, v in zip(kept, isometries)])

@@ -56,7 +56,6 @@ from .matrixalg import (
     spectral_frames,
     spectral_projections,
 )
-from .tolerances import Tolerances
 
 
 @dataclass(eq=False)
@@ -121,11 +120,8 @@ def _orthonormalize(ambient: MultiMatrixAlgebra, vectors: np.ndarray, tol: float
     return np.concatenate([first, keep], axis=1)
 
 
-def subalgebra_closure(
-    ambient: MultiMatrixAlgebra,
-    generators: Sequence[AlgebraElement],
-    tolerances: Optional[Tolerances] = None,
-) -> SubalgebraHandle:
+def subalgebra_closure(ambient: MultiMatrixAlgebra,
+                       generators: Sequence[AlgebraElement]) -> SubalgebraHandle:
     """Smallest unital *-subalgebra containing the generators.
 
     Starts from the spectral projections of each generator's real and
@@ -135,9 +131,10 @@ def subalgebra_closure(
     scalar).  Otherwise it alternates span-with-products-and-adjoints and
     re-orthonormalization until the dimension stabilizes, which takes at most
     ``ambient.dim`` rounds, or until the span is all of ``M``, whose units
-    are the ``E^k_ab`` (``_block_units``).
+    are the ``E^k_ab`` (``_block_units``).  Spans are cut at the ambient's
+    ``subalgebra_closure`` tolerance.
     """
-    tol = (tolerances or Tolerances()).subalgebra_closure
+    tol = ambient.tolerances.subalgebra_closure
     spectra = [spectral_projections(part) for g in generators
                for part in (0.5 * (g + g.adjoint()), complex(0, -0.5) * (g - g.adjoint()))]
     columns = [ambient.to_vector(ambient.one())] + [ambient.to_vector(p) for ps in spectra
@@ -163,7 +160,7 @@ def span_subalgebra(ambient: MultiMatrixAlgebra, columns: np.ndarray) -> Subalge
     one = ambient.to_vector(ambient.one())
     return SubalgebraHandle(ambient=ambient, coordinates=_orthonormalize(
         ambient, np.concatenate([one[:, None], columns], axis=1),
-        Tolerances().subalgebra_closure))
+        ambient.tolerances.subalgebra_closure))
 
 
 def _block_units(ambient: MultiMatrixAlgebra) -> list:
@@ -264,12 +261,12 @@ def matrix_units(sub: SubalgebraHandle) -> list:
 
 def cache_units(sub: SubalgebraHandle, units: list) -> SubalgebraHandle:
     """Cache matrix units on ``sub`` once they fill ``B`` and satisfy
-    ``E_1a E_1b* = delta_ab E_11`` within ``construction_identity``;
-    returns ``sub``."""
+    ``E_1a E_1b* = delta_ab E_11`` within the ambient's
+    ``construction_identity``; returns ``sub``."""
     filled = sum(len(g) ** 2 for g in units)
     if filled != sub.dim:
         raise ConstructionError(f"matrix units fill dimension {filled}, not {sub.dim}")
-    ambient, bound, defect = sub.ambient, Tolerances().construction_identity, 0.0
+    ambient, bound, defect = sub.ambient, sub.ambient.tolerances.construction_identity, 0.0
     for n in {len(g) for g in units}:
         grids = [g for g in units if len(g) == n]
         # per block, the E_1a and the E_a1 of those summands as (summand, a) stacks

@@ -126,6 +126,12 @@ class GroupDescriptor:
         self.check_same(a, b)
         return Trit.from_bool(a.payload == b.payload)
 
+    def abelian_refutes_membership(self, gen_payloads: Sequence, payload) -> bool:
+        """True when an abelian image of the group already rules out that
+        ``payload`` lies in the subgroup the ``gen_payloads`` generate; a
+        family without such a refuter says False."""
+        return False
+
 
 # -- finite multiplication tables -------------------------------------------
 
@@ -427,6 +433,16 @@ class ShiftExtensionDescriptor(GroupDescriptor):
         if not isinstance(shift, int):
             raise DescriptorMismatchError("shift exponent must be an integer")
         return (W.reduce_word(word), shift)
+
+    def abelian_refutes_membership(self, gen_payloads, payload) -> bool:
+        """The image ``(letter exponent sum, shift)`` in ``Z^2`` of ``payload``
+        is outside the lattice of the generators' images."""
+
+        def image(p) -> tuple[int, int]:
+            word, shift = p
+            return (sum(W.exp_of(x) for x in word), shift)
+
+        return not lattice_member([image(p) for p in gen_payloads], image(payload))
 
     def base_generator(self, index: int, exp: int = 1) -> GroupElement:
         return self.element((W.generator(index, exp), 0))

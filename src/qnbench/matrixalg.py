@@ -4,7 +4,9 @@ normalized faithful trace.
 An algebra is a list of block dimensions ``n_k`` and positive weights
 ``w_k`` with ``sum(w_k n_k) = 1``, giving the trace
 ``tau(x) = sum_k w_k tr(x_k)`` with ``tau(1) = 1``.  Elements are tuples of
-complex blocks; the 2-norm is ``tau(x* x)^(1/2)``.
+complex blocks; the 2-norm is ``tau(x* x)^(1/2)``.  An algebra also carries
+the ``Tolerances`` that every numerical check on it reads; its tensor
+products and corners inherit them.
 
 Coordinates: scaling the matrix units of block ``k`` by ``w_k^(1/2)`` gives
 an orthonormal basis of the trace inner product, so every element maps to a
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +35,7 @@ class MultiMatrixAlgebra:
     block_dims: tuple
     block_weights: tuple
     rescaled: bool = False
+    tolerances: Tolerances = Tolerances()
 
     @property
     def dim(self) -> int:
@@ -143,7 +146,8 @@ class MultiMatrixAlgebra:
     def tensor(self, other: "MultiMatrixAlgebra") -> "MultiMatrixAlgebra":
         dims = tuple(n * m for n in self.block_dims for m in other.block_dims)
         weights = tuple(w * v for w in self.block_weights for v in other.block_weights)
-        return MultiMatrixAlgebra(block_dims=dims, block_weights=weights)
+        return MultiMatrixAlgebra(block_dims=dims, block_weights=weights,
+                                  tolerances=self.tolerances)
 
     def tensor_element(self, product: "MultiMatrixAlgebra", x: "AlgebraElement",
                        y: "AlgebraElement") -> "AlgebraElement":
@@ -159,9 +163,9 @@ def kron_stacks(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> li
 
 
 def build_algebra(block_dims: Sequence[int], block_weights: Sequence[float],
-                  tolerances: Optional[Tolerances] = None) -> MultiMatrixAlgebra:
-    """Validated constructor; weights off normalization are rescaled with a flag."""
-    tolerances = tolerances or Tolerances()
+                  tolerances: Tolerances = Tolerances()) -> MultiMatrixAlgebra:
+    """Validated constructor; weights off normalization are rescaled with a
+    flag.  The algebra carries ``tolerances``."""
     if len(block_dims) != len(block_weights) or not block_dims:
         raise GroupValidationError("need matching nonempty dimension and weight lists")
     if any(n <= 0 or int(n) != n for n in block_dims):
@@ -173,14 +177,15 @@ def build_algebra(block_dims: Sequence[int], block_weights: Sequence[float],
     weights = tuple(float(w) / total for w in block_weights) if rescaled \
         else tuple(float(w) for w in block_weights)
     # a minimal projection's trace norm sqrt(w) must clear the closure's cutoff
-    floor = tolerances.subalgebra_closure ** 2
+    # (squared by a product: a huge cutoff gives inf where ``** 2`` would raise)
+    floor = tolerances.subalgebra_closure * tolerances.subalgebra_closure
     for k, w in enumerate(weights):
         if w < floor:
             raise GroupValidationError(
                 f"block {k} has normalized weight {w:.3g}, below subalgebra_closure^2 = "
                 f"{floor:.3g}")
     return MultiMatrixAlgebra(block_dims=tuple(int(n) for n in block_dims),
-                              block_weights=weights, rescaled=rescaled)
+                              block_weights=weights, rescaled=rescaled, tolerances=tolerances)
 
 
 class AlgebraElement:

@@ -96,12 +96,8 @@ class SubgroupSpec:
         group = self.group
 
         # exact refutations first
-        if isinstance(group, FpGroupDescriptor):
-            if group.abelian_refutes_membership([h.payload for h in self.generators], g.payload):
-                return Trit.NO
-        if isinstance(group, ShiftExtensionDescriptor):
-            if not _shift_abelian_member(self, g):
-                return Trit.NO
+        if group.abelian_refutes_membership([h.payload for h in self.generators], g.payload):
+            return Trit.NO
 
         moves = self.generator_moves()
         if not moves:
@@ -455,18 +451,6 @@ def _table_closure(group: FiniteTableGroup, gens: Sequence[GroupElement]) -> fro
                 seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
-
-
-def _shift_abelian_member(spec: SubgroupSpec, g: GroupElement) -> bool:
-    """Abelianized test for shift extensions: (letter exponent sum, shift)."""
-
-    def image(e: GroupElement) -> tuple[int, int]:
-        word, shift = e.payload
-        return (sum(W.exp_of(x) for x in word), shift)
-
-    from .rewriting import lattice_member
-
-    return lattice_member([image(h) for h in spec.generators], image(g))
 
 
 # -- the call path ---------------------------------------------------------------

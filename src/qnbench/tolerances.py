@@ -1,4 +1,5 @@
-"""Central numerical tolerance settings for the matrix workbench."""
+"""Central numerical tolerance settings for the matrix workbench, carried by
+each algebra (``MultiMatrixAlgebra.tolerances``)."""
 
 from __future__ import annotations
 
@@ -11,11 +12,10 @@ from .errors import InputFormatError
 @dataclass(frozen=True)
 class Tolerances:
     weight_sum: float = 1e-12            # allowed drift of sum(w_k n_k) from 1
-    subalgebra_closure: float = 1e-10    # rank cutoff for span closures
-    construction_identity: float = 1e-8  # build-time Tr(x e y) = tau(xy), via Pimsner-Popa
+    subalgebra_closure: float = 1e-10    # rank cutoff of closures, spans and module frames
+    construction_identity: float = 1e-8  # build-time matrix units and Tr(x e y) = tau(xy)
     trace_identity: float = 1e-10        # spanning-set residual of the same identity
     compression_identity: float = 1e-12  # e x e = E(x) e as operators
-    pull_down: float = 1e-10             # span membership: right-action commutator
     vector_norm_match: float = 1e-9      # |w e|_Tr vs |w vector|_tau
     reconstruction: float = 1e-9         # module vector reconstruction residual
     unitary: float = 1e-10               # u*u = 1 residual
@@ -24,10 +24,12 @@ class Tolerances:
 
     def override(self, **kwargs) -> "Tolerances":
         """Copy with some fields replaced; every value must be finite, as a
-        NaN bound would pass every ``residual > bound`` check."""
-        bad = sorted(key for key, value in kwargs.items() if not math.isfinite(value))
+        NaN bound would pass every ``residual > bound`` check, and
+        nonnegative, as no residual falls below a negative bound."""
+        bad = sorted(key for key, value in kwargs.items()
+                     if not (math.isfinite(value) and value >= 0))
         if bad:
-            raise InputFormatError(f"tolerances must be finite numbers: {bad}")
+            raise InputFormatError(f"tolerances must be finite and nonnegative: {bad}")
         return replace(self, **kwargs)
 
     @staticmethod

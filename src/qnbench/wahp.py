@@ -48,7 +48,6 @@ from .basic import left_operators, right_operators
 from .errors import GroupValidationError
 from .expectations import SubalgebraHandle, conditional_expectation, matrix_units
 from .matrixalg import AlgebraElement
-from .tolerances import Tolerances
 
 
 MAX_ITERATIONS = 200  # descent steps per restart
@@ -259,10 +258,11 @@ def wahp_gap(
     witness_pairs: Sequence,
     *,
     config: Optional[OptimizerConfig] = None,
-    tolerances: Optional[Tolerances] = None,
 ) -> WahpGapReport:
     """Minimize the gap functional for ``B <= N <= M``, with ``B = sub``,
     ``N = mid`` and ``M = sub.ambient``; report optimizer and oracle values.
+    The optimizer must come within ``oracle_slack`` of the oracle, and the
+    minimizer within ``unitary`` of the unitary group, both tolerances of ``M``.
 
     A restart replaces the best unitary only when its value is lower by more
     than ``VALUE_FLOOR * |Q|``, so on a functional that is constant on
@@ -270,8 +270,8 @@ def wahp_gap(
     restart rounding favoured.
     """
     config = config or OptimizerConfig()
-    tolerances = tolerances or Tolerances()
     ambient, pairs = sub.ambient, [(x, y) for x, y in witness_pairs]
+    tolerances = ambient.tolerances
     _check_triple(sub, mid, pairs)
     q = _objective_matrix(sub, pairs, conditional_expectation(mid))
     if not q.any():
@@ -366,7 +366,7 @@ def wahp_witness_search(
     The report carries ``F(1)`` with minimizer ``1`` and no optimizer run.
     As a cross-check, ``F`` is evaluated at ``CROSS_CHECK_POINTS`` seeded
     random unitaries; ``oracle_value`` is their minimum, and ``converged``
-    says that every one lies within the default ``oracle_slack`` of ``F(1)``.
+    says that every one lies within ``M``'s ``oracle_slack`` of ``F(1)``.
     """
     config = config or OptimizerConfig()
     _check_triple(sub, mid, ())
@@ -389,7 +389,7 @@ def wahp_witness_search(
         oracle_value=float(samples.min()),
         minimizer=sub.ambient.one(),
         unitary_defect=0.0,
-        converged=spread <= Tolerances().oracle_slack,
+        converged=spread <= sub.ambient.tolerances.oracle_slack,
         restarts=0,
         iterations=0,
         seed=config.seed,

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qnbench.basic import basic_construction, left_operator, right_operator
+from qnbench.basic import (
+    PULL_DOWN,
+    basic_construction,
+    left_operator,
+    module_projection,
+    right_operator,
+    trace_identity_residual,
+)
 from qnbench.errors import RepresentationError
 from qnbench.expectations import (
     diagonal_subalgebra,
@@ -37,7 +44,7 @@ def reference_pull_down(c, span, op):
     target = op.reshape(-1)
     coeffs, _, _, _ = np.linalg.lstsq(ops, target, rcond=None)
     err = float(np.linalg.norm(ops @ coeffs - target))
-    if err > c.tolerances.pull_down * max(1.0, float(np.linalg.norm(target))):
+    if err > PULL_DOWN * max(1.0, float(np.linalg.norm(target))):
         raise RepresentationError(f"outside the span (residual {err:.2e})")
     out = c.algebra.zero()
     for coef, prod in zip(coeffs, products):
@@ -49,6 +56,11 @@ def pair_loop_trace_residual(c) -> float:
     basis = c.algebra.basis()
     return max(abs(c.extension_trace(c.basic_operator(x, y)) - (x @ y).trace())
                for x in basis for y in basis)
+
+
+def pimsner_popa(c):
+    """The operator ``P`` of the construction's current trace vectors."""
+    return module_projection(c.trace_vectors)
 
 
 def rejects(pull_down, op) -> bool:
@@ -105,8 +117,8 @@ def test_rejection_matches_reference_solve(case):
 @settings(max_examples=30, deadline=None)
 @given(inclusions())
 def test_trace_identity_residual_matches_pair_loop(case):
-    _, _, c = case
-    assert abs(c.trace_identity_residual() - pair_loop_trace_residual(c)) < 1e-13
+    _, M, c = case
+    assert abs(trace_identity_residual(M, pimsner_popa(c)) - pair_loop_trace_residual(c)) < 1e-13
 
 
 @pytest.mark.parametrize("dims, weights", [
@@ -127,18 +139,17 @@ def test_trace_identity_residual_keeps_its_power_on_a_broken_basis(dims, weights
         vectors[-1] = 1.001 * vectors[-1]
     frame = np.stack([M.to_vector(eta) for eta in vectors], axis=1)
     c.trace_form = frame @ frame.conj().T
-    c.pimsner_popa_residual()
     reference = pair_loop_trace_residual(c)
     assert reference > 1e-4
-    assert abs(c.trace_identity_residual() - reference) <= 1e-9 * reference
+    assert abs(trace_identity_residual(M, pimsner_popa(c)) - reference) <= 1e-9 * reference
 
 
 def test_pimsner_popa_residual_detects_a_short_basis():
     M = build_algebra([2], [0.5])
     c = basic_construction(diagonal_subalgebra(M))
-    assert c.pimsner_popa_residual() < 1e-12
+    assert c.pimsner_popa_defect < 1e-12
     c.trace_vectors.vectors.pop()
-    assert c.pimsner_popa_residual() > 0.5
+    assert np.linalg.norm(pimsner_popa(c) - np.eye(M.dim), 2) > 0.5
 
 
 def test_pull_down_inverts_left_multiplication_over_full_subalgebra():
@@ -164,7 +175,7 @@ def test_basic_construction_memory_stays_below_span_matrix():
         tracemalloc.stop()
     assert M.dim == 64
     assert peak < 32 * 2**20
-    assert c.trace_identity_residual() < 1e-10
+    assert c.trace_residual < 1e-10
 
 
 def test_basic_construction_memory_stays_below_matrix_unit_operators():

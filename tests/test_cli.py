@@ -143,6 +143,10 @@ def test_vn_command_tolerance_override_keeps_document_tolerances(tmp_path):
         ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "trace_identity=nan"],
         ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "trace_identity=inf"],
         ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "reconstruction=-inf"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "subalgebra_closure=1e300"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "weight_sum=-5"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "subalgebra_closure=-1"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "pull_down=1"],
         ["verify-paper", "--criteria", "5,x"],
         ["verify-paper", "--criteria", "11"],
         ["verify-paper", "--criteria", "0"],
@@ -154,6 +158,8 @@ def test_vn_command_tolerance_override_keeps_document_tolerances(tmp_path):
     ids=["vn_unknown_key", "vn_unread_key", "group_tolerance", "verify_tolerance",
          "vn_budget", "vn_radius", "vn_threshold", "group_seed", "vn_tolerance_not_float",
          "vn_tolerance_nan", "vn_tolerance_inf", "vn_tolerance_minus_inf",
+         "vn_tolerance_squares_to_inf", "vn_tolerance_negative_weight_sum",
+         "vn_tolerance_negative_closure", "vn_pull_down_is_a_constant",
          "verify_criterion_not_int", "verify_criterion_11", "verify_criterion_0",
          "verify_threshold_1", "verify_threshold_negative", "verify_budget_0",
          "verify_radius_negative"],
@@ -199,11 +205,15 @@ BAD_GENERATOR = [[[["a", 0], [0, 0]], [[0, 0], [0, 0]]]]
         {"blocks": ["x"]},
         {"weights": [None]},
         {"subalgebra_generators": [BAD_GENERATOR]},
+        {"tolerances": {"subalgebra_closure": 1e200}},
+        {"tolerances": {"trace_identity": -1e-10}},
     ],
-    ids=["tolerance_string", "block_string", "weight_null", "entry_string"],
+    ids=["tolerance_string", "block_string", "weight_null", "entry_string",
+         "tolerance_squares_to_inf", "tolerance_negative"],
 )
 def test_document_bad_number_exits_2(tmp_path, capsys, change):
-    # a value that is not a number is an input error, not a traceback
+    # a value that is not a number, or not a usable bound, is an input
+    # error, not a traceback
     doc = json.loads(Path(SAMPLES, "diag_m2.json").read_text())
     doc.update(change)
     path = tmp_path / "bad_number.json"

@@ -200,8 +200,8 @@ def test_basic_construction_builds_on_corners_cut_by_central_projections(case, d
     cut = cutdown(B, sum((pieces[i] for i in keep[1:]), pieces[keep[0]]))
     assert abs(cut.corner.one().trace() - 1.0) < 1e-12
     c = basic_construction(cut.sub_corner)
-    assert c.trace_residual <= c.tolerances.construction_identity
-    assert c.pimsner_popa_defect <= c.tolerances.reconstruction
+    assert c.trace_residual <= c.algebra.tolerances.construction_identity
+    assert c.pimsner_popa_defect <= c.algebra.tolerances.reconstruction
 
 
 def test_module_checks_build_no_basic_construction(monkeypatch):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from qnbench.errors import GroupValidationError, InputFormatError
+from qnbench.bimodule import module_frame
+from qnbench.corners import cutdown, tensor_subalgebra
+from qnbench.errors import ConstructionError, GroupValidationError, InputFormatError
+from qnbench.expectations import cache_units, diagonal_subalgebra, scalar_subalgebra
 from qnbench.matrixalg import (
     build_algebra,
     eigenvalue_clusters,
@@ -107,6 +110,45 @@ def test_tolerances_override():
     assert "reconstruction" in Tolerances.field_names()
     with pytest.raises(InputFormatError):
         Tolerances().override(unitary=float("nan"))
+    with pytest.raises(InputFormatError, match="weight_sum"):
+        Tolerances().override(weight_sum=-5.0)
+    assert Tolerances().override(weight_sum=0.0).weight_sum == 0.0
+
+
+def loose_m2():
+    """``M_2`` whose unit check and rank cutoffs are far above the defaults."""
+    return build_algebra([2], [0.5], Tolerances().override(construction_identity=1e-3,
+                                                           subalgebra_closure=1e-4))
+
+
+def test_matrix_units_are_checked_within_the_algebra_tolerance():
+    # E_11 scaled by 1 + 1e-6 misses E_11 E_11* = E_11 by 7.07e-07
+    def units(M):
+        return [[[(1 + 1e-6) * M.matrix_unit(0, 0, 0)]], [[M.matrix_unit(0, 1, 1)]]]
+
+    M = build_algebra([2], [0.5])
+    with pytest.raises(ConstructionError, match="7.07e-07 exceeds 1.00e-08"):
+        cache_units(diagonal_subalgebra(M), units(M))
+    M = loose_m2()
+    loose = units(M)
+    assert cache_units(diagonal_subalgebra(M), loose).units is loose
+
+
+def test_module_frame_cuts_at_the_algebra_tolerance():
+    # over the scalars, 1 + 1e-6 E_11 and 1 are one direction at cutoff 1e-4
+    for M, rank in ((build_algebra([2], [0.5]), 2), (loose_m2(), 1)):
+        generators = M.stack([M.one() + 1e-6 * M.matrix_unit(0, 0, 0), M.one()])
+        assert module_frame(scalar_subalgebra(M), generators).shape[1] == rank
+
+
+def test_corners_and_tensor_products_inherit_the_tolerances():
+    M = loose_m2()
+    B = diagonal_subalgebra(M)
+    cut = cutdown(B, M.matrix_unit(0, 0, 0))
+    assert cut.corner.tolerances is M.tolerances
+    assert cut.sub_corner.ambient.tolerances is M.tolerances
+    assert M.tensor(build_algebra([1], [1.0])).tolerances is M.tolerances
+    assert tensor_subalgebra(B, B).ambient.tolerances is M.tolerances
 
 
 def test_spectral_projections_share_an_eigenvalue_across_blocks():

@@ -4,7 +4,9 @@ functions take and return: a rename or a changed signature fails here
 instead of at ``--trace 1``.  And every src function must have a src
 caller, so code that nothing reaches is deleted or moved into the tests.
 No src function takes a handle together with the algebra or group the
-handle already holds.  The package depends on numpy alone."""
+handle already holds, and no src function but ``build_algebra`` takes
+tolerances: every check reads them off the algebra.  The package depends on
+numpy alone."""
 
 import ast
 import contextlib
@@ -214,6 +216,30 @@ def test_no_src_function_takes_a_handle_and_its_parent():
     assert "subgroups.product_subgroup" in both  # the walk sees annotated parameters
     extra = sorted(set(both) - HANDLE_AND_PARENT)
     assert not extra, f"src functions taking a handle and the parent it holds: {extra}"
+
+
+# where a Tolerances object may be made: its own module, the algebra's
+# default and build_algebra's, and the matrix document loader
+TOLERANCES_MADE_IN = {"tolerances.py", "matrixalg.py", "files.py"}
+
+
+def test_tolerances_travel_only_with_the_algebra():
+    takers, made = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, FUNCTIONS):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "tolerances" or "Tolerances" in _annotation_names(a.annotation)
+                       for a in args):
+                    takers.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Call) and "Tolerances" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if path.name not in TOLERANCES_MADE_IN:
+                    made.append(f"{path.name}:{node.lineno}")
+    assert takers == ["matrixalg.build_algebra"], \
+        f"src functions taking tolerances besides build_algebra: {takers}"
+    assert not made, f"Tolerances() made outside {sorted(TOLERANCES_MADE_IN)}: {made}"
 
 
 def test_src_imports_only_the_standard_library_and_numpy():
