@@ -11,10 +11,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
-from .acceptance import AcceptanceConfig, verify_paper
-from .basic import basic_construction, left_operators
 from .conditions import DiagnosisConfig, diagnose_inclusion
 from .errors import (
     ConstructionError,
@@ -23,11 +19,8 @@ from .errors import (
     QnbenchError,
     ResourceLimitError,
 )
-from .expectations import subalgebra_closure
 from .files import encode_matrix_element, load_group_inclusion, load_matrix_inclusion
-from .matrixalg import build_algebra
 from .tolerances import Tolerances
-from .wahp import OptimizerConfig, wahp_gap
 
 
 def _tolerance_overrides(pairs) -> dict:
@@ -83,6 +76,14 @@ def run_group_analysis(args) -> int:
 
 
 def run_vn_analysis(args) -> int:
+    # the matrix engine and numpy load with the commands that run them
+    import numpy as np
+
+    from .basic import basic_construction
+    from .expectations import subalgebra_closure
+    from .matrixalg import build_algebra
+    from .wahp import OptimizerConfig, wahp_gap
+
     doc = load_matrix_inclusion(args.file)
     tolerances = doc.tolerances.override(**_tolerance_overrides(args.tolerance))
     seed = args.seed if args.seed is not None else (doc.seed if doc.seed is not None else 42)
@@ -127,6 +128,10 @@ def _identity_summary(construction, rng) -> dict:
     samples, each as one stacked call: reconstruction is the Pimsner-Popa
     operator ``P`` the build kept, so its residual is ``|(1 - P) v|``.  The
     bounds are the algebra's tolerances."""
+    import numpy as np  # the matrix engine, which run_vn_analysis has loaded
+
+    from .basic import left_operators
+
     algebra, e = construction.algebra, construction.e_sub
     tolerances = algebra.tolerances
     xs, ys = zip(*[(algebra.random_element(rng), algebra.random_element(rng)) for _ in range(5)])
@@ -145,6 +150,8 @@ def _identity_summary(construction, rng) -> dict:
 
 
 def run_verify_paper(args) -> int:
+    from .acceptance import AcceptanceConfig, verify_paper  # it loads both engines
+
     numbers = None
     if args.criteria:
         try:

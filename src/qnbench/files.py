@@ -45,8 +45,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import words as W
 from .errors import InputFormatError
 from .groups import (
@@ -288,6 +286,8 @@ def load_group_inclusion(path: str) -> GroupInclusionDoc:
 
 
 def _parse_matrix_element(raw, blocks, context: str):
+    import numpy as np  # matrix documents only: group documents never load numpy
+
     if not isinstance(raw, list) or len(raw) != len(blocks):
         raise InputFormatError(f"{context}: element needs one block per summand")
     out = []

@@ -22,8 +22,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import words as W
 from .errors import DescriptorMismatchError, GroupValidationError, ResourceLimitError
 from .rewriting import (
@@ -146,44 +144,38 @@ class FiniteTableGroup(GroupDescriptor):
         self.table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in self.table):
             raise GroupValidationError("multiplication table must be square")
-        t = np.array(self.table) if n else np.zeros((0, 0), dtype=np.intp)
-        if t.dtype.kind not in "iu" or ((t < 0) | (t >= n)).any():
-            raise GroupValidationError("table entries must be element indices")
-        t = t.astype(np.intp, copy=False)
         self.names = tuple(names) if names is not None else tuple(f"x{i}" for i in range(n))
-        if len(self.names) != n:
-            raise GroupValidationError("need one name per element")
-        self.identity_index = self._find_identity(t)
-        self.inverse = self._find_inverses(t)
-        self._check_associativity(t)
+        self.identity_index, self.inverse = self._check_table()
         if generator_indices is None:
             generator_indices = [i for i in range(n) if i != self.identity_index]
         self.generator_indices = tuple(generator_indices)
 
-    def _find_identity(self, t: np.ndarray) -> int:
-        """The first ``e`` whose row and column are both ``0, 1, ..., n-1``."""
-        ids = np.arange(self.order)
+    def _check_table(self) -> tuple[int, tuple[int, ...]]:
+        """Check the table and return its identity and inverses.  The
+        identity is the first ``e`` whose row and column are both ``0, 1, ...,
+        n-1``, the inverse of ``i`` the first ``j`` with ``i j = j i = e``.
+        ``(i j) k = i (j k)`` takes one ``n x n`` comparison per ``j``; a
+        failure reports the lexicographically first ``(i, j, k)``."""
+        import numpy as np  # the group side loads numpy for finite tables only
+
+        n = self.order
+        t = np.array(self.table) if n else np.zeros((0, 0), dtype=np.intp)
+        if t.dtype.kind not in "iu" or ((t < 0) | (t >= n)).any():
+            raise GroupValidationError("table entries must be element indices")
+        t = t.astype(np.intp, copy=False)
+        if len(self.names) != n:
+            raise GroupValidationError("need one name per element")
+        ids = np.arange(n)
         found = np.flatnonzero((t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0))
         if not found.size:
             raise GroupValidationError("table has no identity element")
-        return int(found[0])
-
-    def _find_inverses(self, t: np.ndarray) -> tuple[int, ...]:
-        """For each ``i`` the first ``j`` with ``i j = j i = e``."""
-        e = self.identity_index
+        e = int(found[0])
         two_sided = (t == e) & (t.T == e)
         missing = np.flatnonzero(~two_sided.any(axis=1))
         if missing.size:
             raise GroupValidationError(f"element {self.names[missing[0]]} has no inverse")
-        return tuple(int(j) for j in two_sided.argmax(axis=1))
-
-    def _check_associativity(self, t: np.ndarray) -> None:
-        """``(i j) k = i (j k)`` for all triples, one ``n x n`` comparison per ``j``.
-
-        Reports the lexicographically first failing ``(i, j, k)``.
-        """
         failures = []
-        for j in range(self.order):
+        for j in range(n):
             differ = t[t[:, j]] != t[:, t[j]]
             if differ.any():
                 bad = np.argwhere(differ)[0]
@@ -191,6 +183,7 @@ class FiniteTableGroup(GroupDescriptor):
         if failures:
             raise GroupValidationError(
                 "table is not associative at ({},{},{})".format(*min(failures)))
+        return e, tuple(int(j) for j in two_sided.argmax(axis=1))
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self.identity_index)

@@ -174,6 +174,11 @@ def build_algebra(block_dims: Sequence[int], block_weights: Sequence[float],
         raise GroupValidationError("block weights must be positive and finite")
     total = float(sum(w * n for w, n in zip(block_weights, block_dims)))
     rescaled = abs(total - 1.0) > tolerances.weight_sum
+    # closures and identities assume tau(1) = 1; a looser weight_sum keeps no larger drift
+    if not rescaled and abs(total - 1.0) > Tolerances.weight_sum:
+        raise GroupValidationError(
+            f"weight_sum = {tolerances.weight_sum:g} keeps the weights with tau(1) = {total:.12g}, "
+            f"but tau(1) must be 1 within {Tolerances.weight_sum:g}")
     weights = tuple(float(w) / total for w in block_weights) if rescaled \
         else tuple(float(w) for w in block_weights)
     # a minimal projection's trace norm sqrt(w) must clear the closure's cutoff

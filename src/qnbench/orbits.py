@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certificates import CosetIndex, QnCertificate, replay_certificate
+from .certificates import CosetIndex, QnCertificate, product_compose, replay_certificate
 from .errors import GroupValidationError
 from .groups import FiniteTableGroup, GroupElement
 from .stallings import free_qn1_decide
@@ -269,8 +269,6 @@ def product_verdict(v1: MembershipVerdict, v2: MembershipVerdict,
     Componentwise certificates compose; a single exact refutation refutes the
     pair because the cover condition projects onto each factor.
     """
-    from .certificates import product_compose
-
     if v1.certified_in and v2.certified_in:
         cert = product_compose(v1.certificate, v2.certificate, product_spec)
         return MembershipVerdict(status=CERTIFIED_IN, certificate=cert)

@@ -25,11 +25,16 @@ class Tolerances:
     def override(self, **kwargs) -> "Tolerances":
         """Copy with some fields replaced; every value must be finite, as a
         NaN bound would pass every ``residual > bound`` check, and
-        nonnegative, as no residual falls below a negative bound."""
+        nonnegative, as no residual falls below a negative bound.  The rank
+        cutoff ``subalgebra_closure`` must be positive: at 0 every closure
+        keeps rounding noise as one more direction."""
         bad = sorted(key for key, value in kwargs.items()
                      if not (math.isfinite(value) and value >= 0))
         if bad:
             raise InputFormatError(f"tolerances must be finite and nonnegative: {bad}")
+        if kwargs.get("subalgebra_closure") == 0:
+            raise InputFormatError("tolerance subalgebra_closure must be positive: "
+                                   "it is the rank cutoff of every closure")
         return replace(self, **kwargs)
 
     @staticmethod

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -128,6 +130,12 @@ def test_vn_command_tolerance_override_keeps_document_tolerances(tmp_path):
     assert identities["module_reconstruction"]["tolerance"] == 1e-3
 
 
+# what the message of a rejected tolerance names: a kept unnormalized trace
+# and a zero rank cutoff each failed in the closure with an unrelated message
+NAMED_IN_MESSAGE = {"vn_tolerance_loose_weight_sum": ("weight_sum", "tau(1) = 2"),
+                    "vn_tolerance_zero_closure": ("subalgebra_closure",)}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -147,6 +155,8 @@ def test_vn_command_tolerance_override_keeps_document_tolerances(tmp_path):
         ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "weight_sum=-5"],
         ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "subalgebra_closure=-1"],
         ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "pull_down=1"],
+        ["vn", f"{SAMPLES}/rescaled_weights.json", "--tolerance", "weight_sum=1"],
+        ["vn", f"{SAMPLES}/diag_m2.json", "--tolerance", "subalgebra_closure=0"],
         ["verify-paper", "--criteria", "5,x"],
         ["verify-paper", "--criteria", "11"],
         ["verify-paper", "--criteria", "0"],
@@ -160,15 +170,19 @@ def test_vn_command_tolerance_override_keeps_document_tolerances(tmp_path):
          "vn_tolerance_nan", "vn_tolerance_inf", "vn_tolerance_minus_inf",
          "vn_tolerance_squares_to_inf", "vn_tolerance_negative_weight_sum",
          "vn_tolerance_negative_closure", "vn_pull_down_is_a_constant",
+         "vn_tolerance_loose_weight_sum", "vn_tolerance_zero_closure",
          "verify_criterion_not_int", "verify_criterion_11", "verify_criterion_0",
          "verify_threshold_1", "verify_threshold_negative", "verify_budget_0",
          "verify_radius_negative"],
 )
-def test_rejected_invocation_exits_2(argv):
+def test_rejected_invocation_exits_2(argv, request, capsys):
     # bad values exit 2 from the handler, flags a subcommand does not read exit
     # 2 from the parser; either way main returns the code instead of raising
     code, _ = run_cli(argv)
     assert code == 2
+    err = capsys.readouterr().err
+    for name in NAMED_IN_MESSAGE.get(request.node.callspec.id, ()):
+        assert name in err, (name, err)
 
 
 def test_document_nan_tolerance_exits_2(tmp_path):
@@ -207,9 +221,10 @@ BAD_GENERATOR = [[[["a", 0], [0, 0]], [[0, 0], [0, 0]]]]
         {"subalgebra_generators": [BAD_GENERATOR]},
         {"tolerances": {"subalgebra_closure": 1e200}},
         {"tolerances": {"trace_identity": -1e-10}},
+        {"tolerances": {"subalgebra_closure": 0}},
     ],
     ids=["tolerance_string", "block_string", "weight_null", "entry_string",
-         "tolerance_squares_to_inf", "tolerance_negative"],
+         "tolerance_squares_to_inf", "tolerance_negative", "tolerance_zero_closure"],
 )
 def test_document_bad_number_exits_2(tmp_path, capsys, change):
     # a value that is not a number, or not a usable bound, is an input
@@ -354,6 +369,15 @@ def test_help_returns_0():
     assert "usage: qnbench" in out
 
 
+def _fresh_interpreter(script: str) -> str:
+    """Stdout of ``script`` in a new interpreter that imports qnbench from src."""
+    src = str(Path(qnbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the package depends on numpy alone: neither the import nor a gap run
     # (diag_m2 has witness pairs) loads scipy
@@ -362,11 +386,40 @@ def test_cli_import_leaves_scipy_unloaded():
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    assert main(['vn', '{SAMPLES}/diag_m2.json']) == 0\n"
               "print([m for m in sys.modules if m.startswith('scipy')])")
-    src = str(Path(qnbench.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_interpreter(script) == "[]"
+
+
+MATRIX_ENGINE = ["numpy"] + [f"qnbench.{name}" for name in (
+    "matrixalg", "expectations", "basic", "bimodule", "corners", "wahp", "acceptance",
+    "group_algebra")]
+
+
+@pytest.mark.parametrize("document", [None, "f2_cyclic", "shift_tail"],
+                         ids=["import", "group_f2_cyclic", "group_shift_tail"])
+def test_group_side_leaves_the_matrix_engine_unloaded(document):
+    # each command imports only the engine it runs: the cli import and a
+    # group run on a free or shift document load neither numpy nor a matrix
+    # module
+    assert all(importlib.util.find_spec(name) for name in MATRIX_ENGINE)
+    script = "import contextlib, io, sys\nfrom qnbench.cli import main\n"
+    if document is not None:
+        script += ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert main(['group', '{SAMPLES}/{document}.json']) == 0\n")
+    script += f"print([name for name in {MATRIX_ENGINE!r} if name in sys.modules])"
+    assert _fresh_interpreter(script) == "[]"
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    # qnbench.X loads X's home module on first access and is its object
+    table = qnbench._EXPORTS
+    assert len(qnbench.__all__) == len(set(qnbench.__all__)) == sum(map(len, table.values()))
+    for module, names in table.items():
+        home = importlib.import_module(f"qnbench.{module}")
+        for name in names:
+            assert getattr(qnbench, name) is getattr(home, name), name
+    assert set(qnbench.__all__) <= set(dir(qnbench))
+    with pytest.raises(AttributeError, match="no_such_export"):
+        qnbench.no_such_export
 
 
 def test_verify_paper_single_criterion():

@@ -38,6 +38,14 @@ def test_rescale_flag():
     assert abs(M.block_weights[0] - 0.5) < 1e-14
 
 
+def test_a_loose_weight_sum_keeps_no_unnormalized_trace():
+    # weight_sum = 1 would keep tau(1) = 2, which the closure cannot use
+    with pytest.raises(GroupValidationError, match=r"weight_sum = 1 .* tau\(1\) = 2"):
+        build_algebra([2], [1.0], Tolerances(weight_sum=1.0))
+    # a drift the default keeps stays kept
+    assert not build_algebra([2], [0.5 + 1e-13], Tolerances(weight_sum=1.0)).rescaled
+
+
 def test_invalid_weights():
     with pytest.raises(GroupValidationError):
         build_algebra([2], [-0.5])
@@ -113,6 +121,8 @@ def test_tolerances_override():
     with pytest.raises(InputFormatError, match="weight_sum"):
         Tolerances().override(weight_sum=-5.0)
     assert Tolerances().override(weight_sum=0.0).weight_sum == 0.0
+    with pytest.raises(InputFormatError, match="subalgebra_closure must be positive"):
+        Tolerances().override(subalgebra_closure=0.0)  # the path of documents and --tolerance
 
 
 def loose_m2():

@@ -6,7 +6,8 @@ caller, so code that nothing reaches is deleted or moved into the tests.
 No src function takes a handle together with the algebra or group the
 handle already holds, and no src function but ``build_algebra`` takes
 tolerances: every check reads them off the algebra.  The package depends on
-numpy alone."""
+numpy alone, and only the lazy sites of the matrix engine import inside a
+function."""
 
 import ast
 import contextlib
@@ -255,3 +256,38 @@ def test_src_imports_only_the_standard_library_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert not foreign, f"src imports beyond the standard library and numpy: {foreign}"
+
+
+# the only src functions that import: each loads numpy or the matrix engine
+# for the work that needs it, so the group side starts without them
+LAZY_IMPORT_SITES = {
+    "cli.run_vn_analysis", "cli._identity_summary", "cli.run_verify_paper",
+    "groups.FiniteTableGroup._check_table", "files._parse_matrix_element",
+}
+
+
+def _function_import_sites():
+    """``module.name`` (or ``module.Class.name``) of each src function with
+    an ``import`` statement in its body."""
+    found = set()
+
+    def visit(node, qualname, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.add(qualname)
+            elif isinstance(child, (ast.ClassDef,) + FUNCTIONS):
+                visit(child, f"{qualname}.{child.name}",
+                      in_function or isinstance(child, FUNCTIONS))
+            else:
+                visit(child, qualname, in_function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    return found
+
+
+def test_function_local_imports_only_at_the_lazy_sites():
+    sites = _function_import_sites()
+    assert sites == LAZY_IMPORT_SITES, (
+        f"function-local imports outside the lazy sites: {sorted(sites - LAZY_IMPORT_SITES)}; "
+        f"lazy sites without one: {sorted(LAZY_IMPORT_SITES - sites)}")
